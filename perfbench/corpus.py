@@ -1,12 +1,11 @@
-"""Seeded input corpora and DuckDB ground truth for the benchmark.
+"""Input corpora and DuckDB ground truth for the benchmark.
 
 The pipeline reads ``{dir}/documents.parquet`` with columns
-``(doc_id: int64, text: string, lang: string)``. The generator mirrors
-the shape of the repository's synthetic crawl documents: texts of 10 to
-100 tokens drawn uniformly from a 30-word vocabulary (28 gazetteer
-entities plus the stopwords "the" and "a"), and languages en 41%,
-zh/es/fr 15% each, de 14%. The same (docs, seed) pair always writes the
-same bytes.
+``(doc_id: int64, text: string, lang: string)``. ``data/`` holds those
+three columns of the repository's synthetic ``documents`` tables at
+sf0.1 (5,000 documents) and sf0.001 (500 documents): the same rows,
+re-encoded with zstd. A workload reads a corpus as its first ``n``
+documents in ``doc_id`` order.
 """
 
 from __future__ import annotations
@@ -14,40 +13,21 @@ from __future__ import annotations
 import os
 
 import duckdb
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-WORDS = (
-    "agg", "batch", "big", "column", "customer", "data", "fast", "filter",
-    "group", "hash", "join", "key", "line", "merge", "order", "part",
-    "query", "row", "scan", "slow", "small", "sort", "spark", "stream",
-    "table", "value", "vector", "window", "the", "a",
-)
-LANGS = ("en", "zh", "es", "fr", "de")
-LANG_P = (0.41, 0.15, 0.15, 0.15, 0.14)
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 PAGE_PREFIX = "<https://docs.example.org/page/"
 
 
-def documents(n_docs: int, seed: int) -> pa.Table:
-    rng = np.random.default_rng(seed)
-    lens = rng.integers(10, 101, n_docs)
-    words = np.array(WORDS, dtype=object)[rng.integers(0, len(WORDS), int(lens.sum()))]
-    ends = np.cumsum(lens)
-    text = [" ".join(words[e - n : e]) for e, n in zip(ends, lens)]
-    lang = np.array(LANGS, dtype=object)[rng.choice(len(LANGS), n_docs, p=LANG_P)]
-    return pa.table(
-        {
-            "doc_id": pa.array(np.arange(n_docs), pa.int64()),
-            "text": pa.array(text, pa.string()),
-            "lang": pa.array(lang.tolist(), pa.string()),
-        }
-    )
+def documents(name: str, n_docs: int | None = None) -> pa.Table:
+    table = pq.read_table(os.path.join(DATA, f"{name}_documents.parquet"))
+    return table if n_docs is None else table.slice(0, n_docs)
 
 
-def write_corpus(path: str, n_docs: int, seed: int) -> str:
+def write_corpus(path: str, name: str, n_docs: int | None = None) -> str:
     os.makedirs(path, exist_ok=True)
-    pq.write_table(documents(n_docs, seed), os.path.join(path, "documents.parquet"))
+    pq.write_table(documents(name, n_docs), os.path.join(path, "documents.parquet"))
     return path
 
 
@@ -59,24 +39,34 @@ def connect(workdir: str) -> duckdb.DuckDBPyConnection:
     return con
 
 
-def oracle_triples(con: duckdb.DuckDBPyConnection, corpus_dir: str) -> pa.Table:
-    """The exact amplify-1 triple set of ``build_kg(corpus_dir)``, from
-    the pipeline's own SQL specification."""
+def create_oracle(con: duckdb.DuckDBPyConnection, table: str, corpus_dir: str) -> int:
+    """Store in ``table`` the exact amplify-1 triple set of
+    ``build_kg(corpus_dir)``, from the pipeline's own SQL
+    specification; return its row count."""
     from ontograph_ray.pipelines.kg import kg_oracle_sql
 
     doc_path = os.path.join(corpus_dir, "documents.parquet")
     con.execute(f"CREATE OR REPLACE VIEW documents AS SELECT * FROM read_parquet('{doc_path}')")
-    return con.execute(kg_oracle_sql()).arrow()
+    con.execute(f"CREATE OR REPLACE TABLE {table} AS {kg_oracle_sql()}")
+    return con.execute(f"SELECT count(*) FROM {table}").fetchone()[0]
 
 
-def expected_count(oracle: pa.Table, amplify: int) -> int:
-    """Triples of an ``amplify``-fold build: page-subject triples repeat
-    once per replica; entity and relation triples are shared."""
-    import pyarrow.compute as pc
+def page_shared_split(con: duckdb.DuckDBPyConnection, table: str) -> tuple[int, int]:
+    """(P, S): page-subject triples, which repeat once per replica of
+    an amplified build, and the entity and relation triples that all
+    replicas share."""
+    return con.execute(
+        f"SELECT count(*) FILTER (WHERE starts_with(subject, ?)), "
+        f"count(*) FILTER (WHERE NOT starts_with(subject, ?)) FROM {table}",
+        [PAGE_PREFIX, PAGE_PREFIX],
+    ).fetchone()
 
-    per_page = pc.sum(pc.starts_with(oracle["subject"], PAGE_PREFIX)).as_py()
-    return amplify * per_page + (oracle.num_rows - per_page)
 
-
-def triple_set(table: pa.Table) -> set:
-    return set(zip(*(table[c].to_pylist() for c in ("subject", "predicate", "object"))))
+def same_triples(con: duckdb.DuckDBPyConnection, a: str, b: str) -> bool:
+    """Whether two relations hold the same multiset of triples."""
+    cols = "subject, predicate, object"
+    (n,) = con.execute(
+        f"SELECT (SELECT count(*) FROM (SELECT {cols} FROM {a} EXCEPT ALL SELECT {cols} FROM {b}))"
+        f" + (SELECT count(*) FROM (SELECT {cols} FROM {b} EXCEPT ALL SELECT {cols} FROM {a}))"
+    ).fetchone()
+    return n == 0

@@ -1,13 +1,13 @@
 """KG benchmark: build, query and update workloads, timed end to end,
 with a separate traced run for per-layer numbers.
 
-    python3 perfbench/run.py --workload kg_query --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload kg_query --seed 1 --seconds 40 --trace 0
 
 Prints, as the last line of standard output, one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``. With ``--trace 0``
-the metrics are the end-to-end ones (``END_TO_END``); with
-``--trace 1`` the per-layer ones (``PER_LAYER``), and the spans are
-written to ``.bench_out/``. ``--smoke`` runs at the small sizes.
+the metrics are the ``end_to_end`` ones BENCHMARK.json declares; with
+``--trace 1`` the ``per_layer`` ones, and the spans are written to
+``.bench_out/``. ``--smoke`` runs at the small sizes.
 See perfbench/README.md for the workloads and what each metric means.
 """
 
@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import gc
 import json
 import logging
 import os
-import resource
 import shutil
 import statistics
 import sys
 import time
+from typing import NamedTuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -33,18 +35,6 @@ OBJECT_STORE_BYTES = 1_000_000_000
 # under 108 bytes, and the session dir plus socket name take about 64.
 RAY_TMP_MAX = 40
 
-END_TO_END = {
-    "setup_s": "s",
-    "step_s": "s",
-    "ops_per_s": "1/s",
-    "driver_peak_rss_mb": "MB",
-}
-
-KERNELS = (
-    "extract_text_batch", "mentions_distinct_batch", "ent_rel_partials_batch",
-    "page_triples_batch", "mention_link_triples_batch", "rewrite_batch",
-    "encode_triples_batch",
-)
 # Ray Data operators of build_kg, keyed by a name part that survives
 # fusion; "Sort" is the SortMap/SortReduce exchange of ent_rel_distinct.
 STAGES = (
@@ -54,43 +44,38 @@ STAGES = (
     ("mentions", "_mentions_distinct_batch"),
     ("page_triples", "page_triples_batch"),
 )
-STAGE_FIELDS = {
-    "wall_s": "s", "cpu_s": "s", "tasks": "count",
-    "max_task_s": "s", "rows_out": "count", "bytes_out": "B",
-}
+STAGE_FIELDS = ("wall_s", "cpu_s", "tasks", "max_task_s", "rows_out", "bytes_out")
 
 
-def _per_layer_units() -> dict[str, str]:
-    from perfbench.workloads import QUERY_CLASSES, SPARQL_CLASSES
+def declared_metrics(trace: bool) -> dict[str, str]:
+    """Name → unit of the metrics BENCHMARK.json declares for a run."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
 
-    u = {f"kernel.{k}.rows_per_s": "1/s" for k in KERNELS}
-    u.update({
-        "kg.build_s": "s", "kg.build_kg.plan_s": "s", "kg.consume_s": "s",
-        "kg.residual_s": "s", "kg.scheduler_overhead_frac": "fraction",
-        "kg.tracing_overhead_s": "s", "kg.triples_per_s": "1/s",
-    })
-    for stage, _ in STAGES:
-        u.update({f"raydata.{stage}.{f}": unit for f, unit in STAGE_FIELDS.items()})
-    for cls in QUERY_CLASSES:
-        u[f"query.{cls}_s"] = "s"
-        u[f"store.{cls}.rows_examined_per_row_returned"] = "ratio"
-    for cls in SPARQL_CLASSES:
-        short = cls.removeprefix("sparql_")
-        for f in ("parse_s", "select_s", "execute_s"):
-            u[f"sparql.{short}.{f}"] = "s"
-        u[f"sparql.{short}.exchanges"] = "count"
-        u[f"sparql.{short}.tasks"] = "count"
-    u.update({
-        "ontology.get_individuals_dataset.plan_s": "s",
-        "ontology.get_individuals_dataset.execute_s": "s",
-        "update.add_commit_s": "s", "update.delete_commit_s": "s",
-        "update.read_after_write_s": "s", "update.write_bytes_per_triple": "B",
-        "versioned.load_s": "s", "versioned.commit_s": "s", "versioned.compact_s": "s",
-        "versioned.files_per_version": "count", "versioned.bytes_per_version": "B",
-        "store.add_triples_checked.validate_s": "s",
-        "store.delete_triples_checked.validate_s": "s",
-    })
-    return u
+
+def free_driver_memory() -> None:
+    """Return to the OS what preparation left in the driver."""
+    import pyarrow as pa
+
+    gc.collect()
+    pa.default_memory_pool().release_unused()
+    ctypes.CDLL("libc.so.6").malloc_trim(0)
+
+
+def reset_peak_rss() -> None:
+    """Restart the kernel's resident-set high-water mark (VmHWM) at the
+    current resident set."""
+    with open("/proc/self/clear_refs", "w") as f:
+        f.write("5")
+
+
+def peak_rss_mb() -> float:
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 @contextlib.contextmanager
@@ -114,12 +99,6 @@ def ray_session(ray_tmp: str):
         log_to_driver=False,
         logging_level="ERROR",
         runtime_env={"env_vars": {"PYTHONPATH": os.pathsep.join(paths)}},
-        # Keep idle workers: by default Ray kills idle workers above
-        # the CPU count, so every actor pool the program starts (store
-        # deletes, get_individuals_dataset) makes the next ops wait for
-        # new Python workers; that noise is Ray's pool policy, not the
-        # program's work.
-        _system_config={"kill_idle_workers_interval_ms": 0},
         **kwargs,
     )
     logging.getLogger("ray.data").setLevel(logging.ERROR)
@@ -134,17 +113,28 @@ def ray_session(ray_tmp: str):
         ray.shutdown()
 
 
-def closed_loop(workload, seconds: float, traced: bool) -> tuple[list[float], float]:
-    """Run steps back to back until ``seconds`` have passed (at least
-    one); return each step's wall time and the loop's wall time."""
-    walls = []
+class Step(NamedTuple):
+    wall_s: float
+    ops: int  # ops completed and correct
+    peak_rss_mb: float
+
+
+def closed_loop(workload, seconds: float, traced: bool) -> list[Step]:
+    """Run steps back to back until ``seconds`` have passed, and at
+    least one step past the workload's warm-up; return what each step
+    took."""
+    run = workload.run
+    steps = []
     start = time.perf_counter()
-    while not walls or time.perf_counter() - start < seconds:
-        workload.run.tracer.step = f"{workload.name}:{len(walls)}"
+    while len(steps) <= workload.warmup_steps or time.perf_counter() - start < seconds:
+        run.tracer.step = f"{workload.name}:{len(steps)}"
+        done = run.attempted - run.failed
+        reset_peak_rss()
         t0 = time.perf_counter()
         workload.trace_step() if traced else workload.step(False)
-        walls.append(time.perf_counter() - t0)
-    return walls, time.perf_counter() - start
+        wall = time.perf_counter() - t0
+        steps.append(Step(wall, run.attempted - run.failed - done, peak_rss_mb()))
+    return steps
 
 
 def _dur(span) -> float:
@@ -245,17 +235,16 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, workdir: str,
             own.setup(rep)
             setup_walls.append(time.perf_counter() - t0)
         own.ground_truth()
-        before = run.attempted - run.failed
-        walls, loop_s = closed_loop(own, seconds, trace)
-        completed = run.attempted - run.failed - before
+        run.close_db()
+        free_driver_memory()
+        steps = closed_loop(own, seconds, trace)[own.warmup_steps:]
         if not trace:
             metrics = {
                 "setup_s": statistics.median(setup_walls),
-                "step_s": statistics.median(walls),
-                "ops_per_s": completed / loop_s,
-                "driver_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "step_s": statistics.median(st.wall_s for st in steps),
+                "ops_per_s": sum(st.ops for st in steps) / sum(st.wall_s for st in steps),
+                "driver_peak_rss_mb": statistics.median(st.peak_rss_mb for st in steps),
             }
-            units = END_TO_END
         else:
             # The traced run covers every layer: one traced step of each
             # other workload beside the workload's own traced loop.
@@ -268,18 +257,20 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, workdir: str,
                     wl.ground_truth()
                     tracer.step = f"{name}:sweep"
                     wl.trace_step()
-            docs = workloads.corpus.documents(sizes.build_docs, workloads.BUILD_CORPUS_SEED)
+            docs = workloads.corpus.documents(sizes.build_corpus)
             metrics = {f"kernel.{k}.rows_per_s": v for k, v in kernels.kernel_rates(docs).items()}
             metrics.update(build_layers(run, by_name["kg_build"]))
             metrics.update(query_layers(run, by_name["kg_query"]))
             metrics.update(update_layers(run, by_name["kg_update"]))
-            units = _per_layer_units()
             out_dir = os.path.join(ROOT, ".bench_out")
             os.makedirs(out_dir, exist_ok=True)
             tracer.dump(os.path.join(out_dir, f"trace-{workload}-seed{seed}.json"))
-    missing = set(units) - set(metrics)
-    if missing:
-        raise RuntimeError(f"metrics not measured: {sorted(missing)}")
+    units = declared_metrics(trace)
+    if set(units) != set(metrics):
+        raise RuntimeError(
+            f"metrics declared but not measured: {sorted(set(units) - set(metrics))}; "
+            f"measured but not declared: {sorted(set(metrics) - set(units))}"
+        )
     return {
         "correct": run.failed == 0,
         "attempted": run.attempted,

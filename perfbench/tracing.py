@@ -110,6 +110,27 @@ def capture_materialize(tracer: Tracer):
 
 
 @contextlib.contextmanager
+def created_datasets():
+    """Collect every Dataset constructed in the block, so that the
+    statistics of datasets a public method makes and consumes inside
+    itself can be read once it has returned."""
+    from ray.data import Dataset
+
+    made = []
+    original = Dataset.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        made.append(self)
+
+    Dataset.__init__ = init
+    try:
+        yield made
+    finally:
+        Dataset.__init__ = original
+
+
+@contextlib.contextmanager
 def unfused_plans():
     """Turn off Ray Data operator fusion so a read's own output rows
     show as a separate ``ReadParquet`` operator."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
+import shutil
 import statistics
 import sys
 import time
@@ -49,9 +50,6 @@ NON_PROPERTY_PREDICATES = (
     "<http://www.w3.org/2000/01/rdf-schema#comment>",
 )
 
-# The build corpus is fixed: the seed does not change kg_build's input.
-BUILD_CORPUS_SEED = 20240101
-WARMUP_CORPUS_SEED = 20240102
 # Candidate lookup subjects / path starts drawn per run; each round
 # takes the next one.
 CANDIDATES = 8
@@ -66,9 +64,17 @@ QUERY_CLASSES = ("match_subject", "match_predicate") + SPARQL_CLASSES + ("indivi
 
 @dataclass(frozen=True)
 class Sizes:
-    build_docs: int = 5000
+    """Corpora are named as in ``corpus.documents``; ``*_docs`` takes
+    the first n documents (None: all). The seed changes none of them."""
+
+    build_corpus: str = "sf0.1"
     build_amplify: int = 40
-    warmup_docs: int = 500
+    # (P, S) of the build corpus: page-subject triples per replica and
+    # shared triples, so a build holds amplify * P + S triples.
+    build_split: tuple[int, int] = (118_545, 958)
+    warmup_corpus: str = "sf0.001"
+    warmup_docs: int | None = None
+    store_corpus: str = "sf0.1"
     store_docs: int = 1000
     add_batch: int = 1000
     delete_batch: int = 50
@@ -78,7 +84,8 @@ class Sizes:
 
 FULL = Sizes()
 SMOKE = Sizes(
-    build_docs=500, build_amplify=2, warmup_docs=100, store_docs=200,
+    build_corpus="sf0.001", build_amplify=2, build_split=(11_956, 946), warmup_docs=100,
+    store_corpus="sf0.001", store_docs=200,
     add_batch=100, delete_batch=5, compact_every=2, setup_reps=1,
 )
 
@@ -101,6 +108,15 @@ def decoded(triples):
     return triples.map_batches(decode_triples_batch, batch_format="pyarrow")
 
 
+def result_rows(result) -> int:
+    """Rows an op returned: a table, a list of triples, or one triple."""
+    if isinstance(result, pa.Table):
+        return result.num_rows
+    if isinstance(result, list):
+        return len(result)
+    return int(result is not None)
+
+
 def rows(table: pa.Table, cols) -> list[tuple]:
     if table.num_rows == 0:
         return []
@@ -117,10 +133,22 @@ class Run:
         self.rng = np.random.default_rng(seed)
         self.sizes = sizes
         self.tracer = tracer
-        self.con = corpus.connect(workdir)
+        self._con = None
         self.attempted = 0
         self.failed = 0
         self.latency: dict[str, list[float]] = defaultdict(list)
+
+    @property
+    def con(self):
+        if self._con is None:
+            self._con = corpus.connect(self.workdir)
+        return self._con
+
+    def close_db(self) -> None:
+        """Close DuckDB, which keeps the memory of tables it dropped."""
+        if self._con is not None:
+            self._con.close()
+            self._con = None
 
     def path(self, name: str) -> str:
         return os.path.join(self.workdir, name)
@@ -163,6 +191,9 @@ class Run:
 
 class Workload:
     name = ""
+    # Loop steps that bring Ray's worker pool to the state later steps
+    # find it in; the step figures leave them out.
+    warmup_steps = 1
 
     def __init__(self, run: Run):
         self.run = run
@@ -193,25 +224,30 @@ class KGBuild(Workload):
     name = "kg_build"
 
     def prepare(self):
-        run = self.run
-        self.corpus_dir = corpus.write_corpus(
-            run.path("build_corpus"), self.sizes.build_docs, BUILD_CORPUS_SEED
-        )
-        warm_dir = corpus.write_corpus(
-            run.path("warmup_corpus"), self.sizes.warmup_docs, WARMUP_CORPUS_SEED
-        )
-        self.warm_dir = warm_dir
-        oracle = corpus.oracle_triples(run.con, self.corpus_dir)
-        self.expected = corpus.expected_count(oracle, self.sizes.build_amplify)
-        self.warm_expected = corpus.oracle_triples(run.con, warm_dir).num_rows
         from ontograph_ray.pipelines.kg import build_kg
 
-        built = collect(decoded(build_kg(self.corpus_dir).triples))
+        run, con, sizes = self.run, self.run.con, self.sizes
+        self.corpus_dir = corpus.write_corpus(run.path("build_corpus"), sizes.build_corpus)
+        self.warm_dir = corpus.write_corpus(
+            run.path("warmup_corpus"), sizes.warmup_corpus, sizes.warmup_docs
+        )
+        corpus.create_oracle(con, "oracle_kg_build", self.corpus_dir)
+        split = corpus.page_shared_split(con, "oracle_kg_build")
         run.gate(
-            built.num_rows == oracle.num_rows
-            and corpus.triple_set(built) == corpus.triple_set(oracle),
+            split == sizes.build_split,
+            f"kg_build: kg_oracle_sql() gives (P, S) = {split}, expected {sizes.build_split}",
+        )
+        pages, shared = sizes.build_split
+        self.expected = sizes.build_amplify * pages + shared
+        self.warm_expected = corpus.create_oracle(con, "oracle_warmup", self.warm_dir)
+        built = run.path("build_check")
+        decoded(build_kg(self.corpus_dir).triples).write_parquet(built)
+        run.gate(
+            corpus.same_triples(con, f"read_parquet('{built}/*.parquet')", "oracle_kg_build"),
             "kg_build: amplify-1 build differs from kg_oracle_sql()",
         )
+        con.execute("DROP TABLE oracle_kg_build; DROP TABLE oracle_warmup")
+        shutil.rmtree(built)
 
     def setup(self, rep):
         from ontograph_ray.pipelines.kg import build_kg
@@ -255,18 +291,15 @@ class KGBuild(Workload):
 
 
 class _StoreWorkload(Workload):
-    """A workload over a store built from its own seeded corpus."""
-
-    corpus_seed_offset = 0
+    """A workload over a store built from the first ``store_docs``
+    documents of ``store_corpus``."""
 
     def prepare(self):
-        run = self.run
         self.corpus_dir = corpus.write_corpus(
-            run.path(f"{self.name}_corpus"),
-            self.sizes.store_docs,
-            run.seed * 1000 + self.corpus_seed_offset,
+            self.run.path(f"{self.name}_corpus"), self.sizes.store_corpus, self.sizes.store_docs
         )
-        self.oracle = corpus.oracle_triples(run.con, self.corpus_dir)
+        self.oracle = f"oracle_{self.name}"
+        self.oracle_rows = corpus.create_oracle(self.run.con, self.oracle, self.corpus_dir)
 
 
 class KGQuery(_StoreWorkload):
@@ -281,7 +314,7 @@ class KGQuery(_StoreWorkload):
         self.store = DatasetGraphStore.from_parquet(URI, d)
         n = self.store.size()
         self.store_dir = d
-        self.run.gate(n == self.oracle.num_rows, f"kg_query: store holds {n} triples")
+        self.run.gate(n == self.oracle_rows, f"kg_query: store holds {n} triples")
 
     def ground_truth(self):
         run, con = self.run, self.run.con
@@ -289,9 +322,8 @@ class KGQuery(_StoreWorkload):
             f"CREATE OR REPLACE TABLE t AS SELECT subject, predicate, object "
             f"FROM read_parquet('{self.store_dir}/*.parquet')"
         )
-        stored = con.execute("SELECT * FROM t").arrow()
         run.gate(
-            corpus.triple_set(stored) == corpus.triple_set(self.oracle),
+            corpus.same_triples(con, "t", self.oracle),
             "kg_query: persisted store differs from kg_oracle_sql()",
         )
         pages = [r[0] for r in con.execute(
@@ -344,6 +376,7 @@ class KGQuery(_StoreWorkload):
             ):
                 props[p[1:-1]].append(o[1:-1])
             self.individuals[s[1:-1]] = sorted((p, sorted(v)) for p, v in props.items())
+        con.execute(f"DROP TABLE t; DROP TABLE {self.oracle}")
 
     def _queries(self, k: int) -> dict[str, str]:
         return {
@@ -353,9 +386,8 @@ class KGQuery(_StoreWorkload):
         }
 
     def _ops(self, k: int) -> dict[str, tuple]:
-        """Per op class of round ``k``: (call, check, plan). ``call`` is
-        what the untraced loop times; ``plan`` builds the lazy Dataset
-        the call consumes, for the rows-examined probe."""
+        """Per op class of round ``k``: (call, check). ``call`` is what
+        the untraced loop times."""
         from ontograph_ray.ontology.query import get_individuals_dataset
         from ontograph_ray.store.sparql import sparql_select
 
@@ -385,25 +417,18 @@ class KGQuery(_StoreWorkload):
             "sparql_path": lambda tbl: eq(rows(tbl, ["b"]), self.paths[start]),
         }
         ops = {
-            "match_subject": (
-                lambda: store.get_first_match(subj),
-                check_first,
-                lambda: store.matches(subj).limit(1),
-            ),
+            "match_subject": (lambda: store.get_first_match(subj), check_first),
             "match_predicate": (
                 lambda: store.get_all_matches(predicate=SAME_AS),
                 lambda ts: eq(sorted((t.subject, t.predicate, t.object) for t in ts), self.same_as),
-                lambda: store.matches(predicate=SAME_AS),
             ),
         }
-        def consumed(plan):
-            return lambda: collect(plan())
-
         for cls, query in self._queries(k).items():
-            plan = functools.partial(sparql_select, store, query)
-            ops[cls] = (consumed(plan), checks[cls], plan)
-        plan = functools.partial(get_individuals_dataset, store, individuals_filter())
-        ops["individuals"] = (consumed(plan), check_individuals, plan)
+            ops[cls] = (lambda q=query: collect(sparql_select(store, q)), checks[cls])
+        ops["individuals"] = (
+            lambda: collect(get_individuals_dataset(store, individuals_filter())),
+            check_individuals,
+        )
         return ops
 
     def _traced_sparql(self, cls: str, query: str) -> pa.Table:
@@ -436,7 +461,7 @@ class KGQuery(_StoreWorkload):
         ops = self._ops(k)
         queries = self._queries(k)
         for cls in QUERY_CLASSES:
-            call, check, _ = ops[cls]
+            call, check = ops[cls]
             if traced and cls in queries:
                 call = functools.partial(self._traced_sparql, cls, queries[cls])
             elif traced and cls == "individuals":
@@ -445,18 +470,17 @@ class KGQuery(_StoreWorkload):
 
     def probe_rows_examined(self) -> dict[str, float]:
         """Rows read from Parquet per row returned, per op class, from
-        one unfused execution of each (fusion hides the read's own
-        output)."""
-        tr = self.run.tracer
+        one more run of the call the loop times, with operator fusion
+        off (fusion hides the read's own output). The rows read come
+        from the statistics of every Dataset the call made."""
         out = {}
         with tracing.unfused_plans():
-            for cls, (_, _, plan) in self._ops(0).items():
-                with tr.span(f"probe.{cls}") as sp:
-                    ds = plan()
-                    n = collect(ds).num_rows
-                    tr.attach_stats(ds._get_stats_summary())
-                ops = tracing.operators(tr.stats_under(sp))
-                out[cls] = tracing.read_rows(ops) / max(1, n)
+            for cls, (call, check) in self._ops(0).items():
+                with tracing.created_datasets() as made:
+                    got = call()
+                self.run.gate(check(got) is None, f"{cls}: wrong answer in the rows-examined probe")
+                ops = tracing.operators(ds._get_stats_summary() for ds in made)
+                out[cls] = tracing.read_rows(ops) / max(1, result_rows(got))
         return out
 
 
@@ -465,7 +489,11 @@ class KGQuery(_StoreWorkload):
 
 class KGUpdate(_StoreWorkload):
     name = "kg_update"
-    corpus_seed_offset = 1
+
+    @property
+    def warmup_steps(self):
+        # the first compaction cycle runs 1.5-2x slower than later ones
+        return self.sizes.compact_every
 
     def setup(self, rep):
         from ontograph_ray.pipelines.kg import build_kg
@@ -476,7 +504,7 @@ class KGUpdate(_StoreWorkload):
         v = vs.commit(DatasetGraphStore(URI, decoded(build_kg(self.corpus_dir).triples)), op="load")
         rows_ = vs.versions()[str(v)]["rows"]
         self.run.gate(
-            v == 1 and rows_ == self.oracle.num_rows,
+            v == 1 and rows_ == self.oracle_rows,
             f"kg_update: base commit gave version {v} with {rows_} rows",
         )
         self.vs, self.version, self.size = vs, v, rows_
@@ -484,8 +512,13 @@ class KGUpdate(_StoreWorkload):
         self.triples_changed = 0
 
     def ground_truth(self):
-        objects = set(self.oracle["object"].to_pylist())
-        self.entities = sorted(o for o in objects if o.startswith(f"<{ONTO}#ent_") and "__" not in o)
+        con = self.run.con
+        self.entities = [r[0] for r in con.execute(
+            f"SELECT DISTINCT object FROM {self.oracle} "
+            "WHERE starts_with(object, ?) AND NOT contains(object, '__') ORDER BY 1",
+            [f"<{ONTO}#ent_"],
+        ).fetchall()]
+        con.execute(f"DROP TABLE {self.oracle}")
 
     def _new_batch(self, k: int) -> pa.Table:
         n = self.sizes.add_batch
