@@ -14,7 +14,7 @@ thing is ONE Dataset plan:
     final           → broadcast-semi-join of the graph against the
                       candidate subject set (candidates are
                       filter-selective ⇒ small side; ray.put once,
-                      read once per actor), then hash-bucketed
+                      read once per worker), then hash-bucketed
                       groupby(subject) pivot into individual structs
 
 With no filter the plan skips candidate selection entirely and pivots
@@ -28,8 +28,6 @@ filter the pivoted structs.
 
 from __future__ import annotations
 
-import os
-
 import pandas as pd
 import pyarrow as pa
 
@@ -38,16 +36,17 @@ import ray.data
 
 from .. import constants as C
 from .. import triples as tr
-from ..store.dataset import DatasetGraphStore
+from ..bcast import cached_get
+from ..store.dataset import DatasetGraphStore, hash_join
 from ..terms import new_resource_term, term_value
 from .resources import pivot_individual
 
 # Largest candidate-subject set shipped as a ray.put broadcast; above
-# this the semi-join runs as a bucketed hash_join exchange instead
-# (env-tunable so tests can force the distributed path with 0).
-BROADCAST_MAX_SUBJECTS = int(
-    os.environ.get("ONTOGRAPH_BROADCAST_MAX_SUBJECTS", 2_000_000)
-)
+# this the semi-join runs as a bucketed hash_join exchange instead.
+BROADCAST_MAX_SUBJECTS = 2_000_000
+
+# per-worker cache of the broadcast candidate-subject set
+_SUBJECTS_CACHE: dict = {}
 
 _R = new_resource_term
 
@@ -175,17 +174,12 @@ def _pivot_bucket(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-class _SemiJoinSubjects:
-    """Actor-pool stage: keep rows whose subject is in the broadcast
-    candidate set (fetched from the object store once per actor)."""
-
-    def __init__(self, subjects_ref):
-        self.subjects = ray.get(subjects_ref)
-
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        return df[df[tr.SUBJECT].isin(self.subjects)]
+def _semi_join_subjects(df: pd.DataFrame, subjects_ref=None) -> pd.DataFrame:
+    """Keep rows whose subject is in the broadcast candidate set (read
+    from the object store once per worker)."""
+    if not len(df):
+        return df
+    return df[df[tr.SUBJECT].isin(cached_get(_SUBJECTS_CACHE, subjects_ref))]
 
 
 def get_individuals_dataset(
@@ -204,18 +198,15 @@ def get_individuals_dataset(
             subjects = {r["subject"] for r in cands.take_all()}
             subjects_ref = ray.put(subjects)
             graph_rows = graph_rows.map_batches(
-                _SemiJoinSubjects,
-                fn_constructor_args=(subjects_ref,),
+                _semi_join_subjects,
+                fn_kwargs={"subjects_ref": subjects_ref},
                 batch_format="pandas",
-                concurrency=(1, 4),
             )
         else:
             # Non-selective filter (e.g. `? rdf:type <commonClass>`):
             # the candidate set would blow the driver/worker heap as a
             # broadcast, so semi-join it distributed instead — one
             # bucketed exchange, never collected anywhere.
-            from ..store.dataset import hash_join
-
             graph_rows = hash_join(
                 graph_rows,
                 cands,

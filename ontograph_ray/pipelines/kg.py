@@ -9,10 +9,11 @@ dedup memory_store.go:125-134) into a streaming plan:
   P1 read      read_parquet(documents) → synthesized page table
   P2 extract   stateless map_batches; byte-identical text per url;
                drops the wide html column immediately
-  P3 mentions  actor-pool map_batches holding the compiled gazetteer
+  P3 mentions  stateless map_batches over the gazetteer (broadcast via
+               ray.put, compiled once per worker by bcast.cached_get)
   P4 relations adjacent-mention co-occurrence pairs (vectorized)
-  P5 link      mention surface → ontology-term dictionary (broadcast
-               via ray.put, loaded once per actor)
+  P5 link      mention surface → ontology-term dictionary (the same
+               broadcast gazetteer)
   P6 canon     distributed union-find over owl:sameAs edges
                (canonicalize.connected_components)
   P7 material  flat_map to (s,p,o) → global exact dedup →
@@ -43,6 +44,7 @@ import ray
 import ray.data
 
 from .. import constants as C
+from ..bcast import cached_get
 from ..store.dataset import dedup, distinct_on, write_ntriples
 from .canonicalize import connected_components, union_find
 from .checkpoint import CheckpointedRun
@@ -73,14 +75,6 @@ IN_LANGUAGE_PROP = f"{ONTO}#inLanguage"
 PAGE_CLASS = f"{ONTO}#Page"
 
 
-def auto_concurrency() -> tuple[int, int]:
-    """Actor-pool size scaled to the cluster: (1, #CPUs). A fixed cap
-    would pin these stages' parallelism regardless of cluster size —
-    the classic non-scaling mistake the two-cluster-size criterion
-    catches."""
-    return (1, max(4, int(ray.cluster_resources().get("CPU", 8))))
-
-
 def canonical_uri(surface: str) -> str:
     return f"{ONTO}#ent_{surface}"
 
@@ -91,80 +85,41 @@ def alias_uri(surface: str, lang: str) -> str:
 
 def _tokenize(text_col):
     """Vectorized whitespace tokenizer: text column → (flat token
-    array, per-token parent row index, per-token position-in-doc).
-    Pure Arrow/numpy — no Python loop over rows or tokens."""
+    array, per-token parent row index). Pure Arrow/numpy — no Python
+    loop over rows or tokens."""
     if isinstance(text_col, pa.ChunkedArray):
         text_col = text_col.combine_chunks()
     toks = pc.split_pattern(text_col, " ")
     counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = pc.list_flatten(toks)
     parents = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pos = np.arange(len(flat), dtype=np.int64) - starts[parents]
-    return flat, parents, pos
+    return pc.list_flatten(toks), parents
 
 
-class MentionDetector:
-    """P3+P5 actor stage: tokenizer + gazetteer lookup, state compiled
-    once per actor in __init__ (gazetteer value-set Arrow array),
-    applied per batch with is_in/take kernels — no per-row Python.
-
-    Emits one row per gazetteer token occurrence:
-    (url, lang, pos, surface, alias) — alias is the language-local
-    entity URI the linker scored for this mention."""
-
-    def __init__(self, gazetteer_ref=None):
-        gaz = ray.get(gazetteer_ref) if gazetteer_ref is not None else GAZETTEER
-        self.gaz_arr = pa.array(sorted(set(gaz)), pa.string())
-
-    def hits(self, batch: pa.Table):
-        """One tokenize + gazetteer-select pass → (surfaces, parent row
-        indices, positions). The shared kernel for every detect-shaped
-        stage; callers build only the columns they actually keep —
-        building alias/url URI strings for hits that a downstream
-        distinct immediately collapses is pure allocator traffic, and
-        at 32-way concurrency allocator/memory bandwidth (not CPU) is
-        what these stages contend on."""
-        flat, parents, pos = _tokenize(batch["text"])
-        mask = pc.is_in(flat, value_set=self.gaz_arr).to_numpy(zero_copy_only=False)
-        sel = np.flatnonzero(mask)
-        sel_arr = pa.array(sel, pa.int64())
-        return pc.take(flat, sel_arr), parents[sel], pos[sel]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        surfaces_arr, par, pos_sel = self.hits(batch)
-        par_arr = pa.array(par, pa.int64())
-        langs_arr = pc.take(batch["lang"], par_arr)
-        alias = pc.binary_join_element_wise(
-            pa.scalar(f"{ONTO}#ent_"), surfaces_arr, pa.scalar("__"), langs_arr, ""
-        )
-        return pa.table(
-            {
-                "url": pc.take(batch["url"], par_arr),
-                "lang": langs_arr,
-                "pos": pa.array(pos_sel, pa.int64()),
-                "surface": surfaces_arr,
-                "alias": alias,
-            }
-        )
+# per-worker cache of the broadcast side of this module's stages: the
+# compiled gazetteer and the sameAs component map
+_BCAST_CACHE: dict = {}
 
 
-# Per-worker-process cache of constructed stage objects keyed by the
-# broadcast ObjectRef — tasks get actor-like "load state once per
-# worker" behavior without actor-pool startup/queueing overhead.
-_STAGE_CACHE: dict = {}
+def _compile_gazetteer(gaz) -> pa.Array:
+    return pa.array(sorted(set(gaz)), pa.string())
 
 
-def _cached_stage(cls, ref):
-    key = (cls.__name__, ref.hex() if hasattr(ref, "hex") else id(ref))
-    inst = _STAGE_CACHE.get(key)
-    if inst is None:
-        inst = _STAGE_CACHE[key] = cls(ref)
-    return inst
-
-
-def _mentions_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
-    return _cached_stage(MentionDetector, gaz_ref)(batch)
+def hits(batch: pa.Table, gaz_ref=None):
+    """P3+P5 detect kernel: one tokenize + gazetteer-select pass →
+    (surfaces, parent row indices). The gazetteer value-set array is
+    compiled once per worker; per batch it is is_in/take kernels — no
+    per-row Python. The shared kernel for every detect-shaped stage;
+    callers build only the columns they actually keep — building
+    alias/url URI strings for hits that a downstream distinct
+    immediately collapses is pure allocator traffic, and at 32-way
+    concurrency allocator/memory bandwidth (not CPU) is what these
+    stages contend on."""
+    gaz = cached_get(
+        _BCAST_CACHE, GAZETTEER if gaz_ref is None else gaz_ref, _compile_gazetteer
+    )
+    flat, parents = _tokenize(batch["text"])
+    sel = np.flatnonzero(pc.is_in(flat, value_set=gaz).to_numpy(zero_copy_only=False))
+    return pc.take(flat, pa.array(sel, pa.int64())), parents[sel]
 
 
 def _mentions_distinct_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
@@ -175,8 +130,7 @@ def _mentions_distinct_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
     page's mention rows can straddle a block boundary and batch-local
     distinct silently under-deduplicates (caught as a varying triple
     count between benchmark runs)."""
-    det = _cached_stage(MentionDetector, gaz_ref)
-    surf, par, _ = det.hits(batch)
+    surf, par = hits(batch, gaz_ref)
     par_arr = pa.array(par, pa.int64())
     m = pa.table(
         {
@@ -197,8 +151,7 @@ def _ent_rel_partials_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
     Sharing the pass halves the corpus tokenization work the entity
     and relation stages would otherwise each redo; the outputs are
     tiny (bounded by the distinct sets, not the corpus)."""
-    det = _cached_stage(MentionDetector, gaz_ref)
-    surf, par, _ = det.hits(batch)
+    surf, par = hits(batch, gaz_ref)
     par_arr = pa.array(par, pa.int64())
     lang = pc.take(batch["lang"], par_arr)
     ents = (
@@ -284,102 +237,6 @@ def mentions_distinct_stage(pages: ray.data.Dataset) -> ray.data.Dataset:
     gaz_ref = ray.put(list(GAZETTEER))
     return pages.map_batches(
         _mentions_distinct_batch,
-        fn_kwargs={"gaz_ref": gaz_ref},
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-
-
-def _relations_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
-    return _cached_stage(RelationExtractor, gaz_ref)(batch)
-
-
-def mentions_stage(
-    pages: ray.data.Dataset, concurrency=None, use_actors: bool = False
-) -> ray.data.Dataset:
-    """P3+P5. Default physical form is a TASK pool with per-worker
-    cached state: the gazetteer is a tiny broadcast (ray.put) and Ray
-    Data actor pools cost several seconds of startup/queueing that
-    tasks don't. ``use_actors=True`` selects the actor-pool form — the
-    right shape when the per-actor state is heavy (a real NER model)."""
-    gaz_ref = ray.put(list(GAZETTEER))
-    if use_actors:
-        return pages.map_batches(
-            MentionDetector,
-            fn_constructor_args=(gaz_ref,),
-            batch_format="pyarrow",
-            batch_size=8192,
-            concurrency=concurrency or auto_concurrency(),
-        )
-    return pages.map_batches(
-        _mentions_batch,
-        fn_kwargs={"gaz_ref": gaz_ref},
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-
-
-class RelationExtractor:
-    """P4 actor stage over extracted pages: adjacent-gazetteer-mention
-    co-occurrence pairs. Runs per page (pages are never split across
-    batches, so no boundary pairs are lost), emitting
-    (src_alias, dst_alias) for consecutive mentions with different
-    surface forms. Vectorized: gazetteer hits are selected with is_in,
-    then adjacent-pair masks are numpy comparisons over the selected
-    token stream (same-parent ∧ different-surface)."""
-
-    def __init__(self, gazetteer_ref=None):
-        gaz = ray.get(gazetteer_ref) if gazetteer_ref is not None else GAZETTEER
-        self.gaz_arr = pa.array(sorted(set(gaz)), pa.string())
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        flat, parents, _ = _tokenize(batch["text"])
-        mask = pc.is_in(flat, value_set=self.gaz_arr).to_numpy(zero_copy_only=False)
-        sel = np.flatnonzero(mask)
-        empty = pa.table(
-            {"src": pa.array([], pa.string()), "dst": pa.array([], pa.string())}
-        )
-        if len(sel) < 2:
-            return empty
-        surf = pc.take(flat, pa.array(sel, pa.int64()))
-        par = parents[sel]
-        same_parent = par[1:] == par[:-1]
-        m = len(surf)
-        differs = pc.not_equal(surf.slice(0, m - 1), surf.slice(1, m - 1)).to_numpy(
-            zero_copy_only=False
-        )
-        keep = np.flatnonzero(same_parent & differs)
-        if len(keep) == 0:
-            return empty
-        src_surf = pc.take(surf, pa.array(keep, pa.int64()))
-        dst_surf = pc.take(surf, pa.array(keep + 1, pa.int64()))
-        lang = pc.take(batch["lang"], pa.array(par[keep], pa.int64()))
-        ent = pa.scalar(f"{ONTO}#ent_")
-        sep = pa.scalar("__")
-        return pa.table(
-            {
-                "src": pc.binary_join_element_wise(ent, src_surf, sep, lang, ""),
-                "dst": pc.binary_join_element_wise(ent, dst_surf, sep, lang, ""),
-            }
-        )
-
-
-def relations_stage(
-    extracted: ray.data.Dataset, concurrency=None, use_actors: bool = False
-) -> ray.data.Dataset:
-    """P4 — same task-pool-with-cached-state default as
-    mentions_stage (see there for the actor/task tradeoff)."""
-    gaz_ref = ray.put(list(GAZETTEER))
-    if use_actors:
-        return extracted.map_batches(
-            RelationExtractor,
-            fn_constructor_args=(gaz_ref,),
-            batch_format="pyarrow",
-            batch_size=8192,
-            concurrency=concurrency or auto_concurrency(),
-        )
-    return extracted.map_batches(
-        _relations_batch,
         fn_kwargs={"gaz_ref": gaz_ref},
         batch_format="pyarrow",
         batch_size=None,
@@ -541,10 +398,12 @@ def relation_triples_batch(batch: pa.Table) -> pa.Table:
     return pa.table({"subject": src, "predicate": pred, "object": dst})
 
 
-# Per-worker-process cache of decoded component maps, keyed by the
-# broadcast ObjectRef hex — the map is deserialized once per worker,
-# not once per batch, without paying actor-pool startup.
-_REWRITE_CACHE: dict = {}
+def _rewrite_arrays(comp: dict[str, str]) -> tuple[pa.Array, pa.Array]:
+    """Component map → (alias keys, representatives) in <…> term syntax."""
+    return (
+        pa.array([f"<{k}>" for k in comp], pa.string()),
+        pa.array([f"<{v}>" for v in comp.values()], pa.string()),
+    )
 
 
 def _rewrite_batch(batch: pa.Table, comp_ref=None) -> pa.Table:
@@ -552,23 +411,15 @@ def _rewrite_batch(batch: pa.Table, comp_ref=None) -> pa.Table:
     component representative table. owl:sameAs rows are left unrewritten
     — they stay as alias→canonical provenance edges instead of
     collapsing into self-loops. The component map is broadcast via
-    ray.put (fetched from the local object store and cached per
-    worker); the per-batch rewrite is a pure Arrow index_in/take/
-    if_else — no Python per row. Partitioning assumption: the
-    component map (≈ #distinct alias entities, NOT #pages) fits in
-    worker memory; beyond that, swap for the bucketed-join rewrite."""
+    ray.put (fetched from the local object store and converted to
+    key/value arrays once per worker); the per-batch rewrite is a pure
+    Arrow index_in/take/if_else — no Python per row. Partitioning
+    assumption: the component map (≈ #distinct alias entities, NOT
+    #pages) fits in worker memory; beyond that, swap for the
+    bucketed-join rewrite."""
     if batch.num_rows == 0:
         return batch
-    key = comp_ref.hex() if hasattr(comp_ref, "hex") else id(comp_ref)
-    cached = _REWRITE_CACHE.get(key)
-    if cached is None:
-        comp: dict[str, str] = ray.get(comp_ref) if hasattr(comp_ref, "hex") else comp_ref
-        cached = (
-            pa.array([f"<{k}>" for k in comp], pa.string()),
-            pa.array([f"<{v}>" for v in comp.values()], pa.string()),
-        )
-        _REWRITE_CACHE[key] = cached
-    keys, vals = cached
+    keys, vals = cached_get(_BCAST_CACHE, comp_ref, _rewrite_arrays)
 
     pred = batch["predicate"]
     if isinstance(pred, pa.ChunkedArray):
@@ -673,9 +524,7 @@ def build_kg(
     sf_dir: str,
     out_dir: str | None = None,
     checkpoint_dir: str | None = None,
-    concurrency=None,
     dedup_buckets: int = 64,
-    skip_sameas_rewrite: bool = False,
     amplify: int = 1,
     unique_urls: bool = True,
     encode_triples: bool = True,
@@ -708,13 +557,11 @@ def build_kg(
     logical table, ~8-10× fewer bytes per block — the single-box
     32-way scaling lever (BASELINE.md's DRAM-bandwidth diagnosis).
     Consumers that need flat strings decode at their boundary with
-    ``decode_triples_batch``. The full-dedup paths
-    (``skip_sameas_rewrite`` / ``unique_urls=False``) stay plain —
-    they pay a global (s,p,o) exchange anyway and the dedup kernels
-    key on plain strings.
+    ``decode_triples_batch``. The full-dedup path
+    (``unique_urls=False``) stays plain — it pays a global (s,p,o)
+    exchange anyway and the dedup kernels key on plain strings.
     """
     t0 = time.time()
-    concurrency = concurrency or auto_concurrency()
     run = CheckpointedRun(checkpoint_dir)
     stats: dict = {}
 
@@ -854,7 +701,7 @@ def build_kg(
     # driver-sized here; `connected_components` remains the scale path
     # and is exercised by kg_sameas_components / its tests.
     def final_fn():
-        enc = encode_triples and unique_urls and not skip_sameas_rewrite
+        enc = encode_triples and unique_urls
         m_triples = mentions_d.map_batches(
             mention_link_triples_batch,
             fn_kwargs={"encode": enc},
@@ -863,20 +710,6 @@ def build_kg(
         p_triples = extracted.map_batches(
             page_triples_batch, fn_kwargs={"encode": enc}, batch_format="pyarrow"
         )
-
-        if skip_sameas_rewrite:
-            if use_driver_small:
-                e_triples = ray.data.from_arrow(entity_triples_batch(ents_tbl))
-                r_triples = ray.data.from_arrow(relation_triples_batch(rels_tbl))
-            else:
-                e_triples = _er_kind("e", ["surface", "lang"]).map_batches(
-                    entity_triples_batch, batch_format="pyarrow"
-                )
-                r_triples = _er_kind("r", ["src", "dst"]).map_batches(
-                    relation_triples_batch, batch_format="pyarrow"
-                )
-            raw = m_triples.union(e_triples).union(p_triples).union(r_triples)
-            return dedup(raw, num_buckets=dedup_buckets)
 
         if use_driver_small:
             comp = union_find(
@@ -909,8 +742,6 @@ def build_kg(
         comp_ref = ray.put(comp_map)
 
         def rw(ds: ray.data.Dataset) -> ray.data.Dataset:
-            # task pool (no actor startup): the broadcast map is
-            # fetched from the object store and cached per worker.
             return ds.map_batches(
                 _rewrite_batch,
                 fn_kwargs={"comp_ref": comp_ref},
@@ -977,12 +808,7 @@ def build_kg(
 
     final = run.stage(
         "triples", final_fn,
-        config={
-            "v": "5",
-            "skip_rewrite": skip_sameas_rewrite,
-            "unique_urls": unique_urls,
-            "enc": encode_triples,
-        },
+        config={"v": "6", "unique_urls": unique_urls, "enc": encode_triples},
         inputs=["stage=mentions_distinct", "stage=ent_rel_distinct", "stage=extract"],
     )
 

@@ -22,6 +22,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..bcast import cached_get
+
 EXTRACTOR_VERSION = "1.0.0"
 
 URL_PREFIX = "https://docs.example.org/page/"
@@ -141,9 +143,7 @@ def read_pages(
         n_tasks = amplify * chunks
 
         def build_shard(batch: pa.Table, tbl_ref=None) -> pa.Table:
-            base = _BROADCAST_CACHE.get(tbl_ref.hex())
-            if base is None:
-                base = _BROADCAST_CACHE[tbl_ref.hex()] = ray.get(tbl_ref)
+            base = cached_get(_BROADCAST_CACHE, tbl_ref)
             parts = []
             for sid in batch["id"].to_pylist():
                 replica, chunk = divmod(sid, chunks)

@@ -23,6 +23,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..bcast import cached_get
+
 
 def _as_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
     # float64 so scores are bit-comparable with SQL oracles (duckdb
@@ -56,8 +58,6 @@ def _partial_topk(
 ) -> pa.Table:
     """Per-batch exact top-k against the broadcast query matrix
     (normalized once per worker via the bounded cache)."""
-    from .bcast import cached_get
-
     qids, qmat = cached_get(_ANN_CACHE, ref, _prep_query_side)
     mat = _normalize(_as_matrix(batch, vec_col))  # n × d
     ids = np.asarray(batch[id_col].to_pylist())
@@ -156,8 +156,6 @@ def ivf_topk(
     probe_ref = ray.put({"ids": list(query_ids), "vecs": qn, "probe": probe})
 
     def probed_topk(batch: pa.Table, ref=None, cref=None) -> pa.Table:
-        from .bcast import cached_get
-
         q = cached_get(_ANN_CACHE, ref)
         qids, qmat, probes = q["ids"], q["vecs"], q["probe"]
         centroids = cached_get(_ANN_CACHE, cref)
@@ -305,8 +303,6 @@ def ivfpq_topk(
     scan_ref = ray.put({"probe": probe, "luts": luts})
 
     def pq_scan(batch: pa.Table, ref=None) -> pa.Table:
-        from .bcast import cached_get
-
         s = cached_get(_ANN_CACHE, ref)
         probes, luts_b = s["probe"], s["luts"]
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -425,8 +421,6 @@ def lsh_topk(
     )
 
     def lsh_topk_scan(batch: pa.Table, ref=None) -> pa.Table:
-        from .bcast import cached_get
-
         q = cached_get(_ANN_CACHE, ref)
         qids, qmat, probes, q_planes = q["ids"], q["qmat"], q["probe"], q["planes"]
         m = _normalize(_as_matrix(batch, vec_col))
@@ -462,11 +456,6 @@ def lsh_topk(
         ["query_id", "score", id_col], ascending=[True, False, True], kind="stable"
     )
     return df.groupby("query_id", sort=True).head(k).reset_index(drop=True)
-
-
-# per-worker centroid cache for the coherent-blocking tag pass (kept to
-# the latest ref only)
-_CLUSTER_CACHE: dict = {}
 
 
 def _block_matrix(tbl: pa.Table, id_col: str, vec_col: str):
@@ -610,10 +599,7 @@ def self_similarity_pairs(
         cref = ray.put(cents)
 
         def tag(batch: pa.Table, cref=None) -> pa.Table:
-            c = _CLUSTER_CACHE.get(cref.hex())
-            if c is None:
-                _CLUSTER_CACHE.clear()
-                c = _CLUSTER_CACHE[cref.hex()] = ray.get(cref)
+            c = cached_get(_ANN_CACHE, cref)
             ids, m = _block_matrix(batch, id_col, vec_col)
             a = (
                 _assign(_quantize(m, scale_bits), c)
@@ -685,8 +671,6 @@ def hard_negatives(
     )
 
     def masked_topk(batch: pa.Table, ref=None) -> pa.Table:
-        from .bcast import cached_get
-
         q = cached_get(_ANN_CACHE, ref)
         qids, qmat, qlab = q["ids"], q["vecs"], q["labels"]
         m = _normalize(_as_matrix(batch, vec_col))
@@ -880,8 +864,6 @@ def hnsw_topk(
         )
 
     def build_and_search(df: pd.DataFrame) -> pd.DataFrame:
-        from .bcast import cached_get
-
         q = cached_get(_ANN_CACHE, queries_ref)
         ids = df[id_col].to_numpy(dtype=np.int64)
         vecs = np.asarray(df[vec_col].tolist(), dtype=np.float64)

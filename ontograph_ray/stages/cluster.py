@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .bcast import cached_get
+from ..bcast import cached_get
 
 __all__ = ["kmeans_fixed_point", "assign_clusters", "semdedup"]
 

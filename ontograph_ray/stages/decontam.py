@@ -26,8 +26,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-# per-worker cache of the broadcast n-gram value set (fetched once per
-# worker process, not per batch)
+from ..bcast import cached_get
+
+# per-worker cache of the broadcast n-gram value set
 _NGRAM_SET_CACHE: dict = {}
 
 
@@ -73,12 +74,7 @@ def benchmark_ngrams(bench_ds: ray.data.Dataset, n: int = 4) -> pa.Array:
 def _contamination_batch(
     batch: pa.Table, ngrams_ref=None, n: int = 4
 ) -> pa.Table:
-    key = ngrams_ref.hex() if hasattr(ngrams_ref, "hex") else id(ngrams_ref)
-    value_set = _NGRAM_SET_CACHE.get(key)
-    if value_set is None:
-        value_set = _NGRAM_SET_CACHE[key] = (
-            ray.get(ngrams_ref) if hasattr(ngrams_ref, "hex") else ngrams_ref
-        )
+    value_set = cached_get(_NGRAM_SET_CACHE, ngrams_ref)
     ngrams, doc_idx, valid, counts = _batch_ngrams(batch["text"], n)
     if ngrams is None:
         hits = np.zeros(len(counts), dtype=np.int64)

@@ -21,7 +21,7 @@ import ray
 import ray.data
 
 from ..pipelines.canonicalize import connected_components
-from .bcast import cached_get
+from ..bcast import cached_get
 
 # ---------------------------------------------------------------------------
 # Exact dedup

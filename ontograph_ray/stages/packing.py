@@ -34,6 +34,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..bcast import cached_get
+
 _OFFSET_CACHE: dict = {}
 
 
@@ -58,12 +60,7 @@ def _bucket_partials(batch: pa.Table) -> pa.Table:
 
 
 def _assign_group(df: pd.DataFrame, offsets_ref=None, window: int = 2048) -> pd.DataFrame:
-    key = offsets_ref.hex() if hasattr(offsets_ref, "hex") else id(offsets_ref)
-    offsets = _OFFSET_CACHE.get(key)
-    if offsets is None:
-        offsets = _OFFSET_CACHE[key] = (
-            ray.get(offsets_ref) if hasattr(offsets_ref, "hex") else offsets_ref
-        )
+    offsets = cached_get(_OFFSET_CACHE, offsets_ref)
     df = df.sort_values("doc_id", kind="stable")
     base = offsets.get(int(df["__bucket"].iloc[0]), 0)
     n = df["n_tokens"].to_numpy(dtype=np.int64)

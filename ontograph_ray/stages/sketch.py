@@ -46,7 +46,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from .bcast import cached_get
+from ..bcast import cached_get
 
 
 def _hash_series(s: pd.Series) -> np.ndarray:

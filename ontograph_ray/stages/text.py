@@ -17,7 +17,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .bcast import cached_get
+from ..bcast import cached_get
 
 STOPWORDS = ("the", "a", "of", "and", "to", "in", "is", "it")
 

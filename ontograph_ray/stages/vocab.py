@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .bcast import cached_get
+from ..bcast import cached_get
 
 _VOCAB_CACHE: dict = {}
 

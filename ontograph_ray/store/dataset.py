@@ -34,12 +34,16 @@ import ray
 import ray.data
 
 from .. import triples as tr
+from ..bcast import cached_get
 from ..triples import Triple
 from . import turtle
 from .base import TripleAlreadyExistsError, TripleDoesNotExistError
 
 DEDUP_BUCKETS_DEFAULT = 64
 _SEP = "\x1f"
+
+# per-worker cache of this module's broadcast sides (see bcast.py)
+_BCAST_CACHE: dict = {}
 
 
 class DatasetGraphStore:
@@ -193,17 +197,14 @@ class DatasetGraphStore:
     ) -> "DatasetGraphStore":
         """Idempotent bulk delete via broadcast anti-join (G13): the
         (small) incoming key set goes into the object store once
-        (ray.put) and is read once per actor in __init__ — never
-        re-shipped per batch."""
+        (ray.put) and each worker reads it once through ``cached_get``
+        — never re-shipped per batch."""
         self._check_usable()
         if not isinstance(remove, pa.Table):
             remove = tr.triples_to_table(remove)
         keys_ref = ray.put(_composite_key(remove).combine_chunks())
         out = self._ds.map_batches(
-            _BroadcastAntiJoin,
-            fn_constructor_args=(keys_ref,),
-            batch_format="pyarrow",
-            concurrency=(1, 4),
+            _anti_join_batch, fn_kwargs={"keys_ref": keys_ref}, batch_format="pyarrow"
         )
         return DatasetGraphStore(self._uri, out)
 
@@ -264,7 +265,7 @@ class DatasetGraphStore:
         keys_ref = ray.put(keys)
 
         def count_conflicts(batch: pa.Table, keys_ref=None) -> pa.Table:
-            wanted = ray.get(keys_ref)
+            wanted = cached_get(_BCAST_CACHE, keys_ref)
             n = pc.sum(pc.is_in(_composite_key(batch), value_set=wanted)).as_py() or 0
             return pa.table({"n": pa.array([n], pa.int64())})
 
@@ -307,7 +308,7 @@ class DatasetGraphStore:
         keys_ref = ray.put(keys)
 
         def matched_keys(batch: pa.Table, keys_ref=None) -> pa.Table:
-            wanted = ray.get(keys_ref)
+            wanted = cached_get(_BCAST_CACHE, keys_ref)
             k = _composite_key(batch)
             if isinstance(k, pa.ChunkedArray):
                 k = k.combine_chunks()
@@ -366,21 +367,16 @@ def _composite_key(batch: pa.Table) -> pa.ChunkedArray:
     )
 
 
-class _BroadcastAntiJoin:
-    """Actor-pool stage: drop rows whose (s,p,o) is in the broadcast
-    key set — fully Arrow-native: the key set is a pyarrow string array
-    fetched once per actor, the per-batch test is one composite-key
-    build (binary_join_element_wise) + one is_in kernel. No per-row
-    Python, no pandas conversion on the triple path."""
-
-    def __init__(self, keys_ref):
-        self.keys = ray.get(keys_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        key = _composite_key(batch)
-        return batch.filter(pc.invert(pc.is_in(key, value_set=self.keys)))
+def _anti_join_batch(batch: pa.Table, keys_ref=None) -> pa.Table:
+    """Drop rows whose (s,p,o) is in the broadcast key set — fully
+    Arrow-native: the key set is a pyarrow string array read once per
+    worker, the per-batch test is one composite-key build
+    (binary_join_element_wise) + one is_in kernel. No per-row Python,
+    no pandas conversion on the triple path."""
+    if batch.num_rows == 0:
+        return batch
+    keys = cached_get(_BCAST_CACHE, keys_ref)
+    return batch.filter(pc.invert(pc.is_in(_composite_key(batch), value_set=keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +480,9 @@ def broadcast_join(
     on = [on] if isinstance(on, str) else list(on)
 
     def merge(df: pd.DataFrame, small_ref=None) -> pd.DataFrame:
-        key = small_ref.hex()
-        rhs = _BCAST_JOIN_CACHE.get(key)
-        if rhs is None:
-            rhs = _BCAST_JOIN_CACHE[key] = ray.get(small_ref)
-        return df.merge(rhs, on=on, how=how)
+        return df.merge(cached_get(_BCAST_CACHE, small_ref), on=on, how=how)
 
     return big.map_batches(merge, fn_kwargs={"small_ref": small_ref}, batch_format="pandas")
-
-
-_BCAST_JOIN_CACHE: dict = {}
 
 
 def _arrow_type_of(typ) -> pa.DataType:

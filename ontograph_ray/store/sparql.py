@@ -757,12 +757,14 @@ class _Query:
     # (LeftJoin(A, LeftJoin(B, C)) per the SPARQL algebra)
     optionals: "list[_OptGroup]" = field(default_factory=list)
     # MINUS { BGP } and FILTER NOT EXISTS { BGP } — equivalent on this
-    # subset (groups must share ≥1 required-bound variable) — and
+    # subset (groups must share ≥1 required-bound variable) unless a
+    # FILTER in the group reads outer variables — and
     # FILTER EXISTS { BGP }: anti-/semi-join groups
-    # each group is (patterns, filters): the BGP plus any FILTER
-    # conditions inside the braces
-    minus_groups: list[tuple[list, list]] = field(default_factory=list)
-    exists_groups: list[tuple[list, list]] = field(default_factory=list)
+    # each group is (patterns, filters, kind): the BGP, any FILTER
+    # conditions inside the braces, and the keyword that opened it
+    # ("MINUS", "FILTER NOT EXISTS" or "FILTER EXISTS")
+    minus_groups: list[tuple[list, list, str]] = field(default_factory=list)
+    exists_groups: list[tuple[list, list, str]] = field(default_factory=list)
     # postfix VALUES: (vars, ground-term rows) — inline broadcast semi-join
     values_clause: tuple[list[str], list[tuple[str, ...]]] | None = None
     # top-level { g1 } UNION { g2 } ... form: pattern groups, bag union
@@ -1491,8 +1493,8 @@ def parse(text: str) -> _Query:
             filters.append(expr)
 
     optionals: list[_OptGroup] = []
-    minus_groups: list[tuple[list, list]] = []
-    exists_groups: list[tuple[list, list]] = []
+    minus_groups: list[tuple[list, list, str]] = []
+    exists_groups: list[tuple[list, list, str]] = []
     binds: list[tuple[str, object, str]] = []
     subqueries: list[str] = []
 
@@ -1965,7 +1967,7 @@ def parse(text: str) -> _Query:
         if peek() == ".":
             take()
 
-    def take_group(kind: str) -> tuple[list, list]:
+    def take_group(kind: str) -> tuple[list, list, str]:
         # { BGP [FILTER(...)]... } — the group body for MINUS /
         # FILTER [NOT] EXISTS; FILTER conditions inside the braces are
         # collected per group (nested EXISTS stays out of the subset)
@@ -1999,7 +2001,7 @@ def parse(text: str) -> _Query:
         take()  # '}'
         if not grp:
             raise SparqlSyntaxError(f"empty {kind} group")
-        return grp, grp_filters
+        return grp, grp_filters, kind
 
     def take_optional_group() -> _OptGroup:
         # { BGP [OPTIONAL { ... }] [FILTER(...)]... } — OPTIONAL groups
@@ -3149,7 +3151,7 @@ def sparql_select(
             raise SparqlSyntaxError(f"FILTER variables never bound: {bad}")
         joined = _apply_filters_ds(joined, q.filters)
 
-    for (grp, grp_filters), how in [(g, "semi") for g in q.exists_groups] + [
+    for (grp, grp_filters, kind), how in [(g, "semi") for g in q.exists_groups] + [
         (g, "anti") for g in q.minus_groups
     ]:
         # FILTER EXISTS → distributed semi-join; MINUS / FILTER NOT
@@ -3194,6 +3196,15 @@ def sparql_select(
                 raise SparqlUnsupportedError(
                     "FILTER inside MINUS / EXISTS references variables "
                     f"that are not required-bound outside: {fbad}"
+                )
+            if outer_refs and kind == "MINUS":
+                # SPARQL 1.1 §8.3.3: a MINUS group is evaluated on its
+                # own, so these variables are unbound inside it — the
+                # correlated (NOT EXISTS) plan below would be wrong
+                raise SparqlUnsupportedError(
+                    "FILTER inside MINUS references outer variables "
+                    f"{outer_refs}; use FILTER NOT EXISTS for a "
+                    "correlated condition"
                 )
             if not outer_refs:
                 # internal-only condition: pre-filter the group

@@ -1526,6 +1526,27 @@ class TestSparqlExtensions:
         assert minus["p"].tolist() == ["<urn:p2>", "<urn:p3>"]
         assert notex["p"].tolist() == minus["p"].tolist()
 
+    def test_minus_refuses_filter_on_outer_vars(self, ray_session):
+        # SPARQL 1.1 §8.3.3: inside MINUS the outer ?n is unbound, so
+        # the spec answer keeps every row; the correlated NOT EXISTS
+        # plan would drop p1 — refused instead of answered wrongly
+        from ontograph_ray.store.sparql import SparqlUnsupportedError
+
+        ds = self._people()
+        with pytest.raises(SparqlUnsupportedError, match="inside MINUS"):
+            self._q(
+                ds,
+                "SELECT ?p WHERE { ?p <urn:name> ?n . "
+                "MINUS { ?p <urn:email> ?e . FILTER ( ?n != ?e ) } }",
+            )
+        notex = self._q(
+            ds,
+            "SELECT ?p WHERE { ?p <urn:name> ?n . "
+            "FILTER NOT EXISTS { ?p <urn:email> ?e . FILTER ( ?n != ?e ) } } "
+            "ORDER BY ?p",
+        )
+        assert notex["p"].tolist() == ["<urn:p2>", "<urn:p3>"]
+
     def test_filter_exists(self, ray_session):
         ds = self._people()
         out = self._q(
