@@ -28,6 +28,8 @@ filter the pivoted structs.
 
 from __future__ import annotations
 
+import logging
+
 import pandas as pd
 import pyarrow as pa
 
@@ -40,6 +42,8 @@ from ..bcast import cached_get
 from ..store.dataset import DatasetGraphStore, hash_join
 from ..terms import new_resource_term, term_value
 from .resources import pivot_individual
+
+_log = logging.getLogger("ontograph_ray")
 
 # Largest candidate-subject set shipped as a ray.put broadcast; above
 # this the semi-join runs as a bucketed hash_join exchange instead.
@@ -194,7 +198,15 @@ def get_individuals_dataset(
     graph_rows = store.dataset
     if filters:
         cands = candidate_subjects(store, filters, num_buckets).materialize()
-        if cands.count() <= BROADCAST_MAX_SUBJECTS:
+        n_cands = cands.count()
+        broadcast = n_cands <= BROADCAST_MAX_SUBJECTS
+        _log.debug(
+            "get_individuals_dataset: %s branch, %d candidate subjects "
+            "%s BROADCAST_MAX_SUBJECTS=%d",
+            "broadcast" if broadcast else "semi-join",
+            n_cands, "<=" if broadcast else ">", BROADCAST_MAX_SUBJECTS,
+        )
+        if broadcast:
             subjects = {r["subject"] for r in cands.take_all()}
             subjects_ref = ray.put(subjects)
             graph_rows = graph_rows.map_batches(

@@ -102,12 +102,6 @@ def _local_components(edges2: ray.data.Dataset) -> ray.data.Dataset:
     return ray.data.from_pandas(out)
 
 
-def _bucket_of(series: pd.Series, num_buckets: int) -> pd.Series:
-    return (pd.util.hash_pandas_object(series, index=False) % num_buckets).astype(
-        "int64"
-    )
-
-
 # unified union schema for the phase-1 co-group: edge rows carry
 # (key, nbr, __h=hash(key), __dest=home(nbr), __bucket=salted(key));
 # label rows carry (node, label, key=node for the Acero join,

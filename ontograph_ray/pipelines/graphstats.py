@@ -4,8 +4,10 @@ edge construction and triangle enumeration.
 The reference has no graph analytics beyond the ontology pivots; these
 are the KG-side statistics a web-scale graph build needs (community
 structure probes, clustering-coefficient inputs) expressed on the
-engine's own exchange primitives — no driver-side adjacency, no
-all-pairs stage:
+engine's own exchange primitives, with no all-pairs stage. Loops whose
+input is small take a local branch instead: ``k_core`` peels on the
+driver, and ``transitive_closure`` runs its fixpoint in one task over
+an Arrow table (up to ``LOCAL_CLOSURE_MAX_EDGES`` edges):
 
 - ``cooccurrence_edges``: items sharing a group (entities on a page,
   parts in an order) → undirected support-weighted edges. Pair
@@ -28,16 +30,28 @@ all-pairs stage:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
 
 from ..store.dataset import bucketed_group_map, hash_join
 
 __all__ = ["cooccurrence_edges", "k_core", "transitive_closure", "triangles"]
+
+_log = logging.getLogger("ontograph_ray")
+
+# transitive_closure's size cutover: edge sets up to this many (src,
+# dst) rows close in one task over an Arrow table. The same 2M as
+# kg.DRIVER_SMALL_MAX and ontology.query.BROADCAST_MAX_SUBJECTS; at
+# ~90 B per edge (two ~40-character entity IRIs, each with a 4-byte
+# string offset) that task's input table is ~180 MB.
+LOCAL_CLOSURE_MAX_EDGES = 2_000_000
 
 
 def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -383,34 +397,128 @@ def triangles(edges: ray.data.Dataset) -> ray.data.Dataset:
     return closed.map_batches(canonical, batch_format="pandas")
 
 
+def _closure_rounds(
+    edges: pa.Table, max_iters: int, sources
+) -> "tuple[pa.Table | None, int]":
+    """The semi-naive fixpoint over one in-memory Arrow table: the
+    local twin of the distributed loop in :func:`transitive_closure`,
+    round for round (distinct, inner step join, anti-join against the
+    accumulator, same ``max_iters`` cap). Returns ``(closure, rounds)``;
+    the closure is None when the cap was hit."""
+    base = edges.group_by(["src", "dst"], use_threads=False).aggregate([])
+    acc = base
+    if sources is not None:
+        seed = pa.array(list(sources)).cast(base.schema.field("src").type)
+        acc = base.filter(pc.is_in(base["src"], value_set=seed))
+    step = base.rename_columns(["mid", "dst"])
+    frontier = acc
+    for r in range(1, max_iters + 1):
+        stepped = (
+            frontier.rename_columns(["src", "mid"])
+            .join(step, "mid", join_type="inner")
+            .select(["src", "dst"])
+        )
+        cand = stepped.group_by(["src", "dst"], use_threads=False).aggregate([])
+        if cand.num_rows == 0:
+            return acc, r
+        fresh = cand.join(acc, ["src", "dst"], join_type="left anti")
+        if fresh.num_rows == 0:
+            return acc, r
+        acc = pa.concat_tables([acc, fresh])
+        frontier = fresh
+    return None, max_iters
+
+
+def _not_converged(max_iters: int) -> ValueError:
+    return ValueError(
+        f"transitive_closure did not converge within {max_iters} rounds "
+        "(graph diameter exceeds the cap)"
+    )
+
+
+@ray.remote(num_returns=2)
+def _local_closure(max_iters: int, sources, *blocks: pa.Table):
+    closure, rounds = _closure_rounds(
+        pa.concat_tables(blocks, promote_options="default"), max_iters, sources
+    )
+    if closure is None:
+        return (None, rounds), None
+    return (closure.num_rows, rounds), closure.combine_chunks()
+
+
 def transitive_closure(
-    edges: ray.data.Dataset, max_iters: int = 25
+    edges: ray.data.Dataset, max_iters: int = 25, sources=None
 ) -> ray.data.Dataset:
     """All (src, dst) pairs connected by a directed path of length >= 1
-    — the semi-naive Datalog fixpoint, distributed: each round joins
-    only the FRONTIER (pairs discovered last round) against the base
-    edges, dedups, and anti-joins against everything already known, so
-    work per round is proportional to the new pairs, not the closure.
+    — the semi-naive Datalog fixpoint: each round joins only the
+    FRONTIER (pairs discovered last round) against the base edges,
+    dedups, and anti-joins against everything already known, so work
+    per round is proportional to the new pairs, not the closure.
     Cycles terminate naturally (a revisited pair is dropped by the
     anti-join). Raises if the fixpoint needs more than ``max_iters``
     rounds — path length is bounded by the round count, so this is a
     graph-diameter cap, not a heuristic.
 
-    Per-round plan: one bucketed hash join (frontier.dst = edges.src),
-    one distinct, one anti-join; the accumulator is pinned each round
-    (the CC-loop convention for iterative shuffles). Partitioning
-    assumption: the closure itself fits in the object store (it is the
-    OUTPUT — any engine pays this), and one join key's rows fit a
-    bucket worker."""
+    ``sources`` seeds the fixpoint: the frontier and the accumulator
+    start from the edges leaving a source, so only pairs whose ``src``
+    is a source come out — at most sources × nodes rows instead of
+    nodes².
+
+    Size cutover on the projected (src, dst) edge count (metadata of
+    the materialized scan):
+
+    - at most ``LOCAL_CLOSURE_MAX_EDGES`` (~90 B per edge of two
+      entity IRIs, so ~180 MB of input): the whole loop runs in ONE
+      Ray task over the concatenated Arrow table. The driver fetches
+      only the task's row and round counts (so the cap still raises
+      here, at call time) and wraps the closure's object ref; it never
+      holds the closure itself.
+    - above it: the distributed loop — per round one bucketed hash
+      join (frontier.dst = edges.src), one distinct, one anti-join; the
+      accumulator is pinned each round (the CC-loop convention for
+      iterative shuffles). Partitioning assumption: the closure itself
+      fits in the object store (it is the OUTPUT — any engine pays
+      this), and one join key's rows fit a bucket worker."""
     from ..store.dataset import distinct_on
 
-    base = distinct_on(edges.select_columns(["src", "dst"]), ["src", "dst"])
-    base = base.materialize()
+    scan = edges.select_columns(["src", "dst"]).materialize()
+    n = scan.count()
+    if n <= LOCAL_CLOSURE_MAX_EDGES:
+        if n == 0:
+            return scan
+        meta_ref, table_ref = _local_closure.remote(
+            max_iters, sources, *scan.to_arrow_refs()
+        )
+        rows, rounds = ray.get(meta_ref)
+        _log.debug(
+            "transitive_closure: local branch, %d edges <= "
+            "LOCAL_CLOSURE_MAX_EDGES=%d, %s rounds, %s rows",
+            n, LOCAL_CLOSURE_MAX_EDGES, rounds, rows,
+        )
+        if rows is None:
+            raise _not_converged(max_iters)
+        return ray.data.from_arrow_refs([table_ref])
+
+    base = distinct_on(
+        ray.data.from_arrow_refs(scan.to_arrow_refs()), ["src", "dst"]
+    ).materialize()
     nb = max(1, base.num_blocks())
     base = _pin(base)
     acc = base
-    frontier = base
-    for _ in range(max_iters):
+    if sources is not None:
+        base_schema = base.schema().base_schema
+        seed = pa.array(list(sources)).cast(base_schema.field("src").type)
+
+        def seeded(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.is_in(batch["src"], value_set=seed))
+
+        acc = _pin(base.map_batches(seeded, batch_format="pyarrow"))
+        if acc.count() == 0:
+            # no seed has an out-edge; an empty pinned dataset carries
+            # no schema, so return a typed empty table
+            return ray.data.from_arrow(base_schema.empty_table())
+    frontier = acc
+    for r in range(1, max_iters + 1):
         stepped = hash_join(
             _renamed(frontier, {"dst": "mid"}),
             _renamed(base, {"src": "mid", "dst": "dst"}),
@@ -426,7 +534,7 @@ def transitive_closure(
         cand = _pin(distinct_on(stepped, ["src", "dst"]).repartition(nb))
         if cand.count() == 0:
             # frontier dead-ended: no paths extend, fixpoint reached
-            return acc
+            break
         fresh = _pin(
             hash_join(
                 cand,
@@ -436,13 +544,17 @@ def transitive_closure(
             ).repartition(nb)
         )
         if fresh.count() == 0:
-            return acc
+            break
         acc = _pin(acc.union(fresh).repartition(nb))
         frontier = fresh
-    raise ValueError(
-        f"transitive_closure did not converge within {max_iters} rounds "
-        "(graph diameter exceeds the cap)"
+    else:
+        raise _not_converged(max_iters)
+    _log.debug(
+        "transitive_closure: distributed branch, %d edges > "
+        "LOCAL_CLOSURE_MAX_EDGES=%d, %d rounds",
+        n, LOCAL_CLOSURE_MAX_EDGES, r,
     )
+    return acc
 
 
 def bfs_depths(
@@ -676,7 +788,8 @@ def label_propagation(
     (bucket, label), not once per edge), then a count-sum + vectorized
     argmax per node on hash(neighbor). Same driver cutover as
     :func:`pagerank` below ``small_threshold`` deduped edges."""
-    from .pagerank import _as_arrow, _bucket_of
+    from ..store.dataset import _bucket_of
+    from .pagerank import _as_arrow
 
     def frame(kind: str, a, b=None, n=None) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -829,7 +942,8 @@ def sssp(
     proportional to the improving frontier, cycles safe (weights ≥ 0),
     ``max_rounds`` raises rather than truncating. Same driver cutover
     as the other iterative graph ops."""
-    from .pagerank import _as_arrow, _bucket_of
+    from ..store.dataset import _bucket_of
+    from .pagerank import _as_arrow
 
     cols = ["src", "dst", weight_col]
     base = edges.select_columns(cols)

@@ -32,6 +32,7 @@ which is the canonical URI by construction).
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,8 @@ from ..store.dataset import dedup, distinct_on, write_ntriples
 from .canonicalize import connected_components, union_find
 from .checkpoint import CheckpointedRun
 from .pages import extract_text_batch, read_pages
+
+_log = logging.getLogger("ontograph_ray")
 
 ONTO = "https://kg.example.org/onto"
 
@@ -666,6 +669,11 @@ def build_kg(
         er_dist = er_dist.materialize()
     n_er = er_dist.count()
     use_driver_small = n_er <= DRIVER_SMALL_MAX
+    _log.debug(
+        "build_kg: %s branch, %d entity/relation rows %s DRIVER_SMALL_MAX=%d",
+        "driver-small" if use_driver_small else "distributed",
+        n_er, "<=" if use_driver_small else ">", DRIVER_SMALL_MAX,
+    )
     # streaming mode has no manifest counters; fill in the row counts
     # that are free (metadata of already-materialized stages) so the
     # lineage story holds on both paths

@@ -40,15 +40,11 @@ import pandas as pd
 
 import ray.data
 
+from ..store.dataset import _bucket_of
+
 SCALE = 1_000_000_000
 
 _COLS = ["kind", "a", "b", "deg", "rank", "__bucket"]
-
-
-def _bucket_of(series: pd.Series, num_buckets: int) -> pd.Series:
-    return (pd.util.hash_pandas_object(series, index=False) % num_buckets).astype(
-        "int64"
-    )
 
 
 def _as_arrow(ds: ray.data.Dataset) -> ray.data.Dataset:

@@ -3216,8 +3216,8 @@ def q_sparql_path_negset_closure(sf_dir: str):
     """E8 extension: arbitrary-length path over a NEGATED property set
     !(type|segment|acctbal|label)+ — the base relation is one
     NOT-IN-filtered scan (everything except the excluded predicates =
-    inNation ∪ inRegion here), then the same distributed semi-naive
-    fixpoint as e+. Oracle: recursive CTE over NOT IN edges."""
+    inNation ∪ inRegion here), then the same semi-naive fixpoint as
+    e+. Oracle: recursive CTE over NOT IN edges."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
 
@@ -3235,10 +3235,12 @@ def q_sparql_path_negset_closure(sf_dir: str):
 
 def q_sparql_path_closure(sf_dir: str):
     """E8 extension: arbitrary-length property path + — the
-    distributed semi-naive transitive closure (frontier-only join per
-    round, anti-join dedup, pinned accumulator) of the
-    (inNation|inRegion) relation: cust→nation, nation→region and the
-    2-hop cust→region pairs. Oracle is a recursive CTE."""
+    semi-naive transitive closure (frontier-only join per round,
+    anti-join dedup) of the (inNation|inRegion) relation: cust→nation,
+    nation→region and the 2-hop cust→region pairs. At the registry's
+    scale factors the relation is far below LOCAL_CLOSURE_MAX_EDGES,
+    so the fixpoint runs in one task over an Arrow table; above it,
+    it runs as the distributed loop. Oracle is a recursive CTE."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
 
@@ -3255,8 +3257,8 @@ def q_sparql_path_closure(sf_dir: str):
 
 
 def q_sparql_path_star(sf_dir: str):
-    """E8 extension: zero-or-more property path * — the distributed
-    transitive closure of the (inNation|inRegion) relation (includes
+    """E8 extension: zero-or-more property path * — the transitive
+    closure of the (inNation|inRegion) relation (includes
     the 2-hop cust→region pairs) UNION the zero-length path, which for
     two variable endpoints binds every node of the graph (one global
     distinct exchange over subjects+objects, literals included, per
@@ -3627,8 +3629,9 @@ def q_sparql_path_seq_closure(sf_dir: str):
     """E8 extension: GROUPED SEQUENCE paths under closure modifiers —
     (rel:inRegion/^rel:inRegion)+ from one nation reaches every nation
     in the same region (the composition of the two step relations is
-    built with one hash join per step, then the distributed semi-naive
-    closure fixpoint runs over the composed base relation)."""
+    built with one hash join per step, then the semi-naive closure
+    fixpoint runs over the composed base relation, seeded at the
+    ground start)."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
 

@@ -391,14 +391,19 @@ def _distinct_triples_block(batch: pa.Table) -> pa.Table:
     return batch.group_by(tr.COLUMNS, use_threads=False).aggregate([])
 
 
-def _add_bucket(df: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
-    """Deterministic hash bucket of (s,p,o) — vectorized via pandas'
+def _bucket_of(series: pd.Series, num_buckets: int) -> pd.Series:
+    """Deterministic hash bucket of each value — vectorized via pandas'
     64-bit row hash. Bucket skew only affects balance, not correctness."""
+    return (pd.util.hash_pandas_object(series, index=False) % num_buckets).astype(
+        "int64"
+    )
+
+
+def _add_bucket(df: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
+    """Hash bucket of the whole (s,p,o) row."""
     key = df[tr.SUBJECT] + _SEP + df[tr.PREDICATE] + _SEP + df[tr.OBJECT]
     df = df.copy()
-    df["__bucket"] = (
-        pd.util.hash_pandas_object(key, index=False) % num_buckets
-    ).astype("int64")
+    df["__bucket"] = _bucket_of(key, num_buckets)
     return df
 
 

@@ -31,10 +31,11 @@ silently misanswering):
                                       alternative (bag union of
                                       predicate-pruned scans) | e+
                                       (arbitrary-length path: the
-                                      distributed semi-naive transitive
-                                      closure of the element's edge
-                                      relation; ground endpoints filter
-                                      the pair set after the fixpoint)
+                                      semi-naive transitive closure of
+                                      the element's edge relation, one
+                                      task on a small edge set; a
+                                      ground endpoint seeds the
+                                      fixpoint)
                                       | e* (the closure plus the
                                       zero-length path: a ground
                                       endpoint reflexively matches
@@ -1559,7 +1560,8 @@ def parse(text: str) -> _Query:
         elif up in ("YEAR", "MONTH", "DAY", "HOURS", "MINUTES", "SECONDS"):
             # date/time accessors (SPARQL §17.4.5) over xsd:date /
             # xsd:dateTime literals — bind the component as an
-            # xsd:integer term; non-date bindings → error→unbound
+            # xsd:integer term (SECONDS: xsd:decimal); non-date
+            # bindings → error→unbound
             # (HOURS/MINUTES/SECONDS additionally need the time part,
             # so they are unbound on plain xsd:date)
             if take() != "(":
@@ -1571,16 +1573,17 @@ def parse(text: str) -> _Query:
                 raise SparqlSyntaxError(f"expected ) closing {up}")
             op, arg = "datefn", (up.lower(), v)
         elif up in ("MD5", "SHA256"):
-            # hash builtins (SPARQL §17.4.4): hex digest of the
-            # lexical form of a literal binding, as a simple literal —
-            # document fingerprinting straight inside the query.
-            # Accepts MD5(?v) and the MD5(STR(?v)) idiom alike (STR of
-            # a literal IS its lexical form); non-literal bindings →
-            # error→unbound
+            # hash builtins (SPARQL §17.4.4): hex digest of a simple
+            # literal, as a simple literal — document fingerprinting
+            # straight inside the query. MD5(?v) hashes the lexical
+            # form of a literal binding (other bindings →
+            # error→unbound); MD5(STR(?v)) hashes STR's value, so an
+            # IRI binding hashes its IRI string
             if take() != "(":
                 raise SparqlSyntaxError(f"expected ( after {up}")
             v = take()
-            if v.upper() == "STR":
+            via_str = v.upper() == "STR"
+            if via_str:
                 if take() != "(":
                     raise SparqlSyntaxError("expected ( after STR")
                 v = take()
@@ -1592,7 +1595,7 @@ def parse(text: str) -> _Query:
                 raise SparqlSyntaxError(f"{up} needs a ?variable")
             if take() != ")":
                 raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = "hash", (up.lower(), v)
+            op, arg = "hash", (up.lower(), v, via_str)
         elif up in ("ABS", "CEIL", "FLOOR", "ROUND"):
             # XPath numeric builtins over the dual numeric lane:
             # integer-typed rows pass through ABS as xsd:integer (CEIL/
@@ -2298,8 +2301,9 @@ def _pattern_bindings(
         # property-path modifiers over a ground element:
         #   e+ (closure)   — the base relation is the union of the
         #     element's predicate-pruned scans (inverse choices swap
-        #     slots); its transitive closure runs as the distributed
-        #     semi-naive fixpoint (pipelines/graphstats.py)
+        #     slots); its transitive closure is the semi-naive fixpoint
+        #     of pipelines/graphstats.py (one task on a small edge set,
+        #     distributed above it), seeded at a ground endpoint
         #   e* (closure0)  — the closure UNION the zero-length path
         #   e? (zeroone)   — the base relation UNION the zero-length path
         # The zero-length path follows the SPARQL ZeroLengthPath
@@ -2395,8 +2399,6 @@ def _pattern_bindings(
             base = parts[0]
             for extra in parts[1:]:
                 base = base.union(extra)
-        closure = base if kind == "zeroone" else transitive_closure(base)
-
         out_vars: list[str] = []
         if s.startswith("?"):
             out_vars.append(s[1:])
@@ -2406,6 +2408,23 @@ def _pattern_bindings(
             raise SparqlUnsupportedError(
                 "fully-bound patterns (ASK semantics) are not supported"
             )
+
+        def swapped(batch: pa.Table) -> pa.Table:
+            return pa.table({"src": batch["dst"], "dst": batch["src"]})
+
+        if kind == "zeroone":
+            closure = base
+        elif not s.startswith("?"):
+            closure = transitive_closure(base, sources=[s])
+        elif not o.startswith("?"):
+            # seed at the ground object: close the reversed relation
+            # from o, then swap the pairs back
+            closure = transitive_closure(
+                base.map_batches(swapped, batch_format="pyarrow"),
+                sources=[o],
+            ).map_batches(swapped, batch_format="pyarrow")
+        else:
+            closure = transitive_closure(base)
 
         if kind in ("closure0", "zeroone"):
             if not s.startswith("?"):
@@ -2907,8 +2926,9 @@ def sparql_select(
                     # YEAR/MONTH/DAY over xsd:date / xsd:dateTime
                     # terms: one vectorized regex extract of the ISO
                     # lexical, leading zeros dropped by the int cast,
-                    # re-encoded as an xsd:integer term; anything else
-                    # (unbound, non-date) → null
+                    # re-encoded as an xsd:integer term (SECONDS as
+                    # xsd:decimal); anything else (unbound, non-date)
+                    # → null
                     fn, dv = arg
                     grp = {
                         "year": "y", "month": "m", "day": "d",
@@ -2919,7 +2939,8 @@ def sparql_select(
                         # plain xsd:date errors→unbound)
                         pat = (
                             r'^"\d{4}-\d{2}-\d{2}T(?P<hh>\d{2}):'
-                            r'(?P<mm>\d{2}):(?P<ss>\d{2})[^"]*"\^\^<'
+                            r'(?P<mm>\d{2}):(?P<ss>\d{2}(?:\.\d+)?)'
+                            r'[^"]*"\^\^<'
                             + re.escape(C.XSD_DATETIME)
                             + r">$"
                         )
@@ -2935,28 +2956,44 @@ def sparql_select(
                     part = pc.struct_field(
                         pc.extract_regex(batch[dv[1:]], pat), grp
                     )
-                    num = pc.cast(pc.cast(part, pa.int64()), pa.string())
-                    col = pc.if_else(
-                        pc.is_valid(num),
-                        pc.binary_join_element_wise(
-                            '"', num, f'"^^<{C.XSD_INTEGER}>', ""
-                        ),
-                        pa.scalar(None, pa.string()),
-                    )
+                    if fn == "seconds":
+                        # SECONDS is xsd:decimal (fractional seconds
+                        # kept) on the scale-6 lane; more than 6
+                        # fractional digits → unbound
+                        col = _dec_render(
+                            *_dec_decode(
+                                pc.binary_join_element_wise(
+                                    '"', part, f'"^^<{C.XSD_DECIMAL}>', ""
+                                )
+                            )
+                        )
+                    else:
+                        num = pc.cast(pc.cast(part, pa.int64()), pa.string())
+                        col = pc.if_else(
+                            pc.is_valid(num),
+                            pc.binary_join_element_wise(
+                                '"', num, f'"^^<{C.XSD_INTEGER}>', ""
+                            ),
+                            pa.scalar(None, pa.string()),
+                        )
                 elif op == "hash":
                     # MD5/SHA256 hex digest of the lexical form of a
-                    # LITERAL binding (SPARQL §17.4.4); resources and
-                    # unbound rows → null (error→unbound)
+                    # LITERAL binding (SPARQL §17.4.4), or of an IRI's
+                    # string under STR(); other and unbound rows →
+                    # null (error→unbound)
                     import hashlib as _hl
 
                     from ..terms import v_is_literal as _vil
+                    from ..terms import v_is_resource as _vir
 
-                    fn, hv = arg
+                    fn, hv, via_str = arg
                     col_v = batch[hv[1:]]
                     lex = v_value(col_v)
-                    lit = _vil(col_v)
+                    hashable = _vil(col_v)
+                    if via_str:
+                        hashable = pc.or_(hashable, _vir(col_v))
                     vals = []
-                    for s, ok in zip(lex.to_pylist(), lit.to_pylist()):
+                    for s, ok in zip(lex.to_pylist(), hashable.to_pylist()):
                         if not ok or s is None:
                             vals.append(None)
                         else:

@@ -381,6 +381,33 @@ class TestPipeline:
         c3 = build_kg(SF, amplify=3).triples.count()
         assert c3 == c1 + 2 * (c2 - c1)
 
+    def test_driver_small_cutover_is_logged(
+        self, ray_session, monkeypatch, caplog
+    ):
+        """Both sides of DRIVER_SMALL_MAX build the same triples, and
+        each logs the branch it took."""
+        import logging
+
+        from ontograph_ray.pipelines import kg
+
+        def triples():
+            return set(build_kg(SF).triples.to_pandas().itertuples(index=False))
+
+        caplog.set_level(logging.DEBUG, logger="ontograph_ray")
+        small = triples()
+        monkeypatch.setattr(kg, "DRIVER_SMALL_MAX", 0)
+        assert triples() == small
+        msgs = [
+            r.getMessage() for r in caplog.records if r.name == "ontograph_ray"
+        ]
+        assert len(msgs) == 2
+        assert msgs[0].startswith("build_kg: driver-small branch, ")
+        assert msgs[0].endswith(" <= DRIVER_SMALL_MAX=2000000")
+        assert msgs[1].startswith("build_kg: distributed branch, ")
+        assert msgs[1].endswith(" > DRIVER_SMALL_MAX=0")
+        # same entity/relation row count on both sides
+        assert msgs[0].split()[3] == msgs[1].split()[3]
+
     def test_checkpoint_resume_no_recompute(self, ray_session, tmp_path):
         ckpt = str(tmp_path / "run1")
         res1 = build_kg(SF, checkpoint_dir=ckpt)

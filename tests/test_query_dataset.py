@@ -126,3 +126,23 @@ class TestLengthOutliers:
         # every surviving doc is over the threshold implied by the
         # smallest survivor (monotone filter sanity)
         assert a["n_tokens"].min() > 0
+
+
+def test_broadcast_cutover_is_logged(ray_session, corpus, monkeypatch, caplog):
+    import logging
+
+    import ontograph_ray.ontology.query as Q
+
+    caplog.set_level(logging.DEBUG, logger="ontograph_ray")
+    f = TripleFilter().and_with_class("http://abc.com#type2")
+    want = sorted(i.uri for i in corpus.get_individuals(f))
+    assert _uris(get_individuals_dataset(_dstore(corpus), f, num_buckets=4)) == want
+    monkeypatch.setattr(Q, "BROADCAST_MAX_SUBJECTS", 0)
+    assert _uris(get_individuals_dataset(_dstore(corpus), f, num_buckets=4)) == want
+    msgs = [r.getMessage() for r in caplog.records if r.name == "ontograph_ray"]
+    assert msgs == [
+        "get_individuals_dataset: broadcast branch, 3 candidate subjects "
+        "<= BROADCAST_MAX_SUBJECTS=2000000",
+        "get_individuals_dataset: semi-join branch, 3 candidate subjects "
+        "> BROADCAST_MAX_SUBJECTS=0",
+    ]

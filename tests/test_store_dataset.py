@@ -1029,12 +1029,20 @@ class TestSparql:
         xd = "http://www.w3.org/2001/XMLSchema#date"
         xdt = "http://www.w3.org/2001/XMLSchema#dateTime"
         xi = '^^<http://www.w3.org/2001/XMLSchema#integer>'
+        xdec = '^^<http://www.w3.org/2001/XMLSchema#decimal>'
         trps = [
             new_triple(r("urn:o1"), r("urn:d"), l("1996-01-02", datatype=xd)),
             new_triple(
                 r("urn:o2"), r("urn:d"), l("2024-12-31T23:59:59", datatype=xdt)
             ),
             new_triple(r("urn:o3"), r("urn:d"), l("not a date")),
+            new_triple(
+                r("urn:o4"), r("urn:d"), l("2024-01-02T10:11:12.5", datatype=xdt)
+            ),
+            new_triple(
+                r("urn:o5"), r("urn:d"),
+                l("2024-01-02T10:11:02.1234567Z", datatype=xdt),
+            ),
         ]
         ds = DatasetGraphStore.from_triples("urn:g", trps)
         out = self._q(
@@ -1055,11 +1063,20 @@ class TestSparql:
             "BIND(HOURS(?v) AS ?h) BIND(MINUTES(?v) AS ?mi) "
             "BIND(SECONDS(?v) AS ?sec) } ORDER BY ?s",
         )
+        # SECONDS binds xsd:decimal (fn:seconds-from-dateTime), keeping
+        # the fractional part on the scale-6 lane
         assert out.iloc[1][["h", "mi", "sec"]].tolist() == [
-            f'"23"{xi}', f'"59"{xi}', f'"59"{xi}'
+            f'"23"{xi}', f'"59"{xi}', f'"59.0"{xdec}'
         ]
         assert out.iloc[0][["h", "mi", "sec"]].isna().all()
         assert out.iloc[2][["h", "mi", "sec"]].isna().all()
+        assert out.iloc[3][["h", "mi", "sec"]].tolist() == [
+            f'"10"{xi}', f'"11"{xi}', f'"12.5"{xdec}'
+        ]
+        # more than 6 fractional digits is outside the decimal lane →
+        # unbound; the other components still bind
+        assert out.iloc[4][["h", "mi"]].tolist() == [f'"10"{xi}', f'"11"{xi}']
+        assert out.iloc[[4]]["sec"].isna().all()
 
     def test_str_idiom_in_concat_substr(self, ray_session):
         # CONCAT(STR(?s), ...) / SUBSTR(STR(?v), ...) — the explicit
@@ -1219,6 +1236,16 @@ class TestSparql:
             "SELECT ?f ?m WHERE { ?p <urn:friend> ?f . BIND(MD5(?f) AS ?m) }",
         )
         assert out["m"].isna().tolist() == [True]
+        # ... but STR() of an IRI is its IRI string, which hashes
+        out = self._q(
+            ds,
+            "SELECT ?m ?sh WHERE { ?p <urn:friend> ?f . "
+            "BIND(MD5(STR(?f)) AS ?m) BIND(SHA256(STR(?f)) AS ?sh) }",
+        )
+        assert out["m"].tolist() == [f'"{hashlib.md5(b"urn:p2").hexdigest()}"']
+        assert out["sh"].tolist() == [
+            f'"{hashlib.sha256(b"urn:p2").hexdigest()}"'
+        ]
 
     def test_isnumeric_and_ordered_if(self, ray_session):
         from ontograph_ray.store import DatasetGraphStore
