@@ -5,7 +5,8 @@ Headline pipeline: the P1-P7 web-page → triple-store KG construction
 (default ``/root/testdata/sf0.1``), with the page table amplified
 ``$GRAFT_AMPLIFY``× (default 400) so the run is compute-bound enough to
 measure — the sandbox stand-in for a real crawl shard. Also times a
-representative subset of the `queries()` registry.
+representative subset of the `queries()` registry. The session gets
+``$RAY_GRAFT_CPUS`` CPUs (default: the cores this process may run on).
 
 Prints ONE JSON line:
     {"metric": "...", "value": <headline sec>, "unit": "sec",
@@ -36,7 +37,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 AMPLIFY = int(os.environ.get("GRAFT_AMPLIFY", "400"))
 # Larger input for the scaling proof so compute dominates fixed
 # per-stage latency at both CPU counts.

@@ -39,7 +39,7 @@ import ray.data
 from .. import constants as C
 from .. import triples as tr
 from ..bcast import cached_get
-from ..store.dataset import DatasetGraphStore, hash_join
+from ..store.dataset import DatasetGraphStore, bucketed_group_map, hash_join
 from ..terms import new_resource_term, term_value
 from .resources import pivot_individual
 
@@ -109,17 +109,6 @@ def candidate_subjects(
 
             match_sets.append(matched.map_batches(tag, batch_format="pyarrow"))
 
-    all_matches = match_sets[0]
-    for m in match_sets[1:]:
-        all_matches = all_matches.union(m)
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = (
-            pd.util.hash_pandas_object(df["subject"], index=False) % num_buckets
-        ).astype("int64")
-        return df
-
     sizes = group_sizes  # captured; tiny dict, serialized with the fn
 
     def reduce_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -133,11 +122,7 @@ def candidate_subjects(
         ok = hits[hits["filter_id"] >= hits["need"]]
         return pd.DataFrame({"subject": ok["subject"].unique()})
 
-    return (
-        all_matches.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-    )
+    return bucketed_group_map(match_sets, ["subject"], reduce_bucket, num_buckets)
 
 
 def _pivot_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -227,18 +212,4 @@ def get_individuals_dataset(
                 num_buckets=num_buckets,
             )
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = (
-            pd.util.hash_pandas_object(df[tr.SUBJECT], index=False) % num_buckets
-        ).astype("int64")
-        return df
-
-    def pivot_group(df: pd.DataFrame) -> pd.DataFrame:
-        return _pivot_bucket(df.drop(columns=["__bucket"]))
-
-    return (
-        graph_rows.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(pivot_group, batch_format="pandas")
-    )
+    return bucketed_group_map(graph_rows, [tr.SUBJECT], _pivot_bucket, num_buckets)

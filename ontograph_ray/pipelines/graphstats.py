@@ -782,17 +782,16 @@ def label_propagation(
     structure rather than converge; a fixed ``iters`` makes the output
     a well-defined function of the graph either way.
 
-    Scale shape per iteration: TWO exchanges — labels co-grouped with
-    the doubled edge table on hash(node) to emit (neighbor, label)
-    messages pre-counted per bucket (a hub's label crosses once per
-    (bucket, label), not once per edge), then a count-sum + vectorized
-    argmax per node on hash(neighbor). Same driver cutover as
+    Scale shape per iteration: TWO ``bucketed_group_map`` exchanges on
+    the frames' ``a`` column — labels co-grouped with the doubled edge
+    table on the node to emit (neighbor, label) messages pre-counted
+    per bucket (a hub's label crosses once per (bucket, label), not
+    once per edge), then a count-sum + vectorized argmax per node on
+    the neighbor. Same driver cutover as
     :func:`pagerank` below ``small_threshold`` deduped edges."""
-    from ..store.dataset import _bucket_of
-    from .pagerank import _as_arrow
 
     def frame(kind: str, a, b=None, n=None) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "kind": kind,
                 "a": a,
@@ -800,8 +799,6 @@ def label_propagation(
                 "n": pd.Series(n if n is not None else [0] * len(a), dtype="int64"),
             }
         )
-        out["__bucket"] = _bucket_of(out["a"], num_buckets)
-        return out[["kind", "a", "b", "n", "__bucket"]]
 
     def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
         e = df[[src, dst]].astype(str)
@@ -814,16 +811,16 @@ def label_propagation(
     def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(subset=["a", "b"])
 
-    # canonicalize (min, max) per undirected edge, dedup once; bucket
+    # canonicalize (min, max) per undirected edge, dedup once; route
     # by the canonical endpoint so global dedup is one exchange
-    canon = _as_arrow(
-        edges.map_batches(edge_rows, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(dedup_bucket, batch_format="pandas")
+    canon = bucketed_group_map(
+        edges.map_batches(edge_rows, batch_format="pandas"),
+        ["a"], dedup_bucket, num_buckets,
     ).materialize()
 
     if canon.count() <= small_threshold:
-        return _lpa_local(canon.select_columns(["a", "b"]).iter_rows(), iters)
+        # to_pandas, not iter_rows (see pagerank's cutover)
+        return _lpa_local(canon.to_pandas().to_dict("records"), iters)
 
     # doubled adjacency keyed on the label-owning endpoint a
     def double_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -831,20 +828,15 @@ def label_propagation(
         rev = frame("edge", df["b"].tolist(), df["a"].tolist())
         return pd.concat([fwd, rev], ignore_index=True)
 
-    adj = _as_arrow(
-        canon.map_batches(double_rows, batch_format="pandas")
-    ).materialize()
+    adj = canon.map_batches(double_rows, batch_format="pandas").materialize()
 
     def init_labels(df: pd.DataFrame) -> pd.DataFrame:
         nodes = df["a"].drop_duplicates()
         return frame("lab", nodes.tolist(), nodes.tolist())
 
-    labels = _as_arrow(
-        adj.map_batches(init_labels, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: df.drop_duplicates(subset=["a"]), batch_format="pandas"
-        )
+    labels = bucketed_group_map(
+        adj.map_batches(init_labels, batch_format="pandas"),
+        ["a"], lambda df: df.drop_duplicates(subset=["a"]), num_buckets,
     ).materialize()
 
     for _ in range(iters):
@@ -862,11 +854,7 @@ def label_propagation(
                 cnt["n"].to_numpy(),
             )
 
-        msgs = (
-            labels.union(adj)
-            .groupby("__bucket")
-            .map_groups(send, batch_format="pandas")
-        )
+        msgs = bucketed_group_map([labels, adj], ["a"], send, num_buckets)
 
         # phase 2: per node, sum counts per label and take the
         # (count DESC, label ASC) argmax
@@ -884,11 +872,7 @@ def label_propagation(
         # table grows by |adj blocks| every iteration (the block-growth
         # pathology measured in canonicalize.connected_components)
         labels = (
-            _as_arrow(
-                _as_arrow(msgs)
-                .groupby("__bucket")
-                .map_groups(reduce_bucket, batch_format="pandas")
-            )
+            bucketed_group_map(msgs, ["a"], reduce_bucket, num_buckets)
             .repartition(num_buckets)
             .materialize()
         )
@@ -935,16 +919,14 @@ def sssp(
     edge weights → Dataset(node, dist) for every reachable node —
     frontier Bellman-Ford (the weighted generalization of
     :func:`bfs_depths`; integer min-relaxation commutes, so the result
-    is deterministic at any partitioning). Per round: ONE
-    frontier⋈edges bucketed join emitting relaxed candidates, one
-    node-bucketed min, then a tagged co-group against the pinned
-    distance table keeping only strict improvements — work per round
-    proportional to the improving frontier, cycles safe (weights ≥ 0),
-    ``max_rounds`` raises rather than truncating. Same driver cutover
-    as the other iterative graph ops."""
-    from ..store.dataset import _bucket_of
-    from .pagerank import _as_arrow
-
+    is deterministic at any partitioning). Per round, two
+    ``bucketed_group_map`` co-groups on the frames' ``a`` column: the
+    frontier with the edges on the source, emitting relaxed candidates
+    min-reduced per target, then the candidates with the pinned
+    distance table on the target, keeping only strict improvements —
+    work per round proportional to the improving frontier, cycles safe
+    (weights ≥ 0), ``max_rounds`` raises rather than truncating. Same
+    driver cutover as the other iterative graph ops."""
     cols = ["src", "dst", weight_col]
     base = edges.select_columns(cols)
     if not directed:
@@ -955,7 +937,7 @@ def sssp(
         if (df[weight_col] < 0).any():
             raise ValueError("sssp needs non-negative weights")
         e = df.drop_duplicates(subset=["src", "dst"])
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "kind": "edge",
                 "a": e["src"].astype(str),
@@ -963,27 +945,21 @@ def sssp(
                 "d": e[weight_col].astype("int64"),
             }
         )
-        out["__bucket"] = _bucket_of(out["a"], num_buckets)
-        return out
 
-    deduped = _as_arrow(
-        base.map_batches(edge_rows, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: df.drop_duplicates(subset=["a", "b"]),
-            batch_format="pandas",
-        )
+    deduped = bucketed_group_map(
+        base.map_batches(edge_rows, batch_format="pandas"),
+        ["a"], lambda df: df.drop_duplicates(subset=["a", "b"]), num_buckets,
     ).materialize()
 
     if deduped.count() <= small_threshold:
         rows = (
             {"src": r["a"], "dst": r["b"], "weight": r["d"]}
-            for r in deduped.iter_rows()
+            for r in deduped.to_pandas().to_dict("records")
         )
         return _sssp_local(rows, [str(s) for s in sources], max_rounds)
 
     def frame(kind: str, a, d) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "kind": kind,
                 "a": list(a),
@@ -991,12 +967,10 @@ def sssp(
                 "d": pd.Series(list(d), dtype="int64"),
             }
         )
-        out["__bucket"] = _bucket_of(out["a"], num_buckets)
-        return out[["kind", "a", "b", "d", "__bucket"]]
 
     src_list = [str(s) for s in sources]
-    dist = _as_arrow(
-        ray.data.from_pandas(frame("dist", src_list, [0] * len(src_list)))
+    dist = ray.data.from_pandas(
+        frame("dist", src_list, [0] * len(src_list))
     ).materialize()
     frontier = dist
 
@@ -1016,10 +990,8 @@ def sssp(
             cand = cand.groupby("b", sort=False, as_index=False)["nd"].min()
             return frame("cand", cand["b"], cand["nd"])
 
-        cands = (
-            frontier.union(deduped)
-            .groupby("__bucket")
-            .map_groups(relax, batch_format="pandas")
+        cands = bucketed_group_map(
+            [frontier, deduped], ["a"], relax, num_buckets
         )
 
         # phase 2: strict-improvement merge against the pinned dists
@@ -1052,11 +1024,7 @@ def sssp(
         # fixed block count across rounds (same block-growth pathology
         # as the CC/LPA loops)
         merged = (
-            _as_arrow(
-                _as_arrow(cands).union(dist)
-                .groupby("__bucket")
-                .map_groups(merge, batch_format="pandas")
-            )
+            bucketed_group_map([cands, dist], ["a"], merge, num_buckets)
             .repartition(num_buckets)
             .materialize()
         )
@@ -1064,8 +1032,8 @@ def sssp(
         def keep_improved(df: pd.DataFrame) -> pd.DataFrame:
             return df[df["b"] == "improved"]
 
-        frontier = _as_arrow(
-            merged.map_batches(keep_improved, batch_format="pandas")
+        frontier = merged.map_batches(
+            keep_improved, batch_format="pandas"
         ).materialize()
         if frontier.count() == 0:
             def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1080,7 +1048,5 @@ def sssp(
             out["b"] = ""
             return out
 
-        dist = _as_arrow(
-            merged.map_batches(clear_tag, batch_format="pandas")
-        ).materialize()
+        dist = merged.map_batches(clear_tag, batch_format="pandas").materialize()
     raise ValueError(f"sssp did not converge within {max_rounds} rounds")

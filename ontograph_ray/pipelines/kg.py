@@ -45,8 +45,9 @@ import ray
 import ray.data
 
 from .. import constants as C
+from .. import triples as tr
 from ..bcast import cached_get
-from ..store.dataset import dedup, distinct_on, write_ntriples
+from ..store.dataset import distinct_on, write_ntriples
 from .canonicalize import connected_components, union_find
 from .checkpoint import CheckpointedRun
 from .pages import extract_text_batch, read_pages
@@ -530,7 +531,6 @@ def build_kg(
     dedup_buckets: int = 64,
     amplify: int = 1,
     unique_urls: bool = True,
-    encode_triples: bool = True,
 ) -> KGPipelineResult:
     """Run the full P1-P7 pipeline over ``{sf_dir}/documents.parquet``.
 
@@ -552,14 +552,14 @@ def build_kg(
     one narrow-column exchange a durable run can afford) and fail fast
     on a violation instead of silently emitting duplicate triples.
 
-    ``encode_triples`` (default on) emits the triple columns
-    dictionary-encoded on the dedup-pushdown fast path: constant
-    predicates become 1-entry dictionaries, each page url is decorated
-    once instead of once per mention, and the sameAs rewrite runs over
-    per-block dictionaries (~10² values) instead of rows (~10⁵). Same
-    logical table, ~8-10× fewer bytes per block — the single-box
-    32-way scaling lever (BASELINE.md's DRAM-bandwidth diagnosis).
-    Consumers that need flat strings decode at their boundary with
+    The dedup-pushdown fast path (``unique_urls=True``) emits the
+    triple columns dictionary-encoded: constant predicates become
+    1-entry dictionaries, each page url is decorated once instead of
+    once per mention, and the sameAs rewrite runs over per-block
+    dictionaries (~10² values) instead of rows (~10⁵). Same logical
+    table, ~8-10× fewer bytes per block — the single-box 32-way scaling
+    lever (BASELINE.md's DRAM-bandwidth diagnosis). Consumers that need
+    flat strings decode at their boundary with
     ``decode_triples_batch``. The full-dedup path
     (``unique_urls=False``) stays plain — it pays a global (s,p,o)
     exchange anyway and the dedup kernels key on plain strings.
@@ -709,7 +709,7 @@ def build_kg(
     # driver-sized here; `connected_components` remains the scale path
     # and is exercised by kg_sameas_components / its tests.
     def final_fn():
-        enc = encode_triples and unique_urls
+        enc = unique_urls
         m_triples = mentions_d.map_batches(
             mention_link_triples_batch,
             fn_kwargs={"encode": enc},
@@ -774,7 +774,7 @@ def build_kg(
             # branches pay the exact dedup after all. (The parts stay
             # mutually disjoint — predicates differ — so one exchange
             # over their union suffices.)
-            big = dedup(big, num_buckets=dedup_buckets)
+            big = distinct_on(big, tr.COLUMNS, dedup_buckets)
 
         if use_driver_small:
             # the driver-side small branch: build, rewrite, dedup the
@@ -798,8 +798,8 @@ def build_kg(
             r_triples = _er_kind("r", ["src", "dst"]).map_batches(
                 relation_triples_batch, batch_format="pyarrow"
             )
-            small = dedup(
-                rw(e_triples.union(r_triples)), num_buckets=min(16, dedup_buckets)
+            small = distinct_on(
+                rw(e_triples.union(r_triples)), tr.COLUMNS, min(16, dedup_buckets)
             )
             if not checkpoint_dir:
                 # Materialize the deduped remainder before the final
@@ -816,7 +816,7 @@ def build_kg(
 
     final = run.stage(
         "triples", final_fn,
-        config={"v": "6", "unique_urls": unique_urls, "enc": encode_triples},
+        config={"v": "7", "unique_urls": unique_urls},
         inputs=["stage=mentions_distinct", "stage=ent_rel_distinct", "stage=extract"],
     )
 

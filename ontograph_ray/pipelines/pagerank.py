@@ -27,11 +27,14 @@ Semantics notes (mirrored exactly by the oracle):
   n < 2⁶³/(num·SCALE) ≈ 10⁸ nodes per *bucket's fan-in* at the
   defaults (per-bucket pre-sums keep the true bound far smaller).
 
-Scale shape: per iteration ONE co-group exchange on hash(src) (edges
-are pinned with their out-degree once, before the loop) and one
-message exchange on hash(dst) with a per-bucket pre-sum combiner — a
-hot in-degree node (head entity) receives at most one row per bucket,
-the same anti-skew as canonicalize phase 2.
+Scale shape: every table in the loop is a kind-tagged frame
+(kind, a, b, ...) keyed on ``a``, and every co-group is one
+``bucketed_group_map`` on ``a``. Per iteration: ONE co-group of ranks
+with edges on the source (edges are pinned with their out-degree once,
+before the loop) and one message co-group on the destination with a
+per-bucket pre-sum combiner — a hot in-degree node (head entity)
+receives at most one row per bucket, the same anti-skew as
+canonicalize phase 2.
 """
 
 from __future__ import annotations
@@ -40,20 +43,11 @@ import pandas as pd
 
 import ray.data
 
-from ..store.dataset import _bucket_of
+from ..store.dataset import bucketed_group_map
 
 SCALE = 1_000_000_000
 
-_COLS = ["kind", "a", "b", "deg", "rank", "__bucket"]
-
-
-def _as_arrow(ds: ray.data.Dataset) -> ray.data.Dataset:
-    import pyarrow as pa
-
-    def ident(t: pa.Table) -> pa.Table:
-        return t
-
-    return ds.map_batches(ident, batch_format="pyarrow")
+_COLS = ["kind", "a", "b", "deg", "rank"]
 
 
 def _pagerank_local(
@@ -100,7 +94,7 @@ def pagerank(
 
     def frame(kind: str, **cols) -> pd.DataFrame:
         n = len(next(iter(cols.values())))
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "kind": kind,
                 "a": cols.get("a", [""] * n),
@@ -109,15 +103,13 @@ def pagerank(
                 "rank": pd.Series(cols.get("rank", [0] * n), dtype="int64"),
             }
         )
-        out["__bucket"] = _bucket_of(out["a"], num_buckets)
-        return out[_COLS]
 
     def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
         e = df[[src, dst]].astype(str).drop_duplicates()
         return frame("edge", a=e[src].tolist(), b=e[dst].tolist())
 
     # Global edge dedup + out-degree, computed ONCE before the loop:
-    # one exchange on hash(src); each bucket pins its edges with the
+    # one exchange on the source; each bucket pins its edges with the
     # source's out-degree so iterations never recount.
     def degree_bucket(df: pd.DataFrame) -> pd.DataFrame:
         e = df.drop_duplicates(subset=["a", "b"])
@@ -125,15 +117,16 @@ def pagerank(
         e = e.drop(columns=["deg"]).merge(d, left_on="a", right_index=True)
         return e[_COLS]
 
-    edges_deg = _as_arrow(
-        edges.map_batches(edge_rows, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(degree_bucket, batch_format="pandas")
+    edges_deg = bucketed_group_map(
+        edges.map_batches(edge_rows, batch_format="pandas"),
+        ["a"], degree_bucket, num_buckets,
     ).materialize()
 
     if edges_deg.count() <= small_threshold:
+        # one to_pandas, not iter_rows: Ray Data iterates the rows of
+        # the exchange's pandas blocks at ~2 ms per row (4-CPU host)
         return _pagerank_local(
-            edges_deg.select_columns(["a", "b", "deg"]).iter_rows(), iters, num, den
+            edges_deg.to_pandas().to_dict("records"), iters, num, den
         )
 
     # Node set derived from the already-materialized edge table, NOT
@@ -145,12 +138,9 @@ def pagerank(
         )
         return frame("node", a=nodes)
 
-    nodes = _as_arrow(
-        edges_deg.map_batches(node_rows, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: df.drop_duplicates(subset=["a"]), batch_format="pandas"
-        )
+    nodes = bucketed_group_map(
+        edges_deg.map_batches(node_rows, batch_format="pandas"),
+        ["a"], lambda df: df.drop_duplicates(subset=["a"]), num_buckets,
     ).materialize()
 
     def init_ranks(df: pd.DataFrame) -> pd.DataFrame:
@@ -159,12 +149,10 @@ def pagerank(
         out["rank"] = SCALE
         return out
 
-    ranks = _as_arrow(
-        nodes.map_batches(init_ranks, batch_format="pandas")
-    ).materialize()
+    ranks = nodes.map_batches(init_ranks, batch_format="pandas").materialize()
 
     for _ in range(iters):
-        # Phase 1: co-group ranks with (edge, outdeg) on hash(src);
+        # Phase 1: co-group ranks with (edge, outdeg) on the source;
         # contribution = rank // deg to each dst; pre-sum per dst in
         # the bucket (the anti-skew combiner for high in-degree nodes).
         def contribute(df: pd.DataFrame) -> pd.DataFrame:
@@ -173,14 +161,10 @@ def pagerank(
             m = e.merge(r, on="a")
             c = (m["rank"] // m["deg"]).astype("int64")
             msg = pd.DataFrame({"a": m["b"], "c": c})
-            msg = msg.groupby("a", sort=False, as_index=False)["c"].sum()
-            msg["__bucket"] = _bucket_of(msg["a"], num_buckets)
-            return msg
+            return msg.groupby("a", sort=False, as_index=False)["c"].sum()
 
-        msgs = (
-            ranks.union(edges_deg)
-            .groupby("__bucket")
-            .map_groups(contribute, batch_format="pandas")
+        msgs = bucketed_group_map(
+            [ranks, edges_deg], ["a"], contribute, num_buckets
         )
 
         # Phase 2: per node, rank = base + num·Σc // den; node rows
@@ -190,7 +174,6 @@ def pagerank(
         def msg_rows(df: pd.DataFrame) -> pd.DataFrame:
             out = frame("msg", a=df["a"].tolist())
             out["rank"] = df["c"].to_numpy(dtype="int64")
-            out["__bucket"] = df["__bucket"].to_numpy(dtype="int64")
             return out
 
         def reduce_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -203,7 +186,6 @@ def pagerank(
             out["kind"] = "rank"
             out["b"] = ""
             out["deg"] = 0
-            out["__bucket"] = _bucket_of(out["a"], num_buckets)
             return out[_COLS]
 
         # the trailing repartition is a NON-shuffle coalesce that keeps
@@ -212,13 +194,9 @@ def pagerank(
         # every iteration's union grows by the edge/node block counts
         # and per-iteration wall time grows linearly (see the measured
         # pathology in canonicalize.connected_components)
-        msgs_u = _as_arrow(msgs.map_batches(msg_rows, batch_format="pandas"))
+        msgs_u = msgs.map_batches(msg_rows, batch_format="pandas")
         ranks = (
-            _as_arrow(
-                msgs_u.union(nodes)
-                .groupby("__bucket")
-                .map_groups(reduce_bucket, batch_format="pandas")
-            )
+            bucketed_group_map([msgs_u, nodes], ["a"], reduce_bucket, num_buckets)
             .repartition(num_buckets)
             .materialize()
         )
@@ -285,7 +263,7 @@ def hits(
     edges; tests pin both paths equal."""
 
     def frame(kind: str, a, b=None, rank=None) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "kind": kind,
                 "a": a,
@@ -295,8 +273,6 @@ def hits(
                 ),
             }
         )
-        out["__bucket"] = _bucket_of(out["a"], num_buckets)
-        return out[["kind", "a", "b", "rank", "__bucket"]]
 
     def edge_rows(df: pd.DataFrame) -> pd.DataFrame:
         e = df[[src, dst]].astype(str).drop_duplicates()
@@ -305,23 +281,18 @@ def hits(
     def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(subset=["a", "b"])
 
-    edges_fwd = _as_arrow(
-        edges.map_batches(edge_rows, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(dedup_bucket, batch_format="pandas")
+    edges_fwd = bucketed_group_map(
+        edges.map_batches(edge_rows, batch_format="pandas"),
+        ["a"], dedup_bucket, num_buckets,
     ).materialize()
 
     if edges_fwd.count() <= small_threshold:
-        return _hits_local(
-            edges_fwd.select_columns(["a", "b"]).iter_rows(), iters
-        )
+        return _hits_local(edges_fwd.to_pandas().to_dict("records"), iters)
 
     def reverse_rows(df: pd.DataFrame) -> pd.DataFrame:
         return frame("edge", df["b"].tolist(), df["a"].tolist())
 
-    edges_rev = _as_arrow(
-        edges_fwd.map_batches(reverse_rows, batch_format="pandas")
-    ).materialize()
+    edges_rev = edges_fwd.map_batches(reverse_rows, batch_format="pandas").materialize()
 
     def node_rows(df: pd.DataFrame) -> pd.DataFrame:
         nodes = (
@@ -331,12 +302,9 @@ def hits(
         )
         return frame("node", nodes)
 
-    nodes = _as_arrow(
-        edges_fwd.map_batches(node_rows, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(
-            lambda df: df.drop_duplicates(subset=["a"]), batch_format="pandas"
-        )
+    nodes = bucketed_group_map(
+        edges_fwd.map_batches(node_rows, batch_format="pandas"),
+        ["a"], lambda df: df.drop_duplicates(subset=["a"]), num_buckets,
     ).materialize()
 
     def init_hub(df: pd.DataFrame) -> pd.DataFrame:
@@ -345,7 +313,7 @@ def hits(
         out["rank"] = SCALE
         return out
 
-    hub = _as_arrow(nodes.map_batches(init_hub, batch_format="pandas")).materialize()
+    hub = nodes.map_batches(init_hub, batch_format="pandas").materialize()
 
     def push(scores: ray.data.Dataset, along: ray.data.Dataset) -> ray.data.Dataset:
         # scores (kind=rank, keyed on a) pushed along edges (keyed on
@@ -359,11 +327,7 @@ def hits(
             msg = m.groupby("b", sort=False, as_index=False)["rank"].sum()
             return frame("msg", msg["b"].tolist(), rank=msg["rank"].to_numpy())
 
-        msgs = (
-            scores.union(along)
-            .groupby("__bucket")
-            .map_groups(contribute, batch_format="pandas")
-        )
+        msgs = bucketed_group_map([scores, along], ["a"], contribute, num_buckets)
 
         def reduce_bucket(df: pd.DataFrame) -> pd.DataFrame:
             node = df.loc[df["kind"] == "node", ["a"]].drop_duplicates(subset=["a"])
@@ -376,11 +340,7 @@ def hits(
         # block count across push/rescale rounds (same block-growth
         # pathology as the pagerank/CC loops)
         return (
-            _as_arrow(
-                _as_arrow(msgs).union(nodes)
-                .groupby("__bucket")
-                .map_groups(reduce_bucket, batch_format="pandas")
-            )
+            bucketed_group_map([msgs, nodes], ["a"], reduce_bucket, num_buckets)
             .repartition(num_buckets)
             .materialize()
         )
@@ -393,7 +353,7 @@ def hits(
             out["rank"] = (out["rank"] // q).astype("int64")
             return out
 
-        return _as_arrow(raw.map_batches(div, batch_format="pandas")).materialize()
+        return raw.map_batches(div, batch_format="pandas").materialize()
 
     auth = None
     for _ in range(iters):
@@ -420,9 +380,8 @@ def hits(
             }
         )
 
-    both = hub.map_batches(tag("hub"), batch_format="pandas").union(
-        auth.map_batches(tag("auth"), batch_format="pandas")
-    )
-    return _as_arrow(both).groupby("__bucket").map_groups(
-        pivot, batch_format="pandas"
-    )
+    both = [
+        hub.map_batches(tag("hub"), batch_format="pandas"),
+        auth.map_batches(tag("auth"), batch_format="pandas"),
+    ]
+    return bucketed_group_map(both, ["a"], pivot, num_buckets)

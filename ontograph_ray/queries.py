@@ -25,7 +25,8 @@ import ray.data
 
 from . import constants as C
 from . import terms
-from .store.dataset import dedup
+from . import triples as tr
+from .store.dataset import distinct_on
 
 # URIs used by the table-derived triple corpus
 N_CLASS = "urn:og:class/Nation"
@@ -473,7 +474,7 @@ def q_delete_matches(sf_dir: str):
 def q_add_unchecked_dedup(sf_dir: str):
     """G9+G17: union with a duplicate copy, exact dedup restores set."""
     ds = table_triples(sf_dir)
-    return dedup(ds.union(table_triples(sf_dir)))
+    return distinct_on(ds.union(table_triples(sf_dir)), tr.COLUMNS)
 
 
 def q_add_checked_atomic(sf_dir: str):

@@ -3,7 +3,7 @@ from .base import (  # noqa: F401
     TripleAlreadyExistsError,
     TripleDoesNotExistError,
 )
-from .dataset import DatasetGraphStore, dedup, write_ntriples  # noqa: F401
+from .dataset import DatasetGraphStore, distinct_on, write_ntriples  # noqa: F401
 from .http import (  # noqa: F401
     HttpGraphStore,
     SparqlHttpEndpoint,

@@ -9,16 +9,20 @@ SURVEY.md §2.2):
 
 - pattern match (G2/G3/G5)      → vectorized filter inside map_batches
 - delete-all-matches (G4)       → negated filter
-- bulk add-unchecked (G8/G9)    → union + exact dedup (G17)
+- bulk add-unchecked (G8/G9)    → union + distinct_on(s,p,o) (G17)
 - bulk delete-unchecked (G12/13)→ broadcast anti-join (small incoming)
 - size (G16)                    → ds.count()
 - serialize (G15)               → N-Triples datasink (one file/block)
 
-Scale notes: exact dedup is the canonical materialize step — a
-per-block Arrow distinct (combiner, shrinks the shuffle input) then a
-groupby on a hash *bucket* of (s,p,o) so the all-to-all shuffle keys on
-a small-cardinality int column and each bucket dedups with one Arrow
-kernel call — NOT one Python call per distinct triple.
+Scale notes: every all-to-all reduce is ONE mechanism,
+:func:`bucketed_group_map` — an optional per-block combiner, a
+small-int ``__bucket`` column from one routing rule
+(:func:`bucket_ids`), one exchange keyed on it, then one vectorized
+call per bucket, NOT one Python call per group. Exact dedup (the
+canonical materialize step: ``distinct_on`` over the triple columns,
+whose per-block Arrow distinct shrinks the shuffle input), the hash and
+as-of joins, the ontology pivot and the graph fixpoints all reduce
+through it.
 """
 
 from __future__ import annotations
@@ -190,7 +194,9 @@ class DatasetGraphStore:
             new_ds = new
         else:
             new_ds = ray.data.from_arrow(tr.triples_to_table(new))
-        return DatasetGraphStore(self._uri, dedup(self._ds.union(new_ds)))
+        return DatasetGraphStore(
+            self._uri, distinct_on(self._ds.union(new_ds), tr.COLUMNS)
+        )
 
     def delete_triples_unchecked(
         self, remove: "pa.Table | Sequence[Triple]"
@@ -340,7 +346,9 @@ class DatasetGraphStore:
         return DatasetGraphStore(self._uri, self._ds.union(other._ds))
 
     def deduped(self, num_buckets: int = DEDUP_BUCKETS_DEFAULT) -> "DatasetGraphStore":
-        return DatasetGraphStore(self._uri, dedup(self._ds, num_buckets))
+        return DatasetGraphStore(
+            self._uri, distinct_on(self._ds, tr.COLUMNS, num_buckets)
+        )
 
     # -- sinks -------------------------------------------------------------
 
@@ -384,89 +392,39 @@ def _anti_join_batch(batch: pa.Table, keys_ref=None) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_triples_block(batch: pa.Table) -> pa.Table:
-    """Per-block exact distinct on (s,p,o) — the pre-shuffle combiner."""
-    if batch.num_rows == 0:
-        return batch
-    return batch.group_by(tr.COLUMNS, use_threads=False).aggregate([])
-
-
-def _bucket_of(series: pd.Series, num_buckets: int) -> pd.Series:
-    """Deterministic hash bucket of each value — vectorized via pandas'
-    64-bit row hash. Bucket skew only affects balance, not correctness."""
-    return (pd.util.hash_pandas_object(series, index=False) % num_buckets).astype(
-        "int64"
+def bucket_ids(t: pa.Table, key_cols: list[str], num_buckets: int) -> pa.Array:
+    """The routing rule of every hash-bucket exchange: each key column
+    cast to string (so dictionary and large_string columns route by
+    value, like plain strings), the columns joined with ``_SEP`` (nulls
+    replaced by ``\\x00``, so a partially-null key still has a bucket),
+    pandas' 64-bit hash of that key string, mod ``num_buckets``. Equal
+    keys get equal buckets whatever the block's column types; skew only
+    affects balance, never correctness."""
+    parts = [pc.cast(t[c], pa.string()) for c in key_cols]
+    key = pc.binary_join_element_wise(
+        *parts, _SEP, null_handling="replace", null_replacement="\x00"
     )
-
-
-def _add_bucket(df: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
-    """Hash bucket of the whole (s,p,o) row."""
-    key = df[tr.SUBJECT] + _SEP + df[tr.PREDICATE] + _SEP + df[tr.OBJECT]
-    df = df.copy()
-    df["__bucket"] = _bucket_of(key, num_buckets)
-    return df
-
-
-def _distinct_within_bucket(group: pa.Table) -> pa.Table:
-    out = group.drop_columns(["__bucket"])
-    return out.group_by(tr.COLUMNS, use_threads=False).aggregate([])
-
-
-def dedup(
-    ds: ray.data.Dataset, num_buckets: int = DEDUP_BUCKETS_DEFAULT
-) -> ray.data.Dataset:
-    """Global exact dedup on (subject, predicate, object) — G17, the
-    engine's canonical materialize step.
-
-    Three stages: (1) per-block Arrow distinct (combiner — shrinks
-    shuffle input to per-block uniques), (2) hash-bucket column +
-    groupby("__bucket") — the all-to-all exchange keys on a
-    small-cardinality int, (3) per-bucket Arrow distinct (≤num_buckets
-    Python calls total, each one vectorized kernel over a whole
-    bucket)."""
-    local = ds.map_batches(_distinct_triples_block, batch_format="pyarrow")
-    bucketed = local.map_batches(
-        _add_bucket, fn_kwargs={"num_buckets": num_buckets}, batch_format="pandas"
+    h = pd.util.hash_pandas_object(
+        pd.Series(key.to_pandas(), dtype="object"), index=False
     )
-    return bucketed.groupby("__bucket").map_groups(
-        _distinct_within_bucket, batch_format="pyarrow"
-    )
+    return pa.array((h.to_numpy() % num_buckets).astype("int64"))
 
 
 def distinct_on(
     ds: ray.data.Dataset, cols: list[str], num_buckets: int = DEDUP_BUCKETS_DEFAULT
 ) -> ray.data.Dataset:
-    """Global exact distinct on an arbitrary column list — same
-    3-stage plan as :func:`dedup` (per-block combiner → hash-bucket
-    exchange → per-bucket distinct), generic over the key columns.
-    The combiner is what keeps the shuffle small: a block with heavy
-    duplication (e.g. per-mention rows of a few hundred distinct
-    entities) contributes only its uniques to the exchange."""
+    """Global exact distinct on a column list — G17's exact dedup is
+    ``distinct_on(ds, triples.COLUMNS)``. One Arrow kernel is both the
+    per-block combiner (a block with heavy duplication, e.g. per-mention
+    rows of a few hundred distinct entities, contributes only its
+    uniques to the exchange) and the per-bucket reduce of
+    :func:`bucketed_group_map`."""
 
-    def block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.select(cols)
-        return batch.select(cols).group_by(cols, use_threads=False).aggregate([])
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.select(cols).group_by(cols, use_threads=False).aggregate([])
 
-    def bucketed(df: pd.DataFrame) -> pd.DataFrame:
-        key = df[cols[0]].astype(str)
-        for c in cols[1:]:
-            key = key + _SEP + df[c].astype(str)
-        df = df.copy()
-        df["__bucket"] = (
-            pd.util.hash_pandas_object(key, index=False) % num_buckets
-        ).astype("int64")
-        return df
-
-    def within(group: pa.Table) -> pa.Table:
-        out = group.drop_columns(["__bucket"])
-        return out.group_by(cols, use_threads=False).aggregate([])
-
-    return (
-        ds.map_batches(block, batch_format="pyarrow")
-        .map_batches(bucketed, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(within, batch_format="pyarrow")
+    return bucketed_group_map(
+        ds, cols, distinct, num_buckets, partial_fn=distinct, batch_format="pyarrow"
     )
 
 
@@ -518,12 +476,11 @@ def _unified_arrow_types(l_schema, r_schema) -> dict:
     return out
 
 
-def _arrow_tag(all_cols, types, on, side_code: int, num_buckets: int):
+def _arrow_tag(all_cols, types, side_code: int):
     """Arrow-native tag stage shared by hash_join/asof_join: widen the
     batch to the unified schema with TYPED nulls (no pandas, no
-    object-dtype columns crossing the exchange), compute the key hash
-    bucket vectorized, and mark the side with an int8 — the exchange
-    then moves compact typed columns instead of pickled objects."""
+    object-dtype columns crossing the exchange) and mark the side with
+    an int8, so the exchange moves compact typed columns."""
 
     def fn(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -536,24 +493,7 @@ def _arrow_tag(all_cols, types, on, side_code: int, num_buckets: int):
             else:
                 arr = pa.nulls(n, type=types[c])
             cols[c] = arr
-        parts = [pc.cast(cols[c], pa.string()) for c in on]
-        if len(parts) == 1:
-            key = parts[0]
-        else:
-            # partially-null composite keys keep a real bucket (they
-            # never match, but outer joins must retain the rows)
-            key = pc.binary_join_element_wise(
-                *parts, _SEP, null_handling="replace", null_replacement="\x00"
-            )
-        bucket = (
-            pd.util.hash_pandas_object(
-                pd.Series(key.to_pandas() if n else [], dtype="object"),
-                index=False,
-            ).to_numpy()
-            % num_buckets
-        ).astype("int64")
         cols["__side"] = pa.array(np.full(n, side_code, dtype="int8"))
-        cols["__bucket"] = pa.array(bucket)
         return pa.table(cols)
 
     return fn
@@ -593,12 +533,13 @@ def hash_join(
     num_buckets: int = DEDUP_BUCKETS_DEFAULT,
     schemas=None,
 ) -> ray.data.Dataset:
-    """Distributed hash equi-join: both sides are tagged, hash-bucketed
-    on the key, exchanged ONCE (groupby on the small-int bucket
-    column), and merged per bucket with Arrow's native hash join
-    (Acero ``Table.join``). Rows with equal keys land in the same
-    bucket by construction, so the per-bucket join is the global join.
-    Acero follows SQL NULL semantics (NULL keys never match; outer
+    """Distributed hash equi-join: both sides are tagged and co-grouped
+    on the key by ONE :func:`bucketed_group_map` exchange, then merged
+    per bucket with Arrow's native hash join (Acero ``Table.join``).
+    Rows with equal keys land in the same bucket by construction
+    (partially-null composite keys still get a bucket, so outer joins
+    keep those rows), so the per-bucket join is the global join. Acero
+    follows SQL NULL semantics (NULL keys never match; outer
     sides keep their unmatched rows), so no pandas NaN-matching
     workaround is needed. The whole path is Arrow-native — typed null
     widening, int8 side tag — so the exchange ships compact typed
@@ -628,14 +569,10 @@ def hash_join(
     join_type = _ACERO_JOIN_TYPE[how]
     out_cols = l_cols if how in ("anti", "semi") else all_cols
 
-    both = left.map_batches(
-        _arrow_tag(all_cols, types, on, 0, num_buckets), batch_format="pyarrow"
-    ).union(
-        right.map_batches(
-            _arrow_tag(all_cols, types, on, 1, num_buckets),
-            batch_format="pyarrow",
-        )
-    )
+    sides = [
+        side.map_batches(_arrow_tag(all_cols, types, code), batch_format="pyarrow")
+        for code, side in enumerate((left, right))
+    ]
 
     l_schema_pa = pa.schema([(c, types[c]) for c in l_cols])
     r_schema_pa = pa.schema([(c, types[c]) for c in r_cols])
@@ -649,7 +586,9 @@ def hash_join(
         rhs = t.filter(pc.equal(side, 1)).select(r_cols).cast(r_schema_pa)
         return lhs.join(rhs, keys=on, join_type=join_type).select(out_cols)
 
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return bucketed_group_map(
+        sides, on, merge_bucket, num_buckets, batch_format="pyarrow"
+    )
 
 
 def asof_join(
@@ -682,14 +621,10 @@ def asof_join(
         + [c for c in r_cols if c not in key and c != time_col]
     )
 
-    both = left.map_batches(
-        _arrow_tag(all_cols, types, key, 0, num_buckets), batch_format="pyarrow"
-    ).union(
-        right.map_batches(
-            _arrow_tag(all_cols, types, key, 1, num_buckets),
-            batch_format="pyarrow",
-        )
-    )
+    sides = [
+        side.map_batches(_arrow_tag(all_cols, types, code), batch_format="pyarrow")
+        for code, side in enumerate((left, right))
+    ]
 
     # typed empty result so every bucket's output block has one schema
     _empty = pa.table(
@@ -729,49 +664,59 @@ def asof_join(
         # inner semantics: drop left rows with no earlier right row
         return out[out[f"{time_col}_right"].notna()]
 
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return bucketed_group_map(
+        sides, key, merge_bucket, num_buckets, batch_format="pyarrow"
+    )
 
 
 def bucketed_group_map(
-    ds: ray.data.Dataset,
+    ds: "ray.data.Dataset | list[ray.data.Dataset]",
     key_cols: list[str],
     fn,
     num_buckets: int = DEDUP_BUCKETS_DEFAULT,
     partial_fn=None,
+    batch_format: str = "pandas",
 ) -> ray.data.Dataset:
-    """Generic high-cardinality group-aggregate: hash-bucket the key →
-    one exchange keyed on a small-int column → apply ``fn`` (a
-    vectorized pandas DataFrame→DataFrame aggregation) once per
-    BUCKET, with every row of a key guaranteed co-located.
+    """The engine's one hash-bucket exchange: optional per-block
+    combiner ``partial_fn`` → a ``__bucket`` column from the routing
+    rule (:func:`bucket_ids` on ``key_cols``, added in Arrow, so any
+    block type enters the exchange as Arrow) → ONE exchange keyed on
+    that small int → ``fn`` once per BUCKET, with every row of a key
+    co-located and ``__bucket`` already stripped. ``partial_fn`` and
+    ``fn`` take and return ``batch_format`` batches ("pandas" or
+    "pyarrow"). A list of Datasets is a co-group (join sides, tagged
+    graph frames): each input is routed on its own, so the bucket step
+    fuses into that input's last map instead of running as one more
+    operator after their union.
 
     This replaces ``ds.groupby(keys).aggregate(...)`` / ``map_groups``
     for keys with many distinct values: Ray's named aggregates and
     per-group UDFs pay Python-level cost per GROUP (~100k groups →
     minutes), while this pattern pays one vectorized call per bucket.
-    ``partial_fn`` (optional) is a per-block combiner applied before
-    the exchange."""
-    if partial_fn is not None:
-        ds = ds.map_batches(partial_fn, batch_format="pandas")
+    Distinct, joins, the ontology pivot and the graph fixpoints all
+    reduce through it."""
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.assign(__bucket=pd.Series(dtype="int64"))
-        key = df[key_cols[0]].astype(str)
-        for c in key_cols[1:]:
-            key = key + _SEP + df[c].astype(str)
-        df = df.copy()
-        df["__bucket"] = (
-            pd.util.hash_pandas_object(key, index=False) % num_buckets
-        ).astype("int64")
-        return df
+    def add_bucket(t: pa.Table) -> pa.Table:
+        # without the pandas metadata a pandas-born block carries, so
+        # the exchange's schema unify can dedup the block schemas
+        return t.replace_schema_metadata().append_column(
+            "__bucket", bucket_ids(t, key_cols, num_buckets)
+        )
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df.drop(columns=["__bucket"]))
+    def routed(d: ray.data.Dataset) -> ray.data.Dataset:
+        if partial_fn is not None:
+            d = d.map_batches(partial_fn, batch_format=batch_format)
+        return d.map_batches(add_bucket, batch_format="pyarrow")
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    def per_bucket(batch):
+        if batch_format == "pandas":
+            return fn(batch.drop(columns=["__bucket"]))
+        return fn(batch.drop_columns(["__bucket"]))
+
+    parts = [routed(d) for d in (ds if isinstance(ds, list) else [ds])]
+    routed_ds = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    return routed_ds.groupby("__bucket").map_groups(
+        per_bucket, batch_format=batch_format
     )
 
 

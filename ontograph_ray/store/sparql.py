@@ -9,7 +9,7 @@ pattern SELECT subset compiled onto the engine's own primitives — each
 triple pattern is a wildcard ``matches()`` scan (streaming Arrow
 filter), patterns are combined with distributed ``hash_join`` on their
 shared variables, and DISTINCT / ORDER BY / LIMIT map to
-``dedup``-style distinct, ``Dataset.sort`` and ``limit``.
+``distinct_on``, ``Dataset.sort`` and ``limit``.
 
 Supported grammar (documented contract — a deliberate subset, parsed
 strictly; anything outside it raises ``SparqlSyntaxError`` rather than
@@ -3744,8 +3744,8 @@ def sparql_construct(
             outs.append(t if mask is None else t.filter(mask))
         return pa.concat_tables(outs)
 
-    return dstore.dedup(
-        bindings.map_batches(instantiate, batch_format="pyarrow")
+    return dstore.distinct_on(
+        bindings.map_batches(instantiate, batch_format="pyarrow"), tr.COLUMNS
     )
 
 

@@ -455,7 +455,8 @@ class TestPipeline:
 class TestEncodedTriples:
     def test_encoded_equals_plain(self, ray_session):
         """The dictionary-encoded fast path is a pure representation
-        change: decoded triple SET identical to encode_triples=False,
+        change: decoded triple SET identical to the plain full-dedup
+        path (unique_urls=False, equal as a set on unique-url input),
         and the default path's schema is dictionary-encoded (the
         compact blocks actually happen)."""
         from ontograph_ray.pipelines.kg import decode_triples_batch
@@ -471,9 +472,13 @@ class TestEncodedTriples:
                 decode_triples_batch, batch_format="pyarrow"
             ).take_all()
         }
+        plain_ds = build_kg(SF, unique_urls=False).triples
+        assert not any(
+            pa_.types.is_dictionary(f.type) for f in plain_ds.schema().base_schema
+        )
         plain = {
             (r["subject"], r["predicate"], r["object"])
-            for r in build_kg(SF, encode_triples=False).triples.take_all()
+            for r in plain_ds.take_all()
         }
         assert enc == plain
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from ontograph_ray.store import DatasetGraphStore, dedup
+from ontograph_ray.store import DatasetGraphStore, distinct_on
 from ontograph_ray.triples import Triple, triples_to_table
 
 from test_store import G, TT, fixture_triples
@@ -64,10 +64,133 @@ def test_dedup_exactness(ray_session):
     # triple set duplicated 5x across blocks → exactly one of each survives
     tbl = triples_to_table(TT * 5)
     ds = ray.data.from_arrow(tbl).repartition(4)
-    out = dedup(ds)
+    out = distinct_on(ds, ["subject", "predicate", "object"])
     rows = out.take_all()
     got = sorted(Triple(r["subject"], r["predicate"], r["object"]) for r in rows)
     assert got == sorted(TT)
+
+
+class TestRoutingRule:
+    """bucket_ids is the one routing rule of every bucketed exchange:
+    equal key values must get equal buckets whatever form the block
+    carries them in, or a distinct/join/co-group silently splits a
+    key across buckets."""
+
+    KEYS = [f"<urn:k{i}>" for i in range(40)]
+    N = 7
+
+    def _forms(self, keys):
+        import pyarrow as pa
+
+        plain = pa.array(keys, pa.string())
+        return {
+            "string": plain,
+            "large_string": pa.array(keys, pa.large_string()),
+            "dictionary": plain.dictionary_encode(),
+            # same values, dictionary in a different order: an index
+            # hash would route these differently
+            "dictionary_reordered": pa.DictionaryArray.from_arrays(
+                pa.array([len(keys) - 1 - i for i in range(len(keys))], pa.int32()),
+                pa.array(keys[::-1], pa.string()),
+            ),
+        }
+
+    def _want(self, key_strings):
+        import pandas as pd
+
+        h = pd.util.hash_pandas_object(
+            pd.Series(key_strings, dtype="object"), index=False
+        )
+        return (h % self.N).astype("int64").tolist()
+
+    def test_same_bucket_for_every_string_form(self):
+        import pyarrow as pa
+
+        from ontograph_ray.store.dataset import bucket_ids
+
+        want = self._want(self.KEYS)
+        assert len(set(want)) > 1
+        for name, col in self._forms(self.KEYS).items():
+            got = bucket_ids(pa.table({"k": col}), ["k"], self.N).to_pylist()
+            assert got == want, name
+
+    def test_two_column_key_with_null(self):
+        import pyarrow as pa
+
+        from ontograph_ray.store.dataset import bucket_ids
+
+        a = ["x", "x", "y", None]
+        b = ["p", None, "q", "p"]
+        want = self._want(["x\x1fp", "x\x1f\x00", "y\x1fq", "\x00\x1fp"])
+        for enc in (False, True):
+            cols = {"a": pa.array(a), "b": pa.array(b)}
+            if enc:
+                cols = {c: v.dictionary_encode() for c, v in cols.items()}
+            got = bucket_ids(pa.table(cols), ["a", "b"], self.N).to_pylist()
+            assert got == want, enc
+
+    def test_exchange_routes_every_block_form_alike(self, ray_session):
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data
+
+        from ontograph_ray.store.dataset import bucket_ids, bucketed_group_map
+
+        keys = self.KEYS * 2
+        buckets = bucket_ids(pa.table({"k": keys}), ["k"], self.N).to_pylist()
+        want = {}
+        for k, bk in zip(keys, buckets):
+            want.setdefault(bk, set()).add(k)
+        want = sorted(sorted(v) for v in want.values())
+
+        def group(df: pd.DataFrame) -> pd.DataFrame:
+            ks = sorted(set(df["k"].astype(str)))
+            return pd.DataFrame({"k": ks, "first": [ks[0]] * len(ks)})
+
+        def partition(ds):
+            out = bucketed_group_map(ds, ["k"], group, self.N).to_pandas()
+            return sorted(sorted(g) for _, g in out.groupby("first")["k"])
+
+        chunks = [keys[i : i + 20] for i in range(0, len(keys), 20)]
+        inputs = {
+            "pandas": ray.data.from_pandas([pd.DataFrame({"k": c}) for c in chunks]),
+        }
+        for name in ("string", "large_string", "dictionary"):
+            inputs[name] = ray.data.from_arrow(
+                [pa.table({"k": self._forms(c)[name]}) for c in chunks]
+            )
+        for name, ds in inputs.items():
+            assert partition(ds) == want, name
+
+    def test_hash_join_dictionary_left_equals_plain(self, ray_session):
+        import pyarrow as pa
+        import ray.data
+
+        from ontograph_ray.store.dataset import hash_join
+
+        lk = self.KEYS[:30] * 2
+        rk = self.KEYS[10:]
+        lv = list(range(len(lk)))
+        right = ray.data.from_arrow(
+            pa.table({"k": pa.array(rk), "r": pa.array(range(len(rk)))})
+        )
+
+        def left(k_col):
+            half = len(lk) // 2
+            return ray.data.from_arrow(
+                [
+                    pa.table({"k": k_col.slice(0, half), "l": pa.array(lv[:half])}),
+                    pa.table({"k": k_col.slice(half), "l": pa.array(lv[half:])}),
+                ]
+            )
+
+        def rows(ds):
+            out = hash_join(ds, right, on="k", num_buckets=self.N).to_pandas()
+            return sorted(zip(out["k"].astype(str), out["l"], out["r"]))
+
+        plain = rows(left(pa.array(lk)))
+        assert len(plain) == 40
+        assert rows(left(pa.array(lk).dictionary_encode())) == plain
 
 
 def test_ntriples_roundtrip(dstore, tmp_path):
