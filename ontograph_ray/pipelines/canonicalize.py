@@ -55,10 +55,15 @@ adds.
 
 from __future__ import annotations
 
+import logging
+import time
+
 import pandas as pd
 
 import ray
 import ray.data
+
+_log = logging.getLogger("ontograph_ray")
 
 
 def union_find(pairs) -> dict[str, str]:
@@ -414,13 +419,8 @@ def connected_components(
             j["__pl"], j["__hp"],
         )
 
-    import os as _os
-    import time as _time
-
-    _dbg = bool(_os.environ.get("GRAFT_CC_DEBUG"))
-
-    for _it in range(max_iters):
-        _t0 = _time.monotonic()
+    for it in range(max_iters):
+        t0 = time.monotonic()
         both = labels.union(edges2)
 
         # Phase 1: per bucket, Acero-join edges with source labels;
@@ -555,14 +555,12 @@ def connected_components(
             .repartition(num_buckets)
             .materialize()
         )
-        _chg = labels.sum("__changed") or 0
-        if _dbg:
-            print(
-                f"[cc] iter {_it} changed={_chg} "
-                f"wall={_time.monotonic() - _t0:.2f}s",
-                flush=True,
-            )
-        if not _chg:
+        changed = labels.sum("__changed") or 0
+        _log.debug(
+            "connected_components: iter %d, changed=%d, wall=%.2fs",
+            it, changed, time.monotonic() - t0,
+        )
+        if not changed:
             break
         if jump:
             # pointer-jump round: L(v) ← L(L(v)) — one exchange; the

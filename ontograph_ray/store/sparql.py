@@ -149,24 +149,40 @@ silently misanswering):
     SELECT ?g (COUNT([DISTINCT] ?v|*) AS ?n) (MIN/MAX(?v) AS ?m)
            (SUM/AVG(?v) AS ?s)
            (GROUP_CONCAT(?v [; SEPARATOR="s"]) AS ?c)
-           ...  GROUP BY ?g ...
-                                      (distributed combiner+exchange
-                                      aggregate; COUNT skips unbound
-                                      OPTIONAL bindings; SUM/AVG require
-                                      xsd-integer-typed literal
+           ...  [GROUP BY ?g ...]
+                                      (one plan for every aggregate: an
+                                      Arrow partial kernel per block,
+                                      ONE bucketed exchange on the keys,
+                                      the Arrow final kernel per bucket;
+                                      no GROUP BY = no keys: the same
+                                      final over the block partials on
+                                      the driver → one row, COUNT/SUM 0
+                                      and AVG/MIN/MAX unbound when
+                                      empty. COUNT skips unbound
+                                      bindings; an unbound group key is
+                                      a group of its own; SUM/AVG
+                                      require xsd:integer literal
                                       bindings — exact int64 partials,
-                                      anything else raises; AVG = one
-                                      float64 division per group from
-                                      exact (sum, count); HAVING
+                                      anything else raises ValueError;
+                                      AVG = one float64 division per
+                                      group from exact (sum, count).
+                                      DISTINCT aggregates and
+                                      GROUP_CONCAT — sorted values, no
+                                      unbound ones — keep distinct
+                                      (keys, v) rows through the
+                                      exchange, so each must be the
+                                      sole aggregate, GROUP_CONCAT with
+                                      a GROUP BY; a whole-result
+                                      DISTINCT aggregate runs one
+                                      distinct exchange first. HAVING
                                       ( AGG(...) cmp int ) filters the
                                       groups post-aggregate — the
                                       aggregate must also appear in
-                                      SELECT; no GROUP BY → one
-                                      whole-result row; GROUP BY with
-                                      NO aggregates → one row per
-                                      group, select ⊆ keys; SELECT
-                                      DISTINCT composes — dedup of the
-                                      projected rows after grouping)
+                                      SELECT; GROUP BY with NO
+                                      aggregates → one row per group,
+                                      select ⊆ keys; SELECT DISTINCT
+                                      composes — dedup of the projected
+                                      rows after grouping)
     VALUES ?v { t ... }               (postfix inline-data join over
     VALUES (?a ?b) { (t t) ... }      required-bound variables: one
                                       vectorized membership kernel per
@@ -243,6 +259,15 @@ from .. import triples as tr
 # encoded xsd:integer literal term → named lexical-value group (shared
 # by numeric FILTER and BIND arithmetic)
 _INT_LIT_RE = r'^"(?P<v>[+-]?\d+)"\^\^<' + re.escape(C.XSD_INTEGER) + r">$"
+
+
+def _int_value(col):
+    """xsd:integer literal terms → int64; null where a term is not one.
+    The lexical may carry a sign (``"+5"``, ``"-5"``); Arrow's cast
+    reads no leading ``+``, so it is trimmed first."""
+    lex = pc.struct_field(pc.extract_regex(col, _INT_LIT_RE), "v")
+    return pc.cast(pc.utf8_ltrim(lex, characters="+"), pa.int64())
+
 
 # ---------------------------------------------------------------------------
 # The decimal lane: exact scale-6 fixed-point arithmetic.
@@ -506,10 +531,7 @@ def _cond_mask(batch: pa.Table, op, var, val):
             def _ival(operand):
                 if isinstance(operand, int):
                     return pa.scalar(operand, pa.int64())
-                lex = pc.struct_field(
-                    pc.extract_regex(batch[operand], _INT_LIT_RE), "v"
-                )
-                return pc.cast(lex, pa.int64())
+                return _int_value(batch[operand])
 
             def _ev(e):
                 aop, a, b = e
@@ -682,8 +704,7 @@ def _cond_mask(batch: pa.Table, op, var, val):
             acc, val
         )
     if op in num_ops:
-        lex = pc.struct_field(pc.extract_regex(col, _INT_LIT_RE), "v")
-        return num_ops[op](pc.cast(lex, pa.int64()), val)
+        return num_ops[op](_int_value(col), val)
     return pc.match_substring_regex(col, val)
 
 
@@ -820,30 +841,114 @@ def _expand(tok: str, prefixes: dict[str, str], slot: str) -> str:
     raise SparqlSyntaxError(f"unexpected term {tok!r}")
 
 
-def parse(text: str) -> _Query:
-    toks = _tokenize(text)
-    i, prefixes = 0, {}
+class _Cursor:
+    """The token cursor every SPARQL form's parser reads through."""
 
-    def peek() -> str:
-        return toks[i] if i < len(toks) else ""
+    def __init__(self, text: str, what: str = "query"):
+        self.toks, self.i, self.what = _tokenize(text), 0, what
 
-    def take() -> str:
-        nonlocal i
-        if i >= len(toks):
-            raise SparqlSyntaxError("unexpected end of query")
-        i += 1
-        return toks[i - 1]
+    def peek(self, k: int = 0) -> str:
+        j = self.i + k
+        return self.toks[j] if j < len(self.toks) else ""
 
-    while peek().upper() == "PREFIX":
-        take()
-        name = take()
-        if not re.match(r"^[A-Za-z_][\w-]*:$", name + ":") or ":" in name:
-            # tokenizer may deliver 'pfx:' fused or split; accept both
-            name = name.rstrip(":")
-        uri = take()
+    def take(self) -> str:
+        if self.i >= len(self.toks):
+            raise SparqlSyntaxError(f"unexpected end of {self.what}")
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def rest(self) -> list[str]:
+        return self.toks[self.i:]
+
+    def done(self) -> None:
+        if self.rest():
+            raise SparqlSyntaxError(
+                f"trailing tokens after the {self.what}: {self.rest()}"
+            )
+
+
+def _prologue(cur: _Cursor) -> dict[str, str]:
+    """``PREFIX pfx: <uri>`` … → {pfx: uri}; the tokenizer may deliver
+    ``pfx:`` fused or split, and both are accepted."""
+    prefixes: dict[str, str] = {}
+    while cur.peek().upper() == "PREFIX":
+        cur.take()
+        name = cur.take().rstrip(":")
+        uri = cur.take()
         if not uri.startswith("<"):
             raise SparqlSyntaxError(f"PREFIX needs <uri>, got {uri!r}")
-        prefixes[name.rstrip(":")] = uri[1:-1]
+        prefixes[name] = uri[1:-1]
+    return prefixes
+
+
+def _triples(cur: _Cursor, prefixes: dict, what: str) -> list[tuple[str, str, str]]:
+    """``{ s p o . … }`` → expanded patterns, ``?vars`` kept (the caller
+    decides whether variables are allowed)."""
+    if cur.take() != "{":
+        raise SparqlSyntaxError(f"expected {{ opening the {what}")
+    out = []
+    while cur.peek() not in ("}", ""):
+        out.append(
+            tuple(
+                _expand(cur.take(), prefixes, slot)
+                for slot in ("subject", "predicate", "object")
+            )
+        )
+        if cur.peek() == ".":
+            cur.take()
+        elif cur.peek() != "}":
+            raise SparqlSyntaxError("expected '.' or '}' after a triple")
+    if cur.take() != "}":
+        raise SparqlSyntaxError(f"expected }} closing the {what}")
+    return out
+
+
+def _graph_triples(cur: _Cursor, prefixes: dict, what: str):
+    """``{ [GRAPH <g> {] s p o . … [}] }`` → (g | None, patterns)."""
+    if cur.peek() != "{" or cur.peek(1).upper() != "GRAPH":
+        return None, _triples(cur, prefixes, what)
+    cur.take(), cur.take()
+    g = cur.take()
+    if not g.startswith("<"):
+        raise SparqlSyntaxError(f"GRAPH needs <uri>, got {g!r}")
+    pats = _triples(cur, prefixes, "GRAPH block")
+    if cur.take() != "}":
+        raise SparqlSyntaxError(f"expected }} closing the {what}")
+    return g[1:-1], pats
+
+
+def _instantiate(batch: pa.Table, templates) -> pa.Table:
+    """Template × bindings → triples, for CONSTRUCT and DELETE/INSERT
+    … WHERE alike: a template triple with a variable unbound in a row
+    yields nothing for that row (SPARQL 1.1 §16.2; Update §3.1.3)."""
+    n = batch.num_rows
+    outs = []
+    for pat in templates:
+        cols, mask = [], None
+        for term in pat:
+            if term.startswith("?"):
+                col = batch[term[1:]].combine_chunks().cast(pa.string())
+                m = pc.is_valid(col)
+                mask = m if mask is None else pc.and_(mask, m)
+            else:
+                col = pa.nulls(n, pa.string()).fill_null(term)
+            cols.append(col)
+        t = pa.table(dict(zip(tr.COLUMNS, cols)))
+        outs.append(t if mask is None else t.filter(mask))
+    return pa.concat_tables(outs)
+
+
+def _ground_table(pats) -> pa.Table:
+    """Ground triples → a (subject, predicate, object) string table."""
+    return pa.table(
+        {c: pa.array([t[j] for t in pats], pa.string()) for j, c in enumerate(tr.COLUMNS)}
+    )
+
+
+def parse(text: str) -> _Query:
+    cur = _Cursor(text)
+    peek, take = cur.peek, cur.take
+    prefixes = _prologue(cur)
 
     if take().upper() != "SELECT":
         raise SparqlSyntaxError("expected SELECT")
@@ -2146,7 +2251,7 @@ def parse(text: str) -> _Query:
     having: list[tuple[str, str, int]] = []
     limit = None
     offset = None
-    while i < len(toks):
+    while peek():
         kw = take().upper()
         if kw == "VALUES":
             take_values()
@@ -2622,6 +2727,119 @@ def _join_patterns(
     return joined, bound
 
 
+def _plain(t: pa.Table) -> pa.Table:
+    """Dictionary-encoded binding columns decoded to strings: Arrow's
+    ``group_by`` cannot unify chunks with differing dictionaries, and
+    ``min``/``max`` have no dictionary kernel."""
+    for i, f in enumerate(t.schema):
+        if pa.types.is_dictionary(f.type):
+            t = t.set_column(i, f.name, t.column(i).cast(pa.string()))
+    return t
+
+
+def _group_agg(t: pa.Table, keys: list[str], specs: list) -> tuple[list, list]:
+    """One Arrow hash aggregate → (key columns, one column per spec).
+    ``keys`` may be empty: then the result is one row, also for an
+    empty ``t``."""
+    res = t.group_by(keys, use_threads=False).aggregate(specs)
+    return res.columns[: len(keys)], res.columns[len(keys):]
+
+
+def _aggregate_kernels(aggs: list, keys: list[str], seps: dict):
+    """The one SPARQL aggregate plan as an Arrow kernel pair
+    ``(partial, final)``: ``partial`` runs once per input block,
+    ``final`` once over the concatenated partials of a key set — a
+    bucket of :func:`dstore.bucketed_group_map`, or, for a whole-result
+    aggregate (``keys == []``), every block's partial on the driver.
+
+    Algebraic aggregates shrink a block to one row per key: COUNT and
+    SUM partials add up, MIN/MAX re-apply, AVG carries an exact int64
+    (sum, count) pair and divides once per group, so the result is
+    bit-identical at any block layout. A DISTINCT aggregate or
+    GROUP_CONCAT (always the sole aggregate) goes distinct rows first:
+    ``partial`` keeps the distinct (keys…, v) rows — every row for a
+    plain GROUP_CONCAT — and ``final`` deduplicates again before it
+    aggregates. GROUP_CONCAT joins each group's values in sorted order
+    (deterministic, with the exact SQL twin
+    ``string_agg(v, sep ORDER BY v)``)."""
+    op, var, alias = aggs[0]
+    if op.startswith("group_concat") or op.endswith("_distinct"):
+        cols = list(dict.fromkeys(keys + [var]))
+        base = op.removesuffix("_distinct")
+
+        def rows(t: pa.Table) -> pa.Table:
+            t = _plain(t).select(cols)
+            if op == "group_concat":  # a bag: duplicates are kept
+                return t
+            return t.group_by(cols, use_threads=False).aggregate([])
+
+        if base != "group_concat":
+            plain_partial, plain_final = _aggregate_kernels(
+                [(base, var, alias)], keys, seps
+            )
+            return rows, lambda t: plain_final(plain_partial(rows(t)))
+
+        def concat(t: pa.Table) -> pa.Table:
+            t = rows(t)
+            if t[var].null_count:
+                raise ValueError(f"GROUP_CONCAT needs bound values of ?{var}")
+            k, (lists,) = _group_agg(t.sort_by(var), keys, [(var, "list")])
+            joined = pc.binary_join(lists, seps.get(alias, " "))
+            return pa.table(k + [joined], names=keys + [alias])
+
+        return rows, concat
+
+    # per aggregate: its partial specs over a block, and for each the
+    # function that merges that partial column across blocks
+    part, merge = [], []
+    for op, var, _ in aggs:
+        if op == "count":
+            part.append(([], "count_all") if var == "*" else (var, "count"))
+            merge.append("sum")
+        elif op in ("sum", "avg"):
+            n = 2 if op == "avg" else 1
+            part += [(f"__i_{var}", "sum"), (f"__i_{var}", "count")][:n]
+            merge += ["sum"] * n
+        else:
+            part.append((var, op))
+            merge.append(op)
+    names = [f"__p{j}" for j in range(len(part))]
+    int_vars = sorted({v for op, v, _ in aggs if op in ("sum", "avg")})
+
+    def partial(t: pa.Table) -> pa.Table:
+        t = _plain(t)
+        for v in int_vars:
+            # SUM/AVG are defined over xsd:integer literals, the only
+            # integers this engine's term model emits; anything else —
+            # IRIs, plain or other-typed literals, unbound OPTIONAL
+            # variables — is a strict-subset error, never a silent 0
+            iv = _int_value(t[v])
+            if iv.null_count:
+                got = t[v].filter(pc.is_null(iv))[0].as_py()
+                raise ValueError(
+                    f"SUM/AVG need xsd:integer literal bindings, got {got!r}"
+                )
+            t = t.append_column(f"__i_{v}", iv)
+        k, vals = _group_agg(t, keys, part)
+        return pa.table(k + vals, names=keys + names)
+
+    def final(t: pa.Table) -> pa.Table:
+        k, vals = _group_agg(t, keys, list(zip(names, merge)))
+        out = []
+        for op, _, _ in aggs:
+            col = vals.pop(0)
+            if op == "avg":
+                col = pc.divide(
+                    pc.cast(col, pa.float64()), pc.cast(vals.pop(0), pa.float64())
+                )
+            elif op in ("count", "sum"):
+                col = pc.fill_null(col, 0)  # the empty whole result
+            out.append(col)
+        return pa.table(k + out, names=keys + [a for _, _, a in aggs])
+
+    return partial, final
+
+
 def sparql_select(
     store: "dstore.DatasetGraphStore", query: str
 ) -> ray.data.Dataset:
@@ -2900,13 +3118,10 @@ def sparql_select(
                         # ordered condition: exact integer lane — decode
                         # the xsd:integer lexical; non-integer terms →
                         # null mask → null output (error→unbound)
-                        lex = pc.struct_field(
-                            pc.extract_regex(batch[cv], _INT_LIT_RE), "v"
-                        )
                         mask = {
                             ">": pc.greater, "<": pc.less,
                             ">=": pc.greater_equal, "<=": pc.less_equal,
-                        }[bop](pc.cast(lex, pa.int64()), cval)
+                        }[bop](_int_value(batch[cv]), cval)
                     else:
                         mask = (pc.equal if bop == "=" else pc.not_equal)(
                             batch[cv], cval
@@ -3076,10 +3291,7 @@ def sparql_select(
                     import numpy as np
 
                     fn, var = arg
-                    ilex = pc.struct_field(
-                        pc.extract_regex(batch[var[1:]], _INT_LIT_RE), "v"
-                    )
-                    ival_ = pc.cast(ilex, pa.int64())
+                    ival_ = _int_value(batch[var[1:]])
                     int_res = pc.abs(ival_) if fn == "abs" else ival_
                     int_col = pc.binary_join_element_wise(
                         '"',
@@ -3119,13 +3331,7 @@ def sparql_select(
                         def ival(operand):
                             if isinstance(operand, int):
                                 return pa.scalar(operand, pa.int64())
-                            lex = pc.struct_field(
-                                pc.extract_regex(
-                                    batch[operand[1:]], _INT_LIT_RE
-                                ),
-                                "v",
-                            )
-                            return pc.cast(lex, pa.int64())
+                            return _int_value(batch[operand[1:]])
 
                         res = {
                             "+": pc.add, "-": pc.subtract, "*": pc.multiply
@@ -3336,8 +3542,6 @@ def sparql_select(
             joined = joined.map_batches(apply_values, batch_format="pyarrow")
 
     if q.aggregates:
-        import pandas as pd
-
         bad = [v for v in q.group_by if v not in bound] + [
             v for _, v, _ in q.aggregates if v != "*" and v not in bound
         ]
@@ -3345,251 +3549,55 @@ def sparql_select(
             raise SparqlSyntaxError(f"aggregate/GROUP BY variables never bound: {bad}")
         aggs = list(q.aggregates)
         group_by = list(q.group_by)
-        aliases = [a for _, _, a in aggs]
-
-        if any(op.startswith("group_concat") for op, _, _ in aggs):
-            # GROUP_CONCAT: the raw values must reach the final pass
-            # (no combiner can pre-concatenate), so — like
-            # COUNT(DISTINCT) — the subset allows it only as the sole
-            # aggregate, and only WITH a GROUP BY (a whole-corpus
-            # concat into one string is an anti-scale operation).
-            # Order inside each group is SORTED (SPARQL leaves it
-            # implementation-defined; sorting makes the result
-            # deterministic and gives it an exact SQL twin:
-            # string_agg(v, sep ORDER BY v)). Duplicates are kept
-            # (bag semantics).
-            if len(aggs) != 1:
-                raise SparqlUnsupportedError(
-                    "GROUP_CONCAT cannot be mixed with other aggregates"
-                )
-            if not group_by:
-                raise SparqlUnsupportedError(
-                    "GROUP_CONCAT requires GROUP BY in this subset"
-                )
-            gop, gvar, galias = aggs[0]
-            gsep = q.concat_seps.get(galias, " ")
-            gdistinct = gop.endswith("_distinct")
-
-            def gc_final(df: pd.DataFrame) -> pd.DataFrame:
-                if gdistinct:
-                    # GROUP_CONCAT(DISTINCT ?v): per-group distinct
-                    # values, still in sorted deterministic order
-                    df = df.drop_duplicates(group_by + [gvar])
-                df = df.sort_values(group_by + [gvar], kind="stable")
-                return (
-                    df.groupby(group_by, sort=False, dropna=False)[gvar]
-                    .agg(gsep.join)
-                    .rename(galias)
-                    .reset_index()
-                )
-
-            joined = dstore.bucketed_group_map(
-                joined.select_columns(
-                    list(dict.fromkeys(group_by + [gvar]))
-                ),
-                group_by,
-                gc_final,
+        op, var, alias = aggs[0]
+        # a DISTINCT aggregate or GROUP_CONCAT needs the raw (keys…, v)
+        # rows to reach the final pass — no combiner can collapse them
+        # beside the row-collapsing partials of the other aggregates, so
+        # the subset allows either only as the sole aggregate; a
+        # whole-corpus concat into one string is an anti-scale operation
+        if len(aggs) > 1 and any(o.startswith("group_concat") for o, _, _ in aggs):
+            raise SparqlUnsupportedError(
+                "GROUP_CONCAT cannot be mixed with other aggregates"
             )
-            bound = group_by + aliases
-        elif any(op.endswith("_distinct") for op, _, _ in aggs):
-            # COUNT/SUM/AVG(DISTINCT ?v): the combiner must keep
-            # per-block DISTINCT (key, v) rows — incompatible with the
-            # row-collapsing partials of the other aggregates, so the
-            # subset allows a DISTINCT aggregate only as the sole
-            # aggregate. SUM/AVG decode xsd:integer lexicals with the
-            # same strict rule as the plain aggregates (non-integer →
-            # typed error, never a silent 0).
-            if len(aggs) != 1:
-                raise SparqlUnsupportedError(
-                    "a DISTINCT aggregate cannot be mixed with other "
-                    "aggregates"
-                )
-            dop, dvar, dalias = aggs[0]
-            dop = dop[: -len("_distinct")]
-
-            def int_lit_d(s: "pd.Series") -> "pd.Series":
-                v = s.str.extract(r'^"(-?\d+)"\^\^<', expand=False)
-                if v.isna().any():
-                    bad = s[v.isna()].iloc[0] if s[v.isna()].notna().any() else None
-                    raise ValueError(
-                        f"{dop.upper()}(DISTINCT) needs integer-typed "
-                        f"literal bindings, got {bad!r}"
-                    )
-                return v.astype("int64")
-
-            if group_by:
-                def dpartial(df: pd.DataFrame) -> pd.DataFrame:
-                    return df[group_by + [dvar]].drop_duplicates()
-
-                def dfinal(df: pd.DataFrame) -> pd.DataFrame:
-                    dd = df.drop_duplicates(group_by + [dvar])
-                    g = dd.groupby(group_by, sort=False, dropna=False)[dvar]
-                    if dop == "count":
-                        out = g.nunique().rename(dalias).reset_index()
-                        out[dalias] = out[dalias].astype("int64")
-                        return out
-                    dd = dd.assign(__i=int_lit_d(dd[dvar]))
-                    g = dd.groupby(group_by, sort=False, dropna=False)["__i"]
-                    if dop == "sum":
-                        out = g.sum().rename(dalias).reset_index()
-                        out[dalias] = out[dalias].astype("int64")
-                        return out
-                    # avg: exact int64 (sum, count) per group, ONE
-                    # float64 division — bit-identical to the SQL twin
-                    out = (g.sum() / g.count()).rename(dalias).reset_index()
-                    return out
-
-                joined = dstore.bucketed_group_map(
-                    joined, group_by, dfinal, partial_fn=dpartial
-                )
-            else:
-                # whole-result DISTINCT aggregate: one global distinct
-                # exchange (per-block combiner inside distinct_on),
-                # then a streamed partial reduce — no driver-side
-                # value gather
-                dd = dstore.distinct_on(joined.select_columns([dvar]), [dvar])
-                if dop == "count":
-                    row = {dalias: dd.count()}
-                else:
-                    def dparts(df: pd.DataFrame) -> pd.DataFrame:
-                        if not len(df):
-                            return pd.DataFrame(columns=["__s", "__c"])
-                        iv = int_lit_d(df[dvar])
-                        return pd.DataFrame(
-                            {"__s": [int(iv.sum())], "__c": [len(iv)]}
-                        )
-
-                    parts = dd.map_batches(
-                        dparts, batch_format="pandas"
-                    ).to_pandas()
-                    s = int(parts["__s"].sum()) if len(parts) else 0
-                    c = int(parts["__c"].sum()) if len(parts) else 0
-                    row = {
-                        dalias: s if dop == "sum" else (s / c if c else None)
-                    }
-                import ray.data as rd
-
-                joined = rd.from_pandas(pd.DataFrame([row]))
-            bound = group_by + aliases
+        if len(aggs) > 1 and any(o.endswith("_distinct") for o, _, _ in aggs):
+            raise SparqlUnsupportedError(
+                "a DISTINCT aggregate cannot be mixed with other aggregates"
+            )
+        if op.startswith("group_concat") and not group_by:
+            raise SparqlUnsupportedError(
+                "GROUP_CONCAT requires GROUP BY in this subset"
+            )
+        if group_by:
+            partial, final = _aggregate_kernels(aggs, group_by, q.concat_seps)
+            joined = dstore.bucketed_group_map(
+                joined, group_by, final, partial_fn=partial,
+                batch_format="pyarrow",
+            )
         else:
-
-            def int_lit(s: "pd.Series") -> "pd.Series":
-                # SUM is defined over xsd-integer-typed literals — the only
-                # numeric literals this engine's term model emits; anything
-                # else (IRIs, plain/lang literals, unbound OPTIONAL vars)
-                # is a strict-subset error, not a silent 0
-                v = s.str.extract(r'^"(-?\d+)"\^\^<', expand=False)
-                if v.isna().any():
-                    bad = s[v.isna()].iloc[0] if s[v.isna()].notna().any() else None
-                    raise ValueError(
-                        f"SUM needs integer-typed literal bindings, got {bad!r}"
+            if op.endswith("_distinct"):
+                # one global distinct exchange first; over its rows the
+                # DISTINCT aggregate IS the plain one
+                joined = dstore.distinct_on(joined.select_columns([var]), [var])
+                aggs = [(op.removesuffix("_distinct"), var, alias)]
+            # whole-result: GROUP BY on no keys — one partial row per
+            # block, the same final over them on the driver (1 row out);
+            # the partial of an empty table is the identity row, so an
+            # empty result still aggregates (COUNT/SUM 0, others unbound)
+            partial, final = _aggregate_kernels(aggs, [], q.concat_seps)
+            empty = pa.table(
+                {v: pa.array([], pa.string()) for _, v, _ in aggs if v != "*"}
+            )
+            parts = joined.map_batches(partial, batch_format="pyarrow").iter_batches(
+                batch_size=None, batch_format="pyarrow"
+            )
+            joined = ray.data.from_arrow(
+                final(
+                    pa.concat_tables(
+                        [partial(empty), *parts], promote_options="permissive"
                     )
-                return v.astype("int64")
-
-            def with_sum_cols(df: pd.DataFrame) -> pd.DataFrame:
-                for op, var, alias in aggs:
-                    if op in ("sum", "avg"):
-                        df = df.assign(**{f"__i_{alias}": int_lit(df[var])})
-                return df
-
-            # AVG is algebraic as a (sum, count) pair: the combiner carries
-            # exact int64 partials and ONE float64 division happens per
-            # group at the end — so the result is bit-identical at any
-            # block layout AND to the SQL twin's SUM(x)::DOUBLE / COUNT(x)
-            partial_cols = []
-            for op_, _, alias_ in aggs:
-                partial_cols += (
-                    [f"__s_{alias_}", f"__c_{alias_}"] if op_ == "avg" else [alias_]
                 )
-
-            def partial(df: pd.DataFrame) -> pd.DataFrame:
-                # per-block combiner: count/min/max/sum/avg are algebraic,
-                # so each block shrinks to one row per key pre-exchange
-                if not len(df):
-                    return pd.DataFrame(columns=group_by + partial_cols)
-                g = with_sum_cols(df).groupby(group_by, sort=False, dropna=False)
-                cols = {}
-                for op, var, alias in aggs:
-                    if op == "count":
-                        cols[alias] = g.size() if var == "*" else g[var].count()
-                    elif op == "sum":
-                        cols[alias] = g[f"__i_{alias}"].sum()
-                    elif op == "avg":
-                        cols[f"__s_{alias}"] = g[f"__i_{alias}"].sum()
-                        cols[f"__c_{alias}"] = g[f"__i_{alias}"].count()
-                    elif op == "min":
-                        cols[alias] = g[var].min()
-                    else:
-                        cols[alias] = g[var].max()
-                return pd.DataFrame(cols).reset_index()
-
-            def final(df: pd.DataFrame) -> pd.DataFrame:
-                g = df.groupby(group_by, sort=False, dropna=False)
-                cols = {}
-                for op, _, alias in aggs:
-                    if op == "avg":
-                        s = g[f"__s_{alias}"].sum().astype("int64")
-                        c = g[f"__c_{alias}"].sum().astype("int64")
-                        cols[alias] = s / c
-                        continue
-                    s = g[alias]
-                    cols[alias] = (
-                        s.sum()
-                        if op in ("count", "sum")
-                        else (s.min() if op == "min" else s.max())
-                    )
-                out = pd.DataFrame(cols).reset_index()
-                for op, _, alias in aggs:
-                    if op in ("count", "sum"):
-                        out[alias] = out[alias].astype("int64")
-                return out
-
-            if group_by:
-                joined = dstore.bucketed_group_map(
-                    joined, group_by, final, partial_fn=partial
-                )
-            else:
-                # whole-result aggregate: one partial row per block, the
-                # tiny partial table reduces on the driver (result is 1 row)
-                def partial_global(df: pd.DataFrame) -> pd.DataFrame:
-                    if not len(df):
-                        return pd.DataFrame(columns=aliases)
-                    cols = {}
-                    for op, var, alias in aggs:
-                        if op == "count":
-                            cols[alias] = [len(df) if var == "*" else int(df[var].count())]
-                        elif op == "sum":
-                            cols[alias] = [int(int_lit(df[var]).sum())]
-                        elif op == "avg":
-                            iv = int_lit(df[var])
-                            cols[f"__s_{alias}"] = [int(iv.sum())]
-                            cols[f"__c_{alias}"] = [int(iv.count())]
-                        elif op == "min":
-                            cols[alias] = [df[var].min()]
-                        else:
-                            cols[alias] = [df[var].max()]
-                    return pd.DataFrame(cols)
-
-                parts = joined.map_batches(
-                    partial_global, batch_format="pandas"
-                ).to_pandas()
-                row = {}
-                for op, _, alias in aggs:
-                    if op in ("count", "sum"):
-                        row[alias] = int(parts[alias].sum()) if len(parts) else 0
-                    elif op == "avg":
-                        c = int(parts[f"__c_{alias}"].sum()) if len(parts) else 0
-                        row[alias] = (
-                            int(parts[f"__s_{alias}"].sum()) / c if c else None
-                        )
-                    elif op == "min":
-                        row[alias] = parts[alias].min() if len(parts) else None
-                    else:
-                        row[alias] = parts[alias].max() if len(parts) else None
-                import ray.data as rd
-
-                joined = rd.from_pandas(pd.DataFrame([row]))
-            bound = group_by + aliases
+            )
+        bound = group_by + [a for _, _, a in aggs]
     elif q.group_by:
         # GROUP BY without aggregates: one solution per group → a
         # distinct projection onto the group keys (the parse pass
@@ -3669,83 +3677,30 @@ def sparql_construct(
     CONSTRUCT returns a SET of triples: templates are instantiated per
     binding row, rows with an unbound (OPTIONAL-null) template variable
     are omitted per the spec, and the union is globally deduped."""
-    toks = _tokenize(query)
-    i = 0
-
-    def peek() -> str:
-        return toks[i] if i < len(toks) else ""
-
-    def take() -> str:
-        nonlocal i
-        if i >= len(toks):
-            raise SparqlSyntaxError("unexpected end of query")
-        i += 1
-        return toks[i - 1]
-
-    prefixes: dict[str, str] = {}
-    prefix_toks: list[str] = []
-    while peek().upper() == "PREFIX":
-        prefix_toks.append(take())
-        name = take().rstrip(":")
-        uri = take()
-        if not uri.startswith("<"):
-            raise SparqlSyntaxError(f"PREFIX needs <uri>, got {uri!r}")
-        prefixes[name] = uri[1:-1]
-        prefix_toks += [f"{name}:", uri]
-
-    if take().upper() != "CONSTRUCT" or take() != "{":
+    cur = _Cursor(query)
+    prefixes = _prologue(cur)
+    head = cur.toks[: cur.i]
+    if cur.take().upper() != "CONSTRUCT":
         raise SparqlSyntaxError("expected CONSTRUCT {")
-    templates: list[tuple[str, str, str]] = []
-    while peek() not in ("}", ""):
-        s = _expand(take(), prefixes, "subject")
-        p = _expand(take(), prefixes, "predicate")
-        o = _expand(take(), prefixes, "object")
-        templates.append((s, p, o))
-        if peek() == ".":
-            take()
-    if take() != "}":
-        raise SparqlSyntaxError("expected } closing the CONSTRUCT template")
+    templates = _triples(cur, prefixes, "CONSTRUCT template")
     if not templates:
         raise SparqlSyntaxError("empty CONSTRUCT template")
-    if peek().upper() != "WHERE":
+    if cur.peek().upper() != "WHERE":
         raise SparqlSyntaxError("expected WHERE after the CONSTRUCT template")
 
-    select_q = " ".join(prefix_toks + ["SELECT", "*"] + toks[i:])
-    bindings = sparql_select(store, select_q)
+    bindings = sparql_select(store, " ".join(head + ["SELECT", "*"] + cur.rest()))
 
     tvars = {t[1:] for pat in templates for t in pat if t.startswith("?")}
-    bound = set(bindings.schema().names)
-    missing = sorted(tvars - bound)
+    missing = sorted(tvars - set(bindings.schema().names))
     if missing:
         raise SparqlSyntaxError(
             f"CONSTRUCT template variables never bound: {missing}"
         )
-
-
-    pats = list(templates)
-
-    def instantiate(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        outs = []
-        for s, p, o in pats:
-            cols = []
-            mask = None
-            for term in (s, p, o):
-                if term.startswith("?"):
-                    col = batch[term[1:]].combine_chunks().cast(pa.string())
-                    m = pc.is_valid(col)
-                    mask = m if mask is None else pc.and_(mask, m)
-                else:
-                    col = pa.nulls(n, pa.string()).fill_null(term)
-                cols.append(col)
-            t = pa.table(
-                {tr.SUBJECT: cols[0], tr.PREDICATE: cols[1], tr.OBJECT: cols[2]}
-            )
-            outs.append(t if mask is None else t.filter(mask))
-        return pa.concat_tables(outs)
-
     return dstore.distinct_on(
-        bindings.map_batches(instantiate, batch_format="pyarrow"), tr.COLUMNS
+        bindings.map_batches(
+            _instantiate, fn_kwargs={"templates": templates}, batch_format="pyarrow"
+        ),
+        tr.COLUMNS,
     )
 
 
@@ -3756,65 +3711,17 @@ def sparql_construct(
 
 def _parse_ask(text: str):
     """→ (graph|None, [(s,p,o)]) — terms NTriples-encoded, ?vars kept."""
-    toks = _tokenize(text)
-    i, prefixes = 0, {}
-
-    def peek() -> str:
-        return toks[i] if i < len(toks) else ""
-
-    def take() -> str:
-        nonlocal i
-        if i >= len(toks):
-            raise SparqlSyntaxError("unexpected end of query")
-        i += 1
-        return toks[i - 1]
-
-    while peek().upper() == "PREFIX":
-        take()
-        name = take().rstrip(":")
-        uri = take()
-        if not uri.startswith("<"):
-            raise SparqlSyntaxError(f"PREFIX needs <uri>, got {uri!r}")
-        prefixes[name] = uri[1:-1]
-
-    if take().upper() != "ASK":
+    cur = _Cursor(text)
+    prefixes = _prologue(cur)
+    if cur.take().upper() != "ASK":
         raise SparqlSyntaxError("expected ASK")
-    if peek().upper() == "WHERE":
-        take()
-    if take() != "{":
-        raise SparqlSyntaxError("expected { opening the ASK pattern")
-    graph = None
-    graph_brace = False
-    if peek().upper() == "GRAPH":
-        take()
-        g = take()
-        if not g.startswith("<"):
-            raise SparqlSyntaxError(f"GRAPH needs <uri>, got {g!r}")
-        graph = g[1:-1]
-        if take() != "{":
-            raise SparqlSyntaxError("expected { after GRAPH <uri>")
-        graph_brace = True
-
-    pats: list[tuple[str, str, str]] = []
-    while peek() not in ("}", ""):
-        s = _expand(take(), prefixes, "subject")
-        p = _expand(take(), prefixes, "predicate")
-        o = _expand(take(), prefixes, "object")
-        pats.append((s, p, o))
-        if peek() == ".":
-            take()
-        elif peek() != "}":
-            raise SparqlSyntaxError("expected '.' or '}' after a triple")
-    if take() != "}":
-        raise SparqlSyntaxError("expected } closing the ASK pattern")
-    if graph_brace and take() != "}":
-        raise SparqlSyntaxError("expected } closing the GRAPH block")
-    if i != len(toks):
-        raise SparqlSyntaxError(f"trailing tokens after ASK: {toks[i:]}")
+    if cur.peek().upper() == "WHERE":
+        cur.take()
+    graph, pats = _graph_triples(cur, prefixes, "ASK pattern")
+    cur.done()
     if not pats:
         raise SparqlSyntaxError("empty ASK pattern")
     return graph, pats
-
 
 def sparql_ask(store: "dstore.DatasetGraphStore", query: str) -> bool:
     """``ASK [WHERE] { [GRAPH <g> {] s p o . ... [}] }`` → bool.
@@ -3907,30 +3814,10 @@ def sparql_describe(
     semi hash-join (triples ⋈ resources on subject) — the binding set
     is never collected, so a DESCRIBE whose WHERE matches millions of
     resources still streams."""
-    toks = _tokenize(query)
-    i = 0
-
-    def peek() -> str:
-        return toks[i] if i < len(toks) else ""
-
-    def take() -> str:
-        nonlocal i
-        if i >= len(toks):
-            raise SparqlSyntaxError("unexpected end of query")
-        i += 1
-        return toks[i - 1]
-
-    prefixes: dict[str, str] = {}
-    prefix_toks: list[str] = []
-    while peek().upper() == "PREFIX":
-        prefix_toks.append(take())
-        name = take().rstrip(":")
-        uri = take()
-        if not uri.startswith("<"):
-            raise SparqlSyntaxError(f"PREFIX needs <uri>, got {uri!r}")
-        prefixes[name] = uri[1:-1]
-        prefix_toks += [f"{name}:", uri]
-
+    cur = _Cursor(query)
+    peek, take = cur.peek, cur.take
+    prefixes = _prologue(cur)
+    head = cur.toks[: cur.i]
     if take().upper() != "DESCRIBE":
         raise SparqlSyntaxError("expected DESCRIBE")
 
@@ -3966,7 +3853,7 @@ def sparql_describe(
         return triples.map_batches(filt, batch_format="pyarrow")
 
     select_q = " ".join(
-        prefix_toks + ["SELECT"] + ["?" + v for v in vars_] + toks[i:]
+        head + ["SELECT"] + ["?" + v for v in vars_] + cur.rest()
     )
     bindings = sparql_select(store, select_q)
 
@@ -4002,115 +3889,38 @@ def sparql_describe(
 
 def _parse_update(text: str):
     """→ ("insert_data"|"delete_data", graph|None, [(s,p,o) ground])
-       | ("delete_where", graph|None, [(s,p,o) term-or-'?var')])"""
-    toks = _tokenize(text)
-    i, prefixes = 0, {}
-
-    def peek() -> str:
-        return toks[i] if i < len(toks) else ""
-
-    def take() -> str:
-        nonlocal i
-        if i >= len(toks):
-            raise SparqlSyntaxError("unexpected end of update")
-        i += 1
-        return toks[i - 1]
-
-    while peek().upper() == "PREFIX":
-        take()
-        name = take().rstrip(":")
-        uri = take()
-        if not uri.startswith("<"):
-            raise SparqlSyntaxError(f"PREFIX needs <uri>, got {uri!r}")
-        prefixes[name] = uri[1:-1]
-
-    def take_block(kind: str) -> list[tuple[str, str, str]]:
-        # { s p o . ... } — vars allowed (validated by the caller)
-        if take() != "{":
-            raise SparqlSyntaxError(f"expected {{ opening the {kind} block")
-        out: list[tuple[str, str, str]] = []
-        while peek() not in ("}", ""):
-            s = _expand(take(), prefixes, "subject")
-            p = _expand(take(), prefixes, "predicate")
-            o = _expand(take(), prefixes, "object")
-            out.append((s, p, o))
-            if peek() == ".":
-                take()
-            elif peek() != "}":
-                raise SparqlSyntaxError("expected '.' or '}' after a triple")
-        if take() != "}":
-            raise SparqlSyntaxError(f"expected }} closing the {kind} block")
-        return out
-
-    verb = take().upper()
-    if verb == "INSERT":
-        if peek() == "{":
-            # modify form: INSERT { tpl } WHERE { pats }
-            ins_tpl = take_block("INSERT")
-            if take().upper() != "WHERE":
-                raise SparqlSyntaxError("expected WHERE after the INSERT template")
-            where = take_block("WHERE")
-            if i != len(toks):
-                raise SparqlSyntaxError(f"trailing tokens after update: {toks[i:]}")
-            return "modify", None, ([], ins_tpl, where)
-        if take().upper() != "DATA":
-            raise SparqlUnsupportedError("only INSERT DATA / INSERT {} WHERE {} are supported")
-        kind = "insert_data"
-    elif verb == "DELETE":
-        if peek() == "{":
-            # modify form: DELETE { tpl } [INSERT { tpl }] WHERE { pats }
-            del_tpl = take_block("DELETE")
-            ins_tpl: list[tuple[str, str, str]] = []
-            nxt = take().upper()
-            if nxt == "INSERT":
-                ins_tpl = take_block("INSERT")
-                nxt = take().upper()
-            if nxt != "WHERE":
-                raise SparqlSyntaxError("expected WHERE closing the modify update")
-            where = take_block("WHERE")
-            if i != len(toks):
-                raise SparqlSyntaxError(f"trailing tokens after update: {toks[i:]}")
-            return "modify", None, (del_tpl, ins_tpl, where)
-        nxt = take().upper()
-        if nxt == "DATA":
-            kind = "delete_data"
-        elif nxt == "WHERE":
-            kind = "delete_where"
-        else:
-            raise SparqlUnsupportedError(f"unsupported update DELETE {nxt}")
-    else:
+       | ("delete_where", graph|None, [(s,p,o) term-or-'?var')])
+       | ("modify", None, (delete tpl, insert tpl, where))"""
+    cur = _Cursor(text, "update")
+    prefixes = _prologue(cur)
+    verb = cur.take().upper()
+    if verb not in ("DELETE", "INSERT"):
         raise SparqlUnsupportedError(f"unsupported update verb {verb!r}")
-
-    if take() != "{":
-        raise SparqlSyntaxError("expected { opening the update block")
-    graph = None
-    graph_brace = False
-    if peek().upper() == "GRAPH":
-        take()
-        g = take()
-        if not g.startswith("<"):
-            raise SparqlSyntaxError(f"GRAPH needs <uri>, got {g!r}")
-        graph = g[1:-1]
-        if take() != "{":
-            raise SparqlSyntaxError("expected { after GRAPH <uri>")
-        graph_brace = True
-
-    pats: list[tuple[str, str, str]] = []
-    while peek() not in ("}", ""):
-        s = _expand(take(), prefixes, "subject")
-        p = _expand(take(), prefixes, "predicate")
-        o = _expand(take(), prefixes, "object")
-        pats.append((s, p, o))
-        if peek() == ".":
-            take()
-        elif peek() != "}":
-            raise SparqlSyntaxError("expected '.' or '}' after a triple")
-    if take() != "}":
-        raise SparqlSyntaxError("expected } closing the update block")
-    if graph_brace and take() != "}":
-        raise SparqlSyntaxError("expected } closing the GRAPH block")
-    if i != len(toks):
-        raise SparqlSyntaxError(f"trailing tokens after update: {toks[i:]}")
+    if cur.peek() == "{":
+        # modify form: DELETE { tpl } [INSERT { tpl }] WHERE { pats },
+        # or INSERT { tpl } WHERE { pats }
+        del_tpl, ins_tpl, kw = [], [], verb
+        if verb == "DELETE":
+            del_tpl = _triples(cur, prefixes, "DELETE block")
+            kw = cur.take().upper()
+        if kw == "INSERT":
+            ins_tpl = _triples(cur, prefixes, "INSERT block")
+            kw = cur.take().upper()
+        if kw != "WHERE":
+            raise SparqlSyntaxError("expected WHERE closing the modify update")
+        where = _triples(cur, prefixes, "WHERE block")
+        cur.done()
+        return "modify", None, (del_tpl, ins_tpl, where)
+    nxt = cur.take().upper()
+    kind = {
+        ("INSERT", "DATA"): "insert_data",
+        ("DELETE", "DATA"): "delete_data",
+        ("DELETE", "WHERE"): "delete_where",
+    }.get((verb, nxt))
+    if kind is None:
+        raise SparqlUnsupportedError(f"unsupported update {verb} {nxt}")
+    graph, pats = _graph_triples(cur, prefixes, "update block")
+    cur.done()
     if not pats:
         raise SparqlSyntaxError("empty update block")
 
@@ -4165,25 +3975,9 @@ def _apply_modify(
             return store
         out = store
         if del_tpl:
-            out = out.delete_triples_unchecked(
-                pa.table(
-                    {
-                        tr.SUBJECT: pa.array([s for s, _, _ in del_tpl]),
-                        tr.PREDICATE: pa.array([p for _, p, _ in del_tpl]),
-                        tr.OBJECT: pa.array([o for _, _, o in del_tpl]),
-                    }
-                )
-            )
+            out = out.delete_triples_unchecked(_ground_table(del_tpl))
         if ins_tpl:
-            out = out.add_triples_unchecked(
-                pa.table(
-                    {
-                        tr.SUBJECT: pa.array([s for s, _, _ in ins_tpl]),
-                        tr.PREDICATE: pa.array([p for _, p, _ in ins_tpl]),
-                        tr.OBJECT: pa.array([o for _, _, o in ins_tpl]),
-                    }
-                )
-            )
+            out = out.add_triples_unchecked(_ground_table(ins_tpl))
         return out
 
     bindings = sparql_select(
@@ -4191,36 +3985,16 @@ def _apply_modify(
     )
 
     def instantiate(tpl):
-        def build(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            parts = []
-            for s, p, o in tpl:
-                cols = {}
-                for slot, term in (
-                    (tr.SUBJECT, s), (tr.PREDICATE, p), (tr.OBJECT, o),
-                ):
-                    if term.startswith("?"):
-                        col = batch[term[1:]]
-                        cols[slot] = (
-                            col.combine_chunks()
-                            if isinstance(col, pa.ChunkedArray)
-                            else col
-                        )
-                    else:
-                        cols[slot] = pa.array([term] * n, pa.string())
-                parts.append(pa.table(cols))
-            return pa.concat_tables(parts)
-
-        return bindings.map_batches(build, batch_format="pyarrow")
+        return bindings.map_batches(
+            _instantiate, fn_kwargs={"templates": tpl}, batch_format="pyarrow"
+        )
 
     out_ds = store.matches()
     if del_tpl:
         out_ds = dstore.hash_join(
             out_ds,
-            dstore.distinct_on(
-                instantiate(del_tpl), [tr.SUBJECT, tr.PREDICATE, tr.OBJECT]
-            ),
-            on=[tr.SUBJECT, tr.PREDICATE, tr.OBJECT],
+            dstore.distinct_on(instantiate(del_tpl), tr.COLUMNS),
+            on=tr.COLUMNS,
             how="anti",
         )
     out = dstore.DatasetGraphStore(store.get_uri(), out_ds)
@@ -4249,13 +4023,7 @@ def sparql_update(
             "" if p.startswith("?") else p,
             "" if o.startswith("?") else o,
         )
-    tbl = pa.table(
-        {
-            tr.SUBJECT: pa.array([s for s, _, _ in pats], pa.string()),
-            tr.PREDICATE: pa.array([p for _, p, _ in pats], pa.string()),
-            tr.OBJECT: pa.array([o for _, _, o in pats], pa.string()),
-        }
-    )
+    tbl = _ground_table(pats)
     if kind == "insert_data":
         return store.add_triples_unchecked(tbl)
     return store.delete_triples_unchecked(tbl)

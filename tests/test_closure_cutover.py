@@ -7,6 +7,7 @@ same on both branches."""
 
 import itertools
 import logging
+import re
 
 import pandas as pd
 import pytest
@@ -16,6 +17,7 @@ import ray.data as rd
 import test_graphstats
 import test_store_dataset
 from ontograph_ray.pipelines import graphstats
+from ontograph_ray.pipelines.canonicalize import connected_components
 from ontograph_ray.pipelines.graphstats import transitive_closure
 
 BRANCHES = ("local", "distributed")
@@ -180,3 +182,15 @@ def test_cutover_is_logged(ray_session, monkeypatch, caplog):
         "transitive_closure: distributed branch, 2 edges > "
         "LOCAL_CLOSURE_MAX_EDGES=0, 2 rounds",
     ]
+    # the connected-components fixpoint logs one line per round on the
+    # same logger, the last one at convergence
+    caplog.clear()
+    edges = rd.from_pandas(pd.DataFrame({"src": ["a", "b"], "dst": ["b", "c"]}))
+    connected_components(edges, num_buckets=4, small_threshold=0).materialize()
+    msgs = [r.getMessage() for r in caplog.records if r.name == "ontograph_ray"]
+    assert msgs
+    for it, m in enumerate(msgs):
+        assert re.fullmatch(
+            rf"connected_components: iter {it}, changed=\d+, wall=\d+\.\d\ds", m
+        ), m
+    assert ", changed=0," in msgs[-1]

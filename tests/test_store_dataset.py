@@ -3733,6 +3733,157 @@ class TestSparqlGroupConcat:
             ).to_pandas()
 
 
+
+class TestSparqlAggregatePlan:
+    """One aggregate plan (an Arrow partial/final kernel pair): the same
+    answer at any block layout and block type, dictionary-encoded
+    stores included; SUM/AVG read xsd:integer literals only."""
+
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+
+    def _table(self, rows):
+        from ontograph_ray import terms
+        from ontograph_ray.triples import new_triple, triples_to_table
+
+        r, l = terms.new_resource_term, terms.new_literal_term
+        trps = []
+        for i, (g, v, dt) in enumerate(rows):
+            if g is not None:
+                trps.append(new_triple(r(f"urn:e{i}"), r("urn:grp"), l(g)))
+            trps.append(
+                new_triple(r(f"urn:e{i}"), r("urn:val"), l(v, datatype=self.XSD + dt))
+            )
+        return triples_to_table(trps)
+
+    @staticmethod
+    def _layouts(t):
+        """one Arrow block, many Arrow blocks, pandas blocks"""
+        import ray.data
+
+        from ontograph_ray.store import DatasetGraphStore
+
+        n = max(t.num_rows, 1)
+        return [
+            DatasetGraphStore("urn:g", ds)
+            for ds in (
+                ray.data.from_arrow(t),
+                ray.data.from_arrow([t.slice(i, 2) for i in range(0, n, 2)]),
+                ray.data.from_pandas(
+                    [t.slice(i, 3).to_pandas() for i in range(0, n, 3)]
+                ),
+            )
+        ]
+
+    @staticmethod
+    def _rows(store, q):
+        import pandas as pd
+
+        from ontograph_ray.store.sparql import sparql_select
+
+        df = sparql_select(store, q).to_pandas()
+        return sorted(
+            (tuple(None if pd.isna(x) else x for x in row) for row in df.values),
+            key=repr,
+        )
+
+    def test_same_answer_at_every_layout(self, ray_session):
+        i = lambda n: f'"{n}"^^<{self.XSD}integer>'
+        # e4/e5 have no group: the null key is a group of its own
+        t = self._table(
+            [("a", "4", "integer"), ("a", "4", "integer"), ("a", "-1", "integer"),
+             ("b", "7", "integer"), (None, "2", "integer"), (None, "3", "integer")]
+        )
+        where = "WHERE { ?e <urn:val> ?v . OPTIONAL { ?e <urn:grp> ?g } }"
+        aggs = (
+            "(COUNT(*) AS ?n) (COUNT(?v) AS ?c) (SUM(?v) AS ?s) "
+            "(AVG(?v) AS ?a) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi)"
+        )
+        want = {
+            f"SELECT ?g {aggs} {where} GROUP BY ?g": [
+                ('"a"', 3, 3, 7, 7 / 3, i(-1), i(4)),
+                ('"b"', 1, 1, 7, 7.0, i(7), i(7)),
+                (None, 2, 2, 5, 2.5, i(2), i(3)),
+            ],
+            f"SELECT ?g (COUNT(DISTINCT ?v) AS ?d) {where} GROUP BY ?g": [
+                ('"a"', 2), ('"b"', 1), (None, 2),
+            ],
+            f"SELECT ?g (SUM(DISTINCT ?v) AS ?d) {where} GROUP BY ?g": [
+                ('"a"', 3), ('"b"', 7), (None, 5),
+            ],
+            f'SELECT ?g (GROUP_CONCAT(?v; SEPARATOR="|") AS ?l) {where} GROUP BY ?g': [
+                ('"a"', f"{i(-1)}|{i(4)}|{i(4)}"), ('"b"', i(7)),
+                (None, f"{i(2)}|{i(3)}"),
+            ],
+            f"SELECT {aggs} {where}": [(6, 6, 19, 19 / 6, i(-1), i(7))],
+            f"SELECT (COUNT(DISTINCT ?v) AS ?d) {where}": [(5,)],
+        }
+        for store in self._layouts(t):
+            for q, rows in want.items():
+                assert self._rows(store, q) == sorted(rows, key=repr), q
+        # whole-result aggregates over an empty store: COUNT and SUM are
+        # 0, AVG/MIN/MAX unbound
+        for store in self._layouts(self._table([])):
+            assert self._rows(store, f"SELECT {aggs} {where}") == [
+                (0, 0, 0, None, None, None)
+            ]
+            assert self._rows(
+                store, f"SELECT (SUM(DISTINCT ?v) AS ?d) {where}"
+            ) == [(0,)]
+
+    def test_dictionary_encoded_store(self, ray_session):
+        import pyarrow as pa
+
+        from ontograph_ray.pipelines.kg import build_kg, decode_triples_batch
+        from ontograph_ray.store import DatasetGraphStore
+
+        from test_pipeline import SF
+
+        enc = build_kg(SF).triples.materialize()
+        dec = enc.map_batches(decode_triples_batch, batch_format="pyarrow")
+        assert pa.types.is_dictionary(enc.schema().base_schema.field("object").type)
+        for q in (
+            "SELECT ?p (COUNT(*) AS ?n) (MIN(?o) AS ?lo) (MAX(?s) AS ?hi) "
+            "WHERE { ?s ?p ?o } GROUP BY ?p",
+            "SELECT ?p (COUNT(DISTINCT ?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p",
+            "SELECT (COUNT(?o) AS ?n) (MIN(?s) AS ?lo) (MAX(?o) AS ?hi) "
+            "WHERE { ?s ?p ?o }",
+        ):
+            got = self._rows(DatasetGraphStore("urn:kg", enc), q)
+            assert got == self._rows(DatasetGraphStore("urn:kg", dec), q), q
+            assert got
+
+    def test_signed_integer_lexicals(self, ray_session):
+        t = self._table(
+            [("a", "+5", "integer"), ("a", "3", "integer"), ("b", "+-5", "integer")]
+        )
+        store = DatasetGraphStore.from_table("urn:g", t)
+        assert self._rows(
+            store, "SELECT ?e WHERE { ?e <urn:val> ?v FILTER(?v > 4) }"
+        ) == [("<urn:e0>",)]
+        assert self._rows(
+            store,
+            "SELECT (SUM(?v) AS ?s) WHERE { ?e <urn:val> ?v . ?e <urn:grp> \"a\" }",
+        ) == [(8,)]
+
+    def test_sum_avg_read_integers_only(self, ray_session):
+        # "12"^^xsd:string is not an integer, whatever its lexical says;
+        # the kernel's ValueError reaches the caller inside Ray's task
+        # error
+        store = DatasetGraphStore.from_table(
+            "urn:g", self._table([("a", "12", "string"), ("a", "3", "integer")])
+        )
+        for agg in ("SUM", "AVG"):
+            for grouped in ("", "GROUP BY ?g"):
+                with pytest.raises(
+                    Exception, match="ValueError: SUM/AVG need xsd:integer"
+                ):
+                    self._rows(
+                        store,
+                        f"SELECT {'?g' if grouped else ''} ({agg}(?v) AS ?x) "
+                        f"WHERE {{ ?e <urn:val> ?v . ?e <urn:grp> ?g }} {grouped}",
+                    )
+
+
 class TestCompaction:
     def test_compact_shrinks_files_preserves_triples(
         self, ray_session, tmp_path
