@@ -54,70 +54,13 @@ silently misanswering):
                                       filtered scan, then the same
                                       fixpoint) —
                                       path elements must be ground
-      FILTER ( ?v = term )            (term equality on the encoded term)
-      FILTER ( ?v != term )
-      FILTER ( ?v < n | > n | <= n | >= n )   (numeric compare on
-                                      xsd:integer literals; non-integer
-                                      terms are dropped — the SPARQL
-                                      type-error rule)
-      FILTER regex ( ?v , "re" )      (RE2 over the encoded term string)
-      FILTER ( STR(?v) = "s" )        (term-accessor builtins compiled
-      FILTER ( LANG(?v) = "en" )      onto the vectorized T6/T7/T8
-      FILTER ( DATATYPE(?v) = xsd:t ) kernels; = / != against a ground
-                                      string (IRI for DATATYPE); an
-                                      UNBOUND argument accessor yields
-                                      "" rather than a SPARQL type
-                                      error — documented looser-than-
-                                      spec corner of this subset)
-      FILTER ( BOUND(?v) )            (null test on the binding column,
-      FILTER ( !BOUND(?v) )           for OPTIONAL- or BIND-introduced
-                                      vars)
-      FILTER ( ?a = ?b | ?a != ?b )   (variable-to-variable term
-                                      comparison, one column-vs-column
-                                      kernel)
-      FILTER ( (c1 || c2) && c3 ... ) (full boolean expression grammar
-                                      over the simple conditions above:
-                                      arbitrary &&/|| nesting with
-                                      SPARQL precedence (&& tighter)
-                                      and parentheses; per-condition
-                                      vectorized masks combined with
-                                      null→false error semantics at
-                                      every level; a top-level AND is
-                                      flattened into separate streaming
-                                      filter masks)
-      BIND ( expr AS ?alias )         (expr ∈ STR/LANG/DATATYPE(?v),
-                                      UCASE/LCASE (tag-preserving,
-                                      literal-only), STRLEN (integer
-                                      term), STRLANG/STRDT (construct
-                                      tagged/typed literals from
-                                      simple literals),
-                                      ABS/CEIL/FLOOR/ROUND(?v) — XPath
-                                      numeric fns on the dual lane,
-                                      fn:round ties toward +inf —
-                                      COALESCE(...), ?v, ground term,
-                                      or numeric arithmetic a ⊕ b with
-                                      ⊕ ∈ {+,-,*,/} and a,b ∈ {?v,
-                                      int, decimal}; runs post-join
-                                      pre-FILTER; STR/LANG bind plain
-                                      literals in term encoding,
-                                      DATATYPE binds the <uri> term or
-                                      NULL when absent; arithmetic is
-                                      dual-lane — pure-integer + - *
-                                      rows decode xsd:integer lexicals,
-                                      compute in int64 and re-encode an
-                                      xsd:integer term; '/' and rows
-                                      with xsd:decimal / plain-form
-                                      xsd:double operands evaluate on
-                                      the exact scale-6 fixed-point
-                                      lane (6 fractional digits,
-                                      half-away-from-zero rounding
-                                      where needed) and bind a
-                                      canonical xsd:decimal term —
-                                      non-numeric operands, exponent
-                                      doubles and >6-digit fractions
-                                      bind NULL (SPARQL's
-                                      error→unbound), aliases chain
-                                      across BINDs)
+      FILTER ( expr )                 (an expression, below; an error or
+                                      unbound result drops the row)
+      FILTER regex ( ?v , "re" )      (RE2 over the ENCODED term string)
+      BIND ( expr AS ?alias )         (runs post-join, pre-FILTER and
+                                      binds the value as a term; an
+                                      error leaves the alias unbound;
+                                      aliases chain across BINDs)
       (SAMPLE(?v) AS ?s)              (aggregate; deterministic engine →
                                       pinned to the min term — a valid
                                       sample, layout-stable, oracle-able)
@@ -129,9 +72,6 @@ silently misanswering):
                                       patterns; SELECT * bodies project
                                       the statically-derived variable
                                       scope)
-      FILTER ( COALESCE(?a, ?b, t) = term )   (first bound argument —
-                                      ground-term defaults allowed —
-                                      compared via = / !=)
       FILTER EXISTS { BGP }           (distributed semi-join on the
                                       shared variables)
       FILTER NOT EXISTS { BGP }       (anti-join; ≡ MINUS on this
@@ -195,6 +135,66 @@ silently misanswering):
                                       ordered ≤offset+limit head
                                       finishes on the driver)
 
+Expressions (SPARQL 1.1 §17) — one grammar for FILTER, BIND and IF,
+typed against one signature table (``_SIGNATURES``) and evaluated by
+one vectorized evaluator (``_eval``), null standing for error/unbound:
+
+    expr    := expr || expr | expr && expr | ! test
+             | add (= | != | < | > | <= | >=) add
+             | add [NOT] IN ( [ground, ...] ) | add
+    add     := mul ((+ | -) mul)*        mul := unary ((* | /) unary)*
+    unary   := - unary | primary
+    primary := ( expr ) | ?v | ground term | integer | decimal
+             | BUILTIN ( expr, ... )
+
+    precedence   || < && < relational < additive < multiplicative < unary
+    && ||        boolean operands; §17.2 error rules (Kleene logic)
+    !            only before BOUND / isIRI / isURI / isLiteral / isNumeric
+    < > <= >=    numeric operands; a ?v or COALESCE decodes per row, a
+                 non-numeric term is an error
+    = !=         two terms by identity (encoded term equality); a string
+                 builtin against a plain "string" by lexical form (a
+                 language tag is ignored); a number against a number or
+                 ?v by value
+    + - * / -x   numeric. Two lanes, coalesced per row: int64 over
+                 xsd:integer lexicals (one optional sign) for + - *, and
+                 an exact scale-6 fixed-point lane for '/' and decimal
+                 operands (xsd:decimal / plain-form xsd:double, at most
+                 6 fractional digits, half-away-from-zero rounding where
+                 needed); an integer row binds xsd:integer, a decimal row
+                 a canonical xsd:decimal ("-2.5", "3.0"); anything else
+                 is an error
+    [NOT] IN     ?v against ground terms (no numbers), term identity
+
+    builtin (arguments)                      value
+    BOUND isIRI isURI isLiteral isNumeric (?v)   boolean
+    LANGMATCHES (LANG(?v), "range")          boolean; RFC 4647 basic, "*"
+    STRSTARTS STRENDS CONTAINS (?v, "s")     boolean, over the T6 Value
+    REGEX (?v | STR(?v), "re" [, "ims"])     boolean, RE2 over the T6 Value
+    STR LANG (?v)                            string
+    LCASE UCASE (?v)                         string, tag kept; typed
+                                             literals and IRIs are errors
+    DATATYPE (?v)                            IRI; xsd:string / rdf:langString
+                                             for untyped literals, IRIs error
+    STRLEN (?v)                              integer (an IRI's length)
+    STRLANG (?v, "tag")  STRDT (?v, <dt>)    term, from simple literals only
+    CONCAT (?v | STR(?v) | "s", ...)         string
+    SUBSTR (?v | STR(?v), start [, len])     string; start ≥ 1
+    REPLACE (?v, "re", "rep")                string, global RE2 replace
+    STRBEFORE STRAFTER (?v, "sep")           string; "" when sep is absent
+    MD5 SHA256 (?v | STR(?v))                string (hashed row by row)
+    YEAR MONTH DAY HOURS MINUTES (?v)        integer, over xsd:date(Time)
+    SECONDS (?v)                             decimal
+    ABS CEIL FLOOR ROUND (numeric)           numeric; fn:round ties to +inf
+    COALESCE (?v | ground | number, ...)     the first bound argument
+    IF (?v op constant, then, else)          term; then/else are ?v,
+                                             ground terms or numbers
+
+The T6 Value of a term is an IRI's string or a literal's lexical form.
+Outside the table a constant of the wrong form raises
+``SparqlSyntaxError``; a variable or expression where the table asks
+for something else raises ``SparqlUnsupportedError``.
+
 ``sparql_construct`` supports ``CONSTRUCT { template } WHERE { ... }``
 with the full SELECT-subset WHERE clause: the template instantiates
 per binding row (rows with an unbound OPTIONAL variable in the
@@ -244,9 +244,13 @@ instead of silently exploding at scale.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -255,6 +259,14 @@ import ray.data
 from . import dataset as dstore
 from .. import constants as C
 from .. import triples as tr
+from ..terms import (
+    v_datatype,
+    v_is_literal,
+    v_is_resource,
+    v_language,
+    v_new_literal_term,
+    v_value,
+)
 
 # encoded xsd:integer literal term → named lexical-value group (shared
 # by numeric FILTER and BIND arithmetic)
@@ -300,7 +312,7 @@ _NUMERIC_DT_RE = (
 _DEC_SCALE = 1_000_000  # 10^6: six fractional digits
 _MAXI = (1 << 63) - 1
 _NUM_LIT_RE = (
-    r'^"(?P<s>-?)\+?(?P<w>\d+)(?:\.(?P<f>\d{0,6})0*)?"\^\^<(?P<dt>'
+    r'^"(?P<s>[+-]?)(?P<w>\d+)(?:\.(?P<f>\d{0,6})0*)?"\^\^<(?P<dt>'
     + "|".join(
         re.escape(u) for u in (C.XSD_INTEGER, C.XSD_DECIMAL, C.XSD_DOUBLE)
     )
@@ -334,8 +346,6 @@ def _dec_decode(col):
     digits, |value| ≤ 2^63/10^6). Invalid rows are SPARQL's
     error→unbound.
     """
-    import numpy as np
-
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     st = pc.extract_regex(col, _NUM_LIT_RE)
@@ -369,8 +379,6 @@ def _dec_arith(aop: str, a, av, b, bv):
     half-away-from-zero. Overflow-prone partial products are guarded
     per row (→ invalid), never silently wrapped in this lane.
     """
-    import numpy as np
-
     S = _DEC_SCALE
     valid = av & bv
     if aop == "+":
@@ -410,7 +418,6 @@ def _dec_render(vals, valid) -> pa.Array:
     Canonical trimmed lexical: trailing fractional zeros dropped, one
     fractional digit minimum — '"-2.5"^^<xsd:decimal>', '"3.0"^^<…>'.
     """
-    import numpy as np
     import pandas as pd
 
     mag = np.abs(vals)
@@ -475,285 +482,6 @@ def _tokenize(text: str) -> list[str]:
 
 
 
-def _cond_mask(batch: pa.Table, op, var, val):
-    """One vectorized FILTER-condition kernel over a bindings batch —
-    module-level so the main WHERE clause, OPTIONAL groups and
-    EXISTS/MINUS groups all evaluate conditions through the SAME
-    code path (SPARQL §17.2 error semantics included)."""
-    from ..terms import (
-        v_datatype,
-        v_is_literal,
-        v_is_resource,
-        v_language,
-        v_value,
-    )
-
-    num_ops = {"lt": pc.less, "gt": pc.greater, "le": pc.less_equal,
-               "ge": pc.greater_equal}
-    _acc = {"str": v_value, "lang": v_language, "dt": v_datatype}
-    if op in ("or", "and"):
-        # SPARQL's error-handling for logical connectives
-        # (§17.2): an error operand yields false unless the
-        # other side forces the result — for FILTER purposes
-        # (where an error result also drops the row) that is
-        # exactly fill_null(False) per operand, at every
-        # nesting level
-        comb = pc.or_ if op == "or" else pc.and_
-        m = None
-        for c in var:
-            cm = pc.fill_null(_cond_mask(batch, *c), False)
-            m = cm if m is None else comb(m, cm)
-        return m
-    if op == "numcmp":
-        # two-sided numeric comparison over computed expressions
-        # (FILTER(?a > ?b + 1), FILTER(?a / 2 >= 1.5)): dual
-        # lane like BIND arithmetic — the int64 fast lane where
-        # the expression is pure-integer, the scale-6 decimal
-        # lane for '/', decimal constants and decimal-typed
-        # terms; non-numeric or unbound terms → null → row
-        # dropped (or false under a boolean connective),
-        # SPARQL's type-error rule
-        import numpy as np
-
-        key, lexpr, rexpr = var
-        use_int = not any(
-            e[0] == "/" or any(isinstance(x, tuple) for x in e[1:])
-            for e in (lexpr, rexpr)
-        )
-        int_mask = None
-        fn_np = {
-            "lt": np.less, "gt": np.greater, "le": np.less_equal,
-            "ge": np.greater_equal, "num_eq": np.equal,
-            "num_ne": np.not_equal,
-        }[key]
-        if use_int:
-
-            def _ival(operand):
-                if isinstance(operand, int):
-                    return pa.scalar(operand, pa.int64())
-                return _int_value(batch[operand])
-
-            def _ev(e):
-                aop, a, b = e
-                if aop is None:
-                    return _ival(a)
-                return {
-                    "+": pc.add, "-": pc.subtract, "*": pc.multiply
-                }[aop](_ival(a), _ival(b))
-
-            fn = {
-                **num_ops,
-                "num_eq": pc.equal,
-                "num_ne": pc.not_equal,
-            }[key]
-            int_mask = fn(_ev(lexpr), _ev(rexpr))
-
-        n = batch.num_rows
-
-        def _dval(operand):
-            if isinstance(operand, int):
-                return (
-                    np.full(n, operand * _DEC_SCALE, np.int64),
-                    np.ones(n, bool),
-                )
-            if isinstance(operand, tuple) and operand[0] == "fnexpr":
-                # ABS/CEIL/FLOOR/ROUND over a nested expression
-                # (exact scale-6 ints; fn:round ties toward
-                # +inf, floor/ceil toward ∓inf)
-                _, fn, inner = operand
-                xa, xv = _dev(inner)
-                S = _DEC_SCALE
-                if fn == "abs":
-                    return np.abs(xa), xv
-                if fn == "floor":
-                    return (xa // S) * S, xv
-                if fn == "ceil":
-                    return -((-xa) // S) * S, xv
-                return ((xa + S // 2) // S) * S, xv
-            if isinstance(operand, tuple) and operand[0] == "negvar":
-                xa, xv = _dec_decode(batch[operand[1]])
-                return -xa, xv
-            if isinstance(operand, tuple):  # ("dec", unscaled)
-                return (
-                    np.full(n, operand[1], np.int64),
-                    np.ones(n, bool),
-                )
-            return _dec_decode(batch[operand])
-
-        def _dev(e):
-            aop, a, b = e
-            xa, xv = _dval(a)
-            if aop is None:
-                return xa, xv
-            ya, yv = _dval(b)
-            return _dec_arith(aop, xa, xv, ya, yv)
-
-        la, lv = _dev(lexpr)
-        ra, rv = _dev(rexpr)
-        dec_mask = pc.if_else(
-            pa.array(lv & rv),
-            pa.array(fn_np(la, ra)),
-            pa.scalar(None, pa.bool_()),
-        )
-        if int_mask is None:
-            return dec_mask
-        if isinstance(int_mask, pa.Scalar):  # const-vs-const
-            int_mask = pa.array(
-                [int_mask.as_py()] * n, pa.bool_()
-            )
-        return pc.coalesce(int_mask, dec_mask)
-    if op in ("veq", "vne"):
-        a, b = batch[var[0][1:]], batch[var[1][1:]]
-        return (pc.equal if op == "veq" else pc.not_equal)(a, b)
-    if op in ("coalesce_eq", "coalesce_ne"):
-        co = pc.coalesce(
-            *[
-                batch[a[1:]] if a.startswith("?") else pa.scalar(a)
-                for a in var
-            ]
-        )
-        return (pc.equal if op == "coalesce_eq" else pc.not_equal)(
-            co, val
-        )
-    if op == "coalesce_cmp":
-        import numpy as np
-
-        key, args_, u = var
-        co = pc.coalesce(
-            *[
-                batch[a[1:]] if a.startswith("?") else pa.scalar(a)
-                for a in args_
-            ]
-        )
-        if isinstance(co, pa.Scalar):  # all-constant COALESCE
-            co = pa.array([co.as_py()] * batch.num_rows, pa.string())
-        xa, xv = _dec_decode(co)
-        fn_np = {
-            "lt": np.less, "gt": np.greater,
-            "le": np.less_equal, "ge": np.greater_equal,
-        }[key]
-        # non-numeric / all-unbound rows → false (type error)
-        return pa.array(fn_np(xa, u) & xv)
-    col = batch[var]
-    if op == "eq":
-        return pc.equal(col, val)
-    if op == "ne":
-        return pc.not_equal(col, val)
-    if op == "bound":
-        return pc.is_valid(col) if val else pc.is_null(col)
-    if op == "isnumeric":
-        # isNumeric(?v): literal typed xsd:integer/decimal/double —
-        # the engine's numeric lane; '!' inverts, unbound stays
-        # dropped either way (error-on-unbound)
-        m = pc.match_substring_regex(col, _NUMERIC_DT_RE)
-        m = m if val else pc.invert(m)
-        return pc.and_(m, pc.is_valid(col))
-    if op in ("isiri", "isliteral"):
-        # T4/T5 term-kind kernels; '!' forms invert the mask
-        # (null bindings stay null → row dropped either way,
-        # SPARQL's error-on-unbound rule)
-        kind = (v_is_resource if op == "isiri" else v_is_literal)(col)
-        m = kind if val else pc.invert(kind)
-        # the kernels fill null→False; re-drop unbound rows so
-        # the '!' form can't resurrect them (error-on-unbound)
-        return pc.and_(m, pc.is_valid(col))
-    if op == "langmatches":
-        tag = pc.utf8_lower(_acc["lang"](col))
-        if val == "*":
-            return pc.not_equal(tag, "")
-        return pc.or_(
-            pc.equal(tag, val), pc.starts_with(tag, val + "-")
-        )
-    if op in ("in", "not_in"):
-        # [NOT] IN over SPARQL term equality (encoded term
-        # strings); unbound → error → drop on BOTH polarities
-        # (is_in fills null→false, so NOT IN must re-drop)
-        m = pc.is_in(col, value_set=pa.array(list(val), pa.string()))
-        if op == "not_in":
-            m = pc.and_(pc.invert(m), pc.is_valid(col))
-        return m
-    if op == "regex_val":
-        # REGEX builtin: RE2 match over the lexical form (T6
-        # Value); unbound → null → row dropped (or false under
-        # a boolean connective)
-        return pc.match_substring_regex(_acc["str"](col), val)
-    if op in ("strstarts", "strends", "contains"):
-        lex = _acc["str"](col)
-        if op == "strstarts":
-            return pc.starts_with(lex, val)
-        if op == "strends":
-            return pc.ends_with(lex, val)
-        return pc.match_substring(lex, val)
-    if op[:7] == "strlen_":
-        ln = pc.utf8_length(_acc["str"](col))
-        fn = {"eq": pc.equal, "ne": pc.not_equal, **num_ops}[op[7:]]
-        return fn(ln, val)
-    if op[:6] in ("lcase_", "ucase_"):
-        folded = (pc.utf8_lower if op[0] == "l" else pc.utf8_upper)(
-            _acc["str"](col)
-        )
-        return (pc.equal if op.endswith("_eq") else pc.not_equal)(
-            folded, val
-        )
-    if op[:-3] in _acc and op[-3:] in ("_eq", "_ne"):
-        # STR/LANG/DATATYPE builtins → the vectorized T6/T7/T8
-        # term-accessor kernels (truth tables pinned by the
-        # ported reference test suite)
-        acc = _acc[op[:-3]](col)
-        return (pc.equal if op.endswith("_eq") else pc.not_equal)(
-            acc, val
-        )
-    if op in num_ops:
-        return num_ops[op](_int_value(col), val)
-    return pc.match_substring_regex(col, val)
-
-
-def _filter_vars(op, v) -> list:
-    """Variables referenced by one parsed FILTER condition (recursing
-    through boolean connectives and computed expressions)."""
-    def _fv(v):
-        return (
-            [a[1:] for a in v if a.startswith("?")]
-            if isinstance(v, tuple)
-            else [v]
-        )
-
-    if op in ("or", "and"):
-        return [x for c in v for x in _filter_vars(c[0], c[1])]
-    if op == "numcmp":
-        def _expr_vars(e):
-            out = []
-            for x in (e[1], e[2]):
-                if isinstance(x, str):
-                    out.append(x)
-                elif isinstance(x, tuple) and x and x[0] == "fnexpr":
-                    out += _expr_vars(x[2])
-                elif isinstance(x, tuple) and x and x[0] == "negvar":
-                    out.append(x[1])
-            return out
-
-        return [x for e in (v[1], v[2]) for x in _expr_vars(e)]
-    if op == "coalesce_cmp":
-        return [a[1:] for a in v[1] if a.startswith("?")]
-    return _fv(v)
-
-
-def _apply_filters_ds(ds, filters):
-    """Apply a list of parsed FILTER conditions to a bindings Dataset
-    (AND of the per-condition masks; null mask → row dropped)."""
-    flist = list(filters)
-
-    def apply_filters(batch: pa.Table, _f=flist) -> pa.Table:
-        mask = None
-        for op, var, val in _f:
-            m = _cond_mask(batch, op, var, val)
-            mask = m if mask is None else pc.and_(mask, m)
-        return batch.filter(mask)
-
-    return ds.map_batches(apply_filters, batch_format="pyarrow")
-
-
-
 @dataclass
 class _OptGroup:
     """One OPTIONAL group: its required BGP plus nested OPTIONAL
@@ -773,8 +501,7 @@ class _Query:
     select: list[str]  # variable names without '?', or ['*']
     distinct: bool
     patterns: list[tuple[str, str, str]]  # encoded term or '?var' per slot
-    filters: list[tuple[str, str, str]] = field(default_factory=list)
-    #         (op, var, value): op ∈ {"eq", "ne", "regex"}
+    filters: list[_Expr] = field(default_factory=list)  # FILTER constraints
     # OPTIONAL groups — each a BGP plus nested OPTIONAL children
     # (LeftJoin(A, LeftJoin(B, C)) per the SPARQL algebra)
     optionals: "list[_OptGroup]" = field(default_factory=list)
@@ -804,11 +531,9 @@ class _Query:
     having: list[tuple[str, str, int]] = field(default_factory=list)
     # GROUP_CONCAT separators by alias (default " ")
     concat_seps: dict = field(default_factory=dict)
-    # BIND(expr AS ?alias): (op, arg, alias) with op ∈ {"str", "lang",
-    # "dt", "coalesce", "copy", "const", "arith"} — applied after the
-    # BGP joins, before FILTER/aggregation; "arith" arg is
-    # (⊕, lhs, rhs) with ⊕ ∈ {+,-,*} and operands "?var" | int
-    binds: list[tuple[str, object, str]] = field(default_factory=list)
+    # BIND(expr AS ?alias): (expr, alias) — applied after the BGP joins,
+    # before FILTER/aggregation
+    binds: list[tuple[_Expr, str]] = field(default_factory=list)
     # { SELECT ... } subqueries, re-synthesized to query text (outer
     # PREFIXes prepended); each is executed recursively and inner-joined
     # on the shared variables
@@ -943,6 +668,649 @@ def _ground_table(pats) -> pa.Table:
     return pa.table(
         {c: pa.array([t[j] for t in pats], pa.string()) for j, c in enumerate(tr.COLUMNS)}
     )
+
+
+# ---------------------------------------------------------------------------
+# The expression language (SPARQL 1.1 §17). FILTER — in the main group,
+# OPTIONAL groups, MINUS/EXISTS groups and negated property sets — BIND
+# and IF parse to ONE tree (_Expr), are typed against ONE signature
+# table (_SIGNATURES) and run through ONE vectorized evaluator (_eval).
+#
+# _eval returns one of four column kinds per node, null meaning
+# "error / unbound" throughout (§17.2):
+#   bool  a boolean mask; && and || are Arrow's Kleene kernels, which are
+#         §17.2's logical-or/logical-and error rules exactly
+#   num   a _Num on the two numeric lanes
+#   str   a _Str: a string literal, compared by its lexical form
+#   term  an encoded RDF term column, compared by term identity
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Expr:
+    """One expression node. ``op`` is ``var`` (args: the name), ``term``
+    (an encoded ground term), ``int`` / ``dec`` (a number: its value —
+    unscaled at scale 6 for ``dec`` — and its lexical form) or a key of
+    :data:`_SIGNATURES` (an operator or builtin, args: sub-expressions)."""
+
+    op: str
+    args: tuple = ()
+
+
+_CONSTS = ("term", "int", "dec")
+_CMP = ("=", "!=", "<", ">", "<=", ">=")
+_TESTS = ("BOUND", "ISIRI", "ISURI", "ISLITERAL", "ISNUMERIC")
+_PLAIN_STR = re.compile(r'"(?:[^"\\]|\\.)*"')
+_RDF_LANGSTRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+_NULL_STR = pa.scalar(None, pa.string())
+_NULL_BOOL = pa.scalar(None, pa.bool_())
+
+
+class _Num(NamedTuple):
+    """A numeric column on two lanes: ``i`` holds the xsd:integer values
+    (int64, null elsewhere); where ``i`` is null, ``d`` holds the scale-6
+    decimal lane (unscaled int64 numpy) and ``dv`` marks its valid rows.
+    ``d``/``dv`` are None when no row needs the decimal lane."""
+
+    i: pa.Array
+    d: object = None
+    dv: object = None
+
+
+class _Str(NamedTuple):
+    """A string-literal column: lexical forms (null = error) and, for
+    LCASE/UCASE, the language tags they keep ("" = none)."""
+
+    lex: pa.Array
+    tag: pa.Array | None = None
+
+
+def _kind(e: _Expr) -> str:
+    """Static result kind of a node: ``bool``, ``num``, ``str``, ``term``
+    or ``any`` — a term that numeric contexts decode (a variable or
+    COALESCE)."""
+    if e.op == "var":
+        return "any"
+    if e.op == "term":
+        return "term"
+    if e.op in ("int", "dec"):
+        return "num"
+    return _SIGNATURES[e.op][1]
+
+
+def _lex(e: _Expr) -> str:
+    """The lexical form of a plain ``"string"`` constant."""
+    return e.args[0][1:-1]
+
+
+def _is_str(e: _Expr) -> bool:
+    return e.op == "term" and _PLAIN_STR.fullmatch(e.args[0]) is not None
+
+
+# argument kind → (what it is, test)
+_ARG_KINDS = {
+    "var": ("a ?variable", lambda e: e.op == "var"),
+    "str": ('a plain "string"', _is_str),
+    "sep": ('a non-empty plain "string"', lambda e: _is_str(e) and len(e.args[0]) > 2),
+    "flags": ('a "string" of REGEX flags', _is_str),
+    "iri": ("an IRI", lambda e: e.op == "term" and e.args[0].startswith("<")),
+    "ground": ("a ground term", lambda e: e.op == "term"),
+    "value": ("a ?variable, ground term or number", lambda e: e.op in ("var", *_CONSTS)),
+    "text": ("?v or STR(?v)", lambda e: e.op in ("var", "STR")),
+    "part": ('?v, STR(?v) or a plain "string"', lambda e: e.op in ("var", "STR") or _is_str(e)),
+    "lang": ("LANG(?v)", lambda e: e.op == "LANG"),
+    "pos": ("a positive integer", lambda e: e.op == "int" and e.args[0] > 0),
+    "nat": ("a non-negative integer", lambda e: e.op == "int" and e.args[0] >= 0),
+    "num": ("a numeric expression", lambda e: _kind(e) in ("num", "any")),
+    "bool": ("a boolean expression", lambda e: _kind(e) == "bool"),
+    "term_or_num": ("a term or number", lambda e: _kind(e) != "bool"),
+    "test": ("BOUND/isIRI/isURI/isLiteral/isNumeric", lambda e: e.op in _TESTS),
+    "cond": (
+        "?v compared with a constant",
+        lambda e: e.op in _CMP and e.args[0].op == "var" and e.args[1].op in _CONSTS,
+    ),
+}
+
+
+def _want(e: _Expr, kind: str, where: str) -> None:
+    """Refuse ``e`` where ``kind`` is required: a constant of the wrong
+    form is a syntax error, anything else an unsupported composition."""
+    what, ok = _ARG_KINDS[kind]
+    if not ok(e):
+        cls = SparqlSyntaxError if e.op in _CONSTS else SparqlUnsupportedError
+        got = e.args[-1] if e.op in _CONSTS else ("?" + e.args[0] if e.op == "var" else e.op)
+        raise cls(f"{where} needs {what}, got {got}")
+    if kind == "flags" and set(_lex(e)) - set("ims"):
+        raise SparqlUnsupportedError(f"REGEX flags {_lex(e)!r} not supported (i, m, s only)")
+
+
+def _check(e: _Expr) -> _Expr:
+    """Type one tree against :data:`_SIGNATURES`: arity and the kind of
+    every argument. Every refusal of the expression language is raised
+    here, from the table."""
+    if e.op in ("var", *_CONSTS):
+        return e
+    if e.op not in _SIGNATURES:
+        raise SparqlUnsupportedError(f"unsupported function {e.op}")
+    spec = _SIGNATURES[e.op][0]
+    *head, last = spec
+    rep = last[-1] if last[-1] in "?*+" else ""
+    lo = len(head) + (rep in ("", "+"))
+    hi = len(head) + 1 if rep in ("", "?") else len(e.args)
+    if not lo <= len(e.args) <= hi:
+        raise SparqlSyntaxError(f"{e.op} takes {lo}..{hi} arguments, got {len(e.args)}")
+    for a in e.args:
+        _check(a)
+    if spec == ("eq", "eq"):
+        # = and != compare two terms by identity, a string builtin with a
+        # plain "string" by lexical form, or two numbers by value
+        a, b = e.args
+        for x in e.args:
+            _want(x, "term_or_num", e.op)
+        kinds = (_kind(a), _kind(b))
+        if "str" in kinds:
+            _want(b if kinds[0] == "str" else a, "str", e.op)
+        elif "num" in kinds:
+            _want(a, "num", e.op)
+            _want(b, "num", e.op)
+        return e
+    for a, k in zip(e.args, head + [last.rstrip("?*+")] * len(e.args)):
+        _want(a, k, e.op)
+    return e
+
+
+def _vars(e: _Expr) -> list[str]:
+    """The variables an expression reads."""
+    if e.op == "var":
+        return [e.args[0]]
+    return [v for a in e.args if isinstance(a, _Expr) for v in _vars(a)]
+
+
+class _ExprParser:
+    """Recursive descent over a token cursor with the §17 precedence:
+    ``||`` < ``&&`` < relational < additive < multiplicative < unary <
+    primary."""
+
+    def __init__(self, cur: _Cursor, prefixes: dict):
+        self.cur, self.prefixes = cur, prefixes
+
+    def _binary(self, sub, ops) -> _Expr:
+        e = sub()
+        while self.cur.peek() in ops:
+            e = _Expr(self.cur.take(), (e, sub()))
+        return e
+
+    def or_(self) -> _Expr:
+        return self._binary(self.and_, ("||",))
+
+    def and_(self) -> _Expr:
+        return self._binary(self.rel, ("&&",))
+
+    def rel(self) -> _Expr:
+        e = self.add()
+        t = self.cur.peek()
+        if t in _CMP:
+            return _Expr(self.cur.take(), (e, self.add()))
+        neg = t.upper() == "NOT" and self.cur.peek(1).upper() == "IN"
+        if t.upper() == "IN" or neg:
+            self.cur.take()
+            if neg:
+                self.cur.take()
+            return _Expr("not in" if neg else "in", (e, *self.args()))
+        return e
+
+    def add(self) -> _Expr:
+        return self._binary(self.mul, ("+", "-"))
+
+    def mul(self) -> _Expr:
+        return self._binary(self.unary, ("*", "/"))
+
+    def unary(self) -> _Expr:
+        t = self.cur.peek()
+        if t == "!":
+            self.cur.take()
+            return _Expr("!", (self.unary(),))
+        if t == "-":
+            self.cur.take()
+            x = self.unary()
+            if x.op in ("int", "dec"):  # a negative number constant
+                lex = x.args[1]
+                return _Expr(x.op, (-x.args[0], lex[1:] if lex[0] == "-" else "-" + lex))
+            return _Expr("neg", (x,))
+        return self.primary()
+
+    def primary(self) -> _Expr:
+        t = self.cur.take()
+        if t == "(":
+            e = self.or_()
+            if self.cur.take() != ")":
+                raise SparqlSyntaxError("expected ) closing a parenthesized expression")
+            return e
+        if t.startswith("?"):
+            return _Expr("var", (t[1:],))
+        if t.isdecimal():
+            return _Expr("int", (int(t), t))
+        if _IS_DEC_TOK.fullmatch(t):
+            return _Expr("dec", (_dec_const(t), t))
+        if self.cur.peek() == "(" and re.fullmatch(r"[A-Za-z]\w*", t):
+            return _Expr(t.upper(), tuple(self.args()))
+        return _Expr("term", (_expand(t, self.prefixes, "object"),))
+
+    def args(self) -> list[_Expr]:
+        """``( [expr (, expr)*] )``"""
+        if self.cur.take() != "(":
+            raise SparqlSyntaxError("expected ( opening an argument list")
+        out: list[_Expr] = []
+        if self.cur.peek() == ")":
+            self.cur.take()
+            return out
+        while True:
+            out.append(self.or_())
+            t = self.cur.take()
+            if t == ")":
+                return out
+            if t != ",":
+                raise SparqlSyntaxError(f"expected , or ) in an argument list, got {t!r}")
+
+
+def _filter_expr(cur: _Cursor, prefixes: dict) -> _Expr:
+    """FILTER's constraint: a bracketed boolean expression, or the bare
+    ``regex(?v, "re")`` form, which matches the ENCODED term string."""
+    p = _ExprParser(cur, prefixes)
+    head = cur.peek()
+    if head == "(":
+        e = p.primary()
+    elif head.lower() == "regex":
+        cur.take()
+        e = _Expr("regex term", tuple(p.args()))
+    else:
+        raise SparqlSyntaxError(f"expected ( or regex after FILTER, got {head!r}")
+    _want(_check(e), "bool", "FILTER")
+    return e
+
+
+# --- the evaluator ----------------------------------------------------------
+
+
+def _col(batch: pa.Table, name: str) -> pa.Array:
+    """A binding column as one plain string array."""
+    c = batch[name].combine_chunks()
+    return c if c.type == pa.string() else c.cast(pa.string())
+
+
+def _const(n: int, term: str) -> pa.Array:
+    return pa.nulls(n, pa.string()).fill_null(term)
+
+
+def _if_bound(col: pa.Array, values):
+    """``values`` where ``col`` is bound, null (error) elsewhere."""
+    return pc.if_else(pc.is_valid(col), values, pa.scalar(None, values.type))
+
+
+def _eval(batch: pa.Table, e: _Expr):
+    """Evaluate one expression over a bindings batch: one Arrow or numpy
+    kernel per node (MD5/SHA256 hash row by row)."""
+    if e.op == "var":
+        return _col(batch, e.args[0])
+    if e.op == "term":
+        return _const(batch.num_rows, e.args[0])
+    n = batch.num_rows
+    if e.op == "int":
+        return _Num(pa.array(np.full(n, e.args[0], np.int64)))
+    if e.op == "dec":
+        return _Num(
+            pa.nulls(n, pa.int64()), np.full(n, e.args[0], np.int64), np.ones(n, bool)
+        )
+    return _SIGNATURES[e.op][2](batch, *e.args)
+
+
+def _term(batch: pa.Table, e: _Expr) -> pa.Array:
+    """A node's value as an encoded term column — what BIND binds."""
+    if e.op in ("int", "dec"):  # a number constant keeps its lexical form
+        dt = C.XSD_INTEGER if e.op == "int" else C.XSD_DECIMAL
+        return _const(batch.num_rows, f'"{e.args[1]}"^^<{dt}>')
+    v = _eval(batch, e)
+    if isinstance(v, _Num):
+        out = pc.binary_join_element_wise(
+            '"', pc.cast(v.i, pa.string()), f'"^^<{C.XSD_INTEGER}>', ""
+        )
+        return out if v.d is None else pc.coalesce(out, _dec_render(v.d, v.dv))
+    if isinstance(v, _Str):
+        return v_new_literal_term(v.lex, v.tag)
+    return v
+
+
+def _text(batch: pa.Table, e: _Expr) -> pa.Array:
+    """A node's string value: a _Str's lexical form, or a term's T6
+    Value (an IRI's IRI string, a literal's lexical form)."""
+    v = _eval(batch, e)
+    return v.lex if isinstance(v, _Str) else _if_bound(v, v_value(v))
+
+
+def _num(batch: pa.Table, e: _Expr) -> _Num:
+    """A node's value on the numeric lanes; a term column decodes its
+    xsd:integer rows to the integer lane and only the REST on the
+    decimal lane."""
+    v = _eval(batch, e)
+    if isinstance(v, _Num):
+        return v
+    i = _int_value(v)
+    if not i.null_count:
+        return _Num(i)
+    return _Num(i, *_dec_decode(pc.if_else(pc.is_null(i), v, _NULL_STR)))
+
+
+def _dec_lane(x: _Num):
+    """Both lanes of ``x`` as one (unscaled, valid) decimal lane."""
+    ii = pc.fill_null(x.i, 0).to_numpy(zero_copy_only=False)
+    iv = pc.is_valid(x.i).to_numpy(zero_copy_only=False)
+    lim = _MAXI // _DEC_SCALE
+    ok = iv & (ii >= -lim) & (ii <= lim)
+    d = np.where(ok, ii, 0) * _DEC_SCALE
+    if x.d is None:
+        return d, ok
+    return np.where(iv, d, x.d), np.where(iv, ok, x.dv)
+
+
+_ARROW_ARITH = {"+": pc.add, "-": pc.subtract, "*": pc.multiply}
+_ARROW_CMP = {
+    "=": pc.equal, "!=": pc.not_equal, "<": pc.less, ">": pc.greater,
+    "<=": pc.less_equal, ">=": pc.greater_equal,
+}
+_NP_CMP = {
+    "=": np.equal, "!=": np.not_equal, "<": np.less, ">": np.greater,
+    "<=": np.less_equal, ">=": np.greater_equal,
+}
+
+
+def _arith(op: str):
+    """+ - * / over both lanes: integer rows of + - * stay xsd:integer;
+    '/' and rows with a decimal operand evaluate on the decimal lane."""
+
+    def k(batch, x, y):
+        a, b = _num(batch, x), _num(batch, y)
+        if op == "/":
+            i = pa.nulls(batch.num_rows, pa.int64())
+        else:
+            i = _ARROW_ARITH[op](a.i, b.i)
+        if not i.null_count:
+            return _Num(i)
+        return _Num(i, *_dec_arith(op, *_dec_lane(a), *_dec_lane(b)))
+
+    return k
+
+
+def _compare(op: str):
+    def k(batch, x, y):
+        kinds = (_kind(x), _kind(y))
+        if "str" in kinds:
+            return _ARROW_CMP[op](_text(batch, x), _text(batch, y))
+        if op in ("=", "!=") and "num" not in kinds:
+            return _ARROW_CMP[op](_term(batch, x), _term(batch, y))
+        a, b = _num(batch, x), _num(batch, y)
+        m = _ARROW_CMP[op](a.i, b.i)
+        if not m.null_count:
+            return m
+        (ad, av), (bd, bv) = _dec_lane(a), _dec_lane(b)
+        dm = pc.if_else(pa.array(av & bv), pa.array(_NP_CMP[op](ad, bd)), _NULL_BOOL)
+        return pc.coalesce(m, dm)
+
+    return k
+
+
+def _negate(batch, x):
+    a = _num(batch, x)
+    return _Num(pc.negate(a.i), None if a.d is None else -a.d, a.dv)
+
+
+def _membership(negated: bool):
+    def k(batch, x, *items):
+        col = _eval(batch, x)
+        if not items:  # IN () is false, NOT IN () true, for every row
+            return pa.array(np.full(len(col), negated))
+        m = pc.is_in(col, value_set=pa.array([t.args[0] for t in items], pa.string()))
+        return _if_bound(col, pc.invert(m) if negated else m)
+
+    return k
+
+
+def _round_fn(name: str):
+    """ABS/CEIL/FLOOR/ROUND: integer rows stay xsd:integer (the rounding
+    functions are identities on them); decimal rows round exactly at
+    scale 6 — fn:round ties toward +inf, floor/ceiling toward ∓inf."""
+    S = _DEC_SCALE
+    dec = {
+        "ABS": np.abs,
+        "FLOOR": lambda d: (d // S) * S,
+        "CEIL": lambda d: -((-d) // S) * S,
+        "ROUND": lambda d: ((d + S // 2) // S) * S,
+    }[name]
+
+    def k(batch, x):
+        a = _num(batch, x)
+        i = pc.abs(a.i) if name == "ABS" else a.i
+        return _Num(i) if a.d is None else _Num(i, dec(a.d), a.dv)
+
+    return k
+
+
+_DATE_RE = (
+    r'^"(?P<YEAR>\d{4})-(?P<MONTH>\d{2})-(?P<DAY>\d{2})(?:T[^"]*)?"\^\^<(?:'
+    + re.escape(C.XSD_DATE) + "|" + re.escape(C.XSD_DATETIME) + r")>$"
+)
+_TIME_RE = (
+    r'^"\d{4}-\d{2}-\d{2}T(?P<HOURS>\d{2}):(?P<MINUTES>\d{2}):'
+    r'(?P<SECONDS>\d{2}(?:\.\d+)?)[^"]*"\^\^<' + re.escape(C.XSD_DATETIME) + r">$"
+)
+
+
+def _date_fn(name: str):
+    """YEAR … SECONDS (§17.4.5) over xsd:date / xsd:dateTime literals:
+    xsd:integer components, SECONDS xsd:decimal on the scale-6 lane; the
+    time components need the T… part."""
+    pat = _DATE_RE if name in ("YEAR", "MONTH", "DAY") else _TIME_RE
+
+    def k(batch, x):
+        part = pc.struct_field(pc.extract_regex(_eval(batch, x), pat), name)
+        if name != "SECONDS":
+            return _Num(pc.cast(part, pa.int64()))
+        dec = pc.binary_join_element_wise('"', part, f'"^^<{C.XSD_DECIMAL}>', "")
+        return _Num(pa.nulls(batch.num_rows, pa.int64()), *_dec_decode(dec))
+
+    return k
+
+
+def _hash(name: str):
+    """MD5/SHA256 hex digest (§17.4.4) of a literal's lexical form — or,
+    under STR(), of an IRI's string — as a simple literal."""
+    fn = getattr(hashlib, name.lower())
+
+    def k(batch, x):
+        v = _eval(batch, x)
+        lex = v.lex if isinstance(v, _Str) else pc.if_else(v_is_literal(v), v_value(v), _NULL_STR)
+        return _Str(
+            pa.array(
+                [None if s is None else fn(s.encode()).hexdigest() for s in lex.to_pylist()],
+                pa.string(),
+            )
+        )
+
+    return k
+
+
+def _case_fn(fold):
+    """LCASE/UCASE (§17.4.3) over simple and language-tagged literals,
+    keeping the tag; other terms are errors."""
+
+    def k(batch, x):
+        col = _eval(batch, x)
+        ok = pc.and_(v_is_literal(col), pc.equal(v_datatype(col), ""))
+        return _Str(pc.if_else(ok, fold(v_value(col)), _NULL_STR), v_language(col))
+
+    return k
+
+
+def _datatype(batch, x):
+    """DATATYPE (§17.4.2.7): a literal's datatype IRI — xsd:string for a
+    simple literal, rdf:langString for a tagged one; IRIs are errors."""
+    col = _eval(batch, x)
+    dt = v_datatype(col)
+    dt = pc.if_else(
+        pc.not_equal(dt, ""),
+        dt,
+        pc.if_else(pc.equal(v_language(col), ""), C.XSD_STRING, _RDF_LANGSTRING),
+    )
+    iri = pc.binary_join_element_wise("<", dt, ">", "")
+    return pc.if_else(v_is_literal(col), iri, _NULL_STR)
+
+
+def _new_literal(suffix_of):
+    """STRLANG/STRDT: a tagged / typed literal from a SIMPLE literal."""
+
+    def k(batch, x, y):
+        col = _eval(batch, x)
+        simple = pc.and_(
+            pc.and_(v_is_literal(col), pc.equal(v_language(col), "")),
+            pc.equal(v_datatype(col), ""),
+        )
+        return pc.if_else(
+            simple, pc.binary_join_element_wise(col, suffix_of(y), ""), _NULL_STR
+        )
+
+    return k
+
+
+def _strbefore_after(before: bool):
+    """STRBEFORE/STRAFTER: "" when the separator is absent; one anchored
+    leftmost-match replace per batch."""
+
+    def k(batch, x, sep):
+        val, s = _text(batch, x), _lex(sep)
+        pat = f"(?s){re.escape(s)}.*$" if before else f"(?s)^.*?{re.escape(s)}"
+        cut = pc.replace_substring_regex(val, pattern=pat, replacement="", max_replacements=1)
+        return _Str(pc.if_else(pc.match_substring(val, s), cut, pa.scalar("")))
+
+    return k
+
+
+def _substr(batch, x, start, length=None):
+    s0 = start.args[0] - 1
+    lex = _text(batch, x)
+    if length is None:
+        return _Str(pc.utf8_slice_codeunits(lex, s0))
+    return _Str(pc.utf8_slice_codeunits(lex, s0, s0 + length.args[0]))
+
+
+def _regex(batch, x, pat, flags=None):
+    p = _lex(pat) if flags is None or not _lex(flags) else f"(?{_lex(flags)})" + _lex(pat)
+    return pc.match_substring_regex(_text(batch, x), p)
+
+
+def _langmatches(batch, lang, rng):
+    """RFC 4647 basic filtering: the tag or a subtag, case-insensitive;
+    "*" matches any non-empty tag."""
+    tag, r = pc.utf8_lower(_eval(batch, lang).lex), _lex(rng).lower()
+    if r == "*":
+        return pc.not_equal(tag, "")
+    return pc.or_(pc.equal(tag, r), pc.starts_with(tag, r + "-"))
+
+
+def _kind_test(kernel, wrap=lambda m: m):
+    """A term kernel (which reads unbound as "" / False) made an error
+    on unbound rows."""
+
+    def k(batch, x):
+        col = _eval(batch, x)
+        return wrap(_if_bound(col, kernel(col)))
+
+    return k
+
+
+# The one signature table: name → (argument kinds, result kind, kernel).
+# Argument kinds are the keys of _ARG_KINDS (``eq``: the = / != rule in
+# _check); a trailing ``?`` marks an optional last argument, ``*`` / ``+``
+# a repeated one. Upper-case identifiers are the callable builtins; the
+# other keys are operators. Kernels take the batch and the argument nodes.
+_SIGNATURES = {
+    "||": (("bool", "bool"), "bool", lambda b, x, y: pc.or_kleene(_eval(b, x), _eval(b, y))),
+    "&&": (("bool", "bool"), "bool", lambda b, x, y: pc.and_kleene(_eval(b, x), _eval(b, y))),
+    "!": (("test",), "bool", lambda b, x: pc.invert(_eval(b, x))),
+    **{op: (("eq", "eq"), "bool", _compare(op)) for op in ("=", "!=")},
+    **{op: (("num", "num"), "bool", _compare(op)) for op in ("<", ">", "<=", ">=")},
+    **{op: (("num", "num"), "num", _arith(op)) for op in "+-*/"},
+    "neg": (("num",), "num", _negate),
+    "in": (("var", "ground*"), "bool", _membership(False)),
+    "not in": (("var", "ground*"), "bool", _membership(True)),
+    # FILTER's bare regex(?v, "re") form: RE2 over the encoded term
+    "regex term": (
+        ("var", "str"), "bool", lambda b, x, p: pc.match_substring_regex(_eval(b, x), _lex(p))
+    ),
+    "BOUND": (("var",), "bool", lambda b, x: pc.is_valid(_eval(b, x))),
+    "ISIRI": (("var",), "bool", _kind_test(v_is_resource)),
+    "ISURI": (("var",), "bool", _kind_test(v_is_resource)),
+    "ISLITERAL": (("var",), "bool", _kind_test(v_is_literal)),
+    "ISNUMERIC": (
+        ("var",), "bool", lambda b, x: pc.match_substring_regex(_eval(b, x), _NUMERIC_DT_RE)
+    ),
+    "LANGMATCHES": (("lang", "sep"), "bool", _langmatches),
+    "STRSTARTS": (("var", "str"), "bool", lambda b, x, s: pc.starts_with(_text(b, x), _lex(s))),
+    "STRENDS": (("var", "str"), "bool", lambda b, x, s: pc.ends_with(_text(b, x), _lex(s))),
+    "CONTAINS": (("var", "str"), "bool", lambda b, x, s: pc.match_substring(_text(b, x), _lex(s))),
+    "REGEX": (("text", "str", "flags?"), "bool", _regex),
+    "STR": (("var",), "str", lambda b, x: _Str(_text(b, x))),
+    "LANG": (("var",), "str", _kind_test(v_language, _Str)),
+    "DATATYPE": (("var",), "term", _datatype),
+    "LCASE": (("var",), "str", _case_fn(pc.utf8_lower)),
+    "UCASE": (("var",), "str", _case_fn(pc.utf8_upper)),
+    "STRLEN": (
+        ("var",), "num", lambda b, x: _Num(pc.cast(pc.utf8_length(_text(b, x)), pa.int64()))
+    ),
+    "STRLANG": (("var", "str"), "term", _new_literal(lambda y: "@" + _lex(y))),
+    "STRDT": (("var", "iri"), "term", _new_literal(lambda y: "^^" + y.args[0])),
+    "CONCAT": (
+        ("part+",), "str",
+        lambda b, *xs: _Str(pc.binary_join_element_wise(*[_text(b, x) for x in xs], "")),
+    ),
+    "SUBSTR": (("text", "pos", "nat?"), "str", _substr),
+    "REPLACE": (
+        ("var", "str", "str"), "str",
+        lambda b, x, p, r: _Str(
+            pc.replace_substring_regex(_text(b, x), pattern=_lex(p), replacement=_lex(r))
+        ),
+    ),
+    "STRBEFORE": (("var", "sep"), "str", _strbefore_after(True)),
+    "STRAFTER": (("var", "sep"), "str", _strbefore_after(False)),
+    "MD5": (("text",), "str", _hash("MD5")),
+    "SHA256": (("text",), "str", _hash("SHA256")),
+    **{
+        f: (("var",), "num", _date_fn(f))
+        for f in ("YEAR", "MONTH", "DAY", "HOURS", "MINUTES", "SECONDS")
+    },
+    **{f: (("num",), "num", _round_fn(f)) for f in ("ABS", "CEIL", "FLOOR", "ROUND")},
+    "COALESCE": (("value+",), "any", lambda b, *xs: pc.coalesce(*[_term(b, x) for x in xs])),
+    "IF": (
+        ("cond", "value", "value"), "term",
+        lambda b, c, x, y: pc.if_else(_eval(b, c), _term(b, x), _term(b, y)),
+    ),
+}
+
+
+def _filter_batch(batch: pa.Table, cond: _Expr) -> pa.Table:
+    return batch.filter(pc.fill_null(_eval(batch, cond), False))
+
+
+def _apply_filters_ds(ds, filters):
+    """Apply FILTER conditions to a bindings Dataset: their conjunction,
+    an error or unbound result dropping the row."""
+    cond = functools.reduce(lambda a, b: _Expr("&&", (a, b)), filters)
+    return ds.map_batches(_filter_batch, fn_kwargs={"cond": cond}, batch_format="pyarrow")
+
+
+def _bind_batch(batch: pa.Table, binds) -> pa.Table:
+    """BIND: append each alias column, in order, so aliases chain."""
+    for e, alias in binds:
+        batch = batch.append_column(alias, _term(batch, e))
+    return batch
 
 
 def parse(text: str) -> _Query:
@@ -1092,822 +1460,34 @@ def parse(text: str) -> _Query:
     if take().upper() != "WHERE" or take() != "{":
         raise SparqlSyntaxError("expected WHERE {")
     patterns: list[tuple[str, str, str]] = []
-    filters: list[tuple[str, str, str]] = []
+    filters: list[_Expr] = []
 
     def take_filter() -> None:
-        # FILTER ( ?v = term ) | FILTER ( ?v != term )
-        # | FILTER regex ( ?v , "pattern" )
+        # FILTER ( expr ) | FILTER regex ( ?v , "re" )
         # | FILTER [NOT] EXISTS { BGP }
-        head = take()
-        if head.upper() == "NOT":
+        if peek().upper() == "NOT":
+            take()
             if take().upper() != "EXISTS":
                 raise SparqlSyntaxError("expected EXISTS after FILTER NOT")
             minus_groups.append(take_group("FILTER NOT EXISTS"))
-            return
-        if head.upper() == "EXISTS":
+        elif peek().upper() == "EXISTS":
+            take()
             exists_groups.append(take_group("FILTER EXISTS"))
-            return
-        if head.lower() == "regex":
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after FILTER regex")
-            var = take()
-            if not var.startswith("?"):
-                raise SparqlSyntaxError("FILTER regex needs a ?variable")
-            if take() != ",":
-                raise SparqlSyntaxError("expected , in FILTER regex")
-            pat = take()
-            if not (pat.startswith('"') and pat.endswith('"')):
-                raise SparqlSyntaxError("FILTER regex needs a plain \"pattern\"")
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing FILTER regex")
-            filters.append(("regex", var[1:], pat[1:-1]))
-            return
-        if head != "(":
-            raise SparqlSyntaxError(f"expected ( or regex after FILTER, got {head!r}")
-
-        def _arith_operand():
-            # one operand of a numeric FILTER expression:
-            # ?var | -?var | [-]int | [-]decimal (decimal and negated
-            # variables → the scale-6 lane; ("dec", unscaled) /
-            # ("negvar", name) leaves)
-            t = take()
-            neg = t == "-"
-            if neg:
-                t = take()
-            if t.startswith("?"):
-                # unary minus on a variable evaluates on the decimal
-                # lane (exact negation; mask-only semantics make the
-                # integer/decimal distinction moot in FILTER)
-                return ("negvar", t[1:]) if neg else t[1:]
-            if _IS_DEC_TOK.fullmatch(t):
-                u = _dec_const(t)
-                return ("dec", -u if neg else u)
-            if not t.isdigit():
-                raise SparqlSyntaxError(
-                    f"numeric FILTER needs a number or ?variable, got {t!r}"
-                )
-            return -int(t) if neg else int(t)
-
-        def _arith_expr(first=None):
-            # expr := operand (('+'|'-'|'*'|'/') operand)? — represented
-            # as (aop|None, a, b|None); operands are bare var names,
-            # ints, or ("dec", unscaled) decimal constants
-            a = _arith_operand() if first is None else first
-            if peek() in ("+", "-", "*", "/"):
-                return (take(), a, _arith_operand())
-            return (None, a, None)
-
-        def parse_cond() -> tuple:
-            # one simple condition, NOT consuming the FILTER's closing )
-            var = take()
-            up = var.upper()
-            want = True
-            if up in ("ABS", "CEIL", "FLOOR", "ROUND") and peek() == "(":
-                # numeric-function LHS: FN ( arith-expr ) cmp arith-expr
-                # — FILTER(ABS(?a - ?b) <= 5); evaluated on the numcmp
-                # kernels with the function applied to the inner
-                # expression (("fnexpr", fn, inner) operand form)
-                take()
-                inner = _arith_expr()
-                if take() != ")":
-                    raise SparqlSyntaxError(f"expected ) closing {up}")
-                cmp_keys2 = {"<": "lt", ">": "gt", "<=": "le", ">=": "ge",
-                             "=": "num_eq", "!=": "num_ne"}
-                cmp = take()
-                if cmp not in cmp_keys2:
-                    raise SparqlSyntaxError(
-                        f"expected a comparison after {up}(...), got {cmp!r}"
-                    )
-                return (
-                    "numcmp",
-                    (
-                        cmp_keys2[cmp],
-                        (None, ("fnexpr", up.lower(), inner), None),
-                        _arith_expr(),
-                    ),
-                    "",
-                )
-            if var == "!":
-                # logical negation: only the unary boolean builtins
-                # (BOUND / isIRI / isURI / isLiteral) may follow
-                want = False
-                var = take()
-                up = var.upper()
-                if up not in (
-                    "BOUND", "ISIRI", "ISURI", "ISLITERAL", "ISNUMERIC"
-                ):
-                    raise SparqlUnsupportedError(
-                        "'!' is only supported before BOUND/isIRI/"
-                        f"isURI/isLiteral/isNumeric in FILTER, got {var!r}"
-                    )
-            if up in ("BOUND", "ISIRI", "ISURI", "ISLITERAL", "ISNUMERIC"):
-                # unary boolean builtins: BOUND = null test on the
-                # (possibly OPTIONAL-introduced) binding column;
-                # isIRI/isURI/isLiteral = the vectorized T4/T5
-                # term-kind kernels
-                if take() != "(":
-                    raise SparqlSyntaxError(f"expected ( after {up}")
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError(f"{up} needs a ?variable")
-                if take() != ")":
-                    raise SparqlSyntaxError(f"expected ) closing {up}")
-                key = {
-                    "BOUND": "bound",
-                    "ISIRI": "isiri",
-                    "ISURI": "isiri",
-                    "ISLITERAL": "isliteral",
-                    "ISNUMERIC": "isnumeric",
-                }[up]
-                return (key, v[1:], 1 if want else 0)
-            if up == "LANGMATCHES":
-                # LANGMATCHES(LANG(?v), "range") — RFC 4647 basic
-                # filtering: case-insensitive exact tag or prefix
-                # ("en" matches "en-US"); "*" = any non-empty tag
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( after LANGMATCHES")
-                if take().upper() != "LANG" or take() != "(":
-                    raise SparqlUnsupportedError(
-                        "LANGMATCHES' first argument must be LANG(?v)"
-                    )
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError("LANG needs a ?variable")
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing LANG")
-                if take() != ",":
-                    raise SparqlSyntaxError("expected , in LANGMATCHES")
-                rng = take()
-                if not (rng.startswith('"') and rng.endswith('"')) or len(rng) < 3:
-                    raise SparqlSyntaxError(
-                        'LANGMATCHES needs a non-empty "range"'
-                    )
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing LANGMATCHES")
-                return ("langmatches", v[1:], rng[1:-1].lower())
-            if up in ("STRSTARTS", "STRENDS", "CONTAINS"):
-                # two-arg string builtins over the T6 Value kernel
-                # (lexical form for literals, the URI for resources,
-                # "" on malformed — so a malformed term simply fails
-                # the prefix/suffix/substring test)
-                if take() != "(":
-                    raise SparqlSyntaxError(f"expected ( after {up}")
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError(f"{up} needs a ?variable")
-                if take() != ",":
-                    raise SparqlSyntaxError(f"expected , in {up}")
-                pat = take()
-                if not (pat.startswith('"') and pat.endswith('"')):
-                    raise SparqlSyntaxError(
-                        f'{up} needs a plain "string" second argument'
-                    )
-                if take() != ")":
-                    raise SparqlSyntaxError(f"expected ) closing {up}")
-                return (up.lower(), v[1:], pat[1:-1])
-            if up == "STRLEN":
-                # STRLEN(?v) cmp N — UTF-8 codepoint length of the T6
-                # Value, compared as an integer
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( after STRLEN")
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError("STRLEN needs a ?variable")
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing STRLEN")
-                bop = take()
-                lkey = {"=": "eq", "!=": "ne", "<": "lt", ">": "gt",
-                        "<=": "le", ">=": "ge"}.get(bop)
-                if lkey is None:
-                    raise SparqlUnsupportedError(
-                        f"STRLEN() filter comparison {bop!r} not supported"
-                    )
-                n = take()
-                if not n.isdigit():
-                    raise SparqlSyntaxError(
-                        f"STRLEN comparison needs a non-negative integer, got {n!r}"
-                    )
-                return (f"strlen_{lkey}", v[1:], int(n))
-            if up in ("LCASE", "UCASE"):
-                # case-folded string equality over the T6 Value kernel
-                if take() != "(":
-                    raise SparqlSyntaxError(f"expected ( after {up}")
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError(f"{up} needs a ?variable")
-                if take() != ")":
-                    raise SparqlSyntaxError(f"expected ) closing {up}")
-                bop = take()
-                if bop not in ("=", "!="):
-                    raise SparqlUnsupportedError(
-                        f"{up}() filter supports = and != only, got {bop!r}"
-                    )
-                val = take()
-                if not (val.startswith('"') and val.endswith('"')):
-                    raise SparqlSyntaxError(f'{up}() compares to a plain "string"')
-                return (
-                    f"{up.lower()}_{'eq' if bop == '=' else 'ne'}",
-                    v[1:],
-                    val[1:-1],
-                )
-            if up in ("STR", "LANG", "DATATYPE"):
-                # term-accessor builtins compiled onto the vectorized
-                # T6/T7/T8 kernels
-                if take() != "(":
-                    raise SparqlSyntaxError(f"expected ( after {up}")
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError(f"{up} needs a ?variable")
-                if take() != ")":
-                    raise SparqlSyntaxError(f"expected ) closing {up}")
-                bop = take()
-                if bop not in ("=", "!="):
-                    raise SparqlUnsupportedError(
-                        f"{up}() filter supports = and != only, got {bop!r}"
-                    )
-                val = take()
-                if up == "DATATYPE":
-                    val = _expand(val, prefixes, "object")
-                    if not (val.startswith("<") and val.endswith(">")):
-                        raise SparqlSyntaxError("DATATYPE() compares to an IRI")
-                    val = val[1:-1]
-                else:
-                    if not (val.startswith('"') and val.endswith('"')):
-                        raise SparqlSyntaxError(
-                            f'{up}() compares to a plain "string"'
-                        )
-                    val = val[1:-1]
-                key = {"STR": "str", "LANG": "lang", "DATATYPE": "dt"}[up]
-                return (f"{key}_{'eq' if bop == '=' else 'ne'}", v[1:], val)
-            if up == "REGEX":
-                # REGEX(?v, "pattern"[, "flags"]) — RE2 (the engine of
-                # both pyarrow and DuckDB) over the T6 Value kernel
-                # (lexical form for literals, the URI for resources).
-                # An explicit STR(?v) first argument is accepted with
-                # identical semantics. Flags: i / s / m, compiled into
-                # an inline (?ism) group.
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( after REGEX")
-                v = take()
-                if v.upper() == "STR":
-                    if take() != "(":
-                        raise SparqlSyntaxError("expected ( after STR")
-                    v = take()
-                    if take() != ")":
-                        raise SparqlSyntaxError("expected ) closing STR")
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError("REGEX needs a ?variable")
-                if take() != ",":
-                    raise SparqlSyntaxError("expected , in REGEX")
-                pat = take()
-                if not (pat.startswith('"') and pat.endswith('"')):
-                    raise SparqlSyntaxError('REGEX needs a plain "pattern"')
-                pat = pat[1:-1]
-                nxt = take()
-                if nxt == ",":
-                    fl = take()
-                    if not (fl.startswith('"') and fl.endswith('"')):
-                        raise SparqlSyntaxError('REGEX flags must be a "string"')
-                    fl = fl[1:-1]
-                    if set(fl) - set("ims"):
-                        raise SparqlUnsupportedError(
-                            f"REGEX flags {fl!r} not supported (i, m, s only)"
-                        )
-                    if fl:
-                        pat = f"(?{fl})" + pat
-                    nxt = take()
-                if nxt != ")":
-                    raise SparqlSyntaxError("expected ) closing REGEX")
-                return ("regex_val", v[1:], pat)
-            if up == "COALESCE":
-                # COALESCE(?a, ?b, "default") cmp term — first bound
-                # argument (ground-term defaults allowed)
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( after COALESCE")
-                args: list[str] = []
-                while True:
-                    t = take()
-                    if t == "-" and (
-                        peek().isdigit() or _IS_DEC_TOK.fullmatch(peek())
-                    ):
-                        t = "-" + take()
-                    body = t[1:] if t.startswith("-") else t
-                    if t.startswith("?"):
-                        args.append(t)
-                    elif body.isdigit():
-                        # bare numeric default → typed integer literal
-                        args.append(f'"{t}"^^<{C.XSD_INTEGER}>')
-                    elif _IS_DEC_TOK.fullmatch(body):
-                        args.append(f'"{t}"^^<{C.XSD_DECIMAL}>')
-                    else:
-                        args.append(_expand(t, prefixes, "object"))
-                    nxt = take()
-                    if nxt == ")":
-                        break
-                    if nxt != ",":
-                        raise SparqlSyntaxError("expected , or ) in COALESCE")
-                if not any(a.startswith("?") for a in args):
-                    raise SparqlSyntaxError(
-                        "COALESCE needs at least one ?variable"
-                    )
-                bop = take()
-                if bop in ("<", ">", "<=", ">="):
-                    # numeric comparison of the coalesced term against
-                    # a number — decoded on the exact decimal lane
-                    nt = take()
-                    neg = nt == "-"
-                    if neg:
-                        nt = take()
-                    if nt.isdigit():
-                        u = int(nt) * _DEC_SCALE
-                    elif _IS_DEC_TOK.fullmatch(nt):
-                        u = _dec_const(nt)
-                    else:
-                        raise SparqlSyntaxError(
-                            "COALESCE numeric comparison needs a number "
-                            f"on the right, got {nt!r}"
-                        )
-                    key = {"<": "lt", ">": "gt", "<=": "le", ">=": "ge"}[bop]
-                    return (
-                        "coalesce_cmp",
-                        (key, tuple(args), -u if neg else u),
-                        "",
-                    )
-                if bop not in ("=", "!="):
-                    raise SparqlUnsupportedError(
-                        "COALESCE() filter supports = != < > <= >= only"
-                    )
-                val = _expand(take(), prefixes, "object")
-                if val.startswith("?"):
-                    raise SparqlUnsupportedError(
-                        "variable-to-variable COALESCE FILTER not supported"
-                    )
-                return (
-                    "coalesce_eq" if bop == "=" else "coalesce_ne",
-                    tuple(args),
-                    val,
-                )
-            if var == "-" and peek().startswith("?"):
-                # leading unary minus: -?v [⊕ operand] cmp expr — the
-                # negated variable evaluates on the decimal lane
-                negop = ("negvar", take()[1:])
-                if peek() in ("+", "-", "*", "/"):
-                    lexpr = (take(), negop, _arith_operand())
-                else:
-                    lexpr = (None, negop, None)
-                cmp = take()
-                if cmp not in ("<", ">", "<=", ">=", "=", "!="):
-                    raise SparqlSyntaxError(
-                        f"expected a comparison after -?var, got {cmp!r}"
-                    )
-                cmp_key = {"<": "lt", ">": "gt", "<=": "le", ">=": "ge",
-                           "=": "num_eq", "!=": "num_ne"}[cmp]
-                return ("numcmp", (cmp_key, lexpr, _arith_expr()), "")
-            if not var.startswith("?"):
-                raise SparqlSyntaxError("FILTER needs a ?variable on the left")
-            op = take()
-            if op.upper() in ("IN", "NOT"):
-                # ?x [NOT] IN (term, ...) — SPARQL term equality against
-                # a ground-term list, one vectorized is_in kernel
-                neg = op.upper() == "NOT"
-                if neg and take().upper() != "IN":
-                    raise SparqlSyntaxError("expected IN after NOT in FILTER")
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( after IN")
-                items: list[str] = []
-                while True:
-                    t = take()
-                    if t == ")" and not items:
-                        break  # empty list is legal: IN () = false
-                    if t.startswith("?"):
-                        raise SparqlUnsupportedError(
-                            "variables in a FILTER IN list are not supported"
-                        )
-                    items.append(_expand(t, prefixes, "object"))
-                    nxt = take()
-                    if nxt == ")":
-                        break
-                    if nxt != ",":
-                        raise SparqlSyntaxError("expected , or ) in IN list")
-                return ("not_in" if neg else "in", var[1:], tuple(items))
-            cmp_keys = {"<": "lt", ">": "gt", "<=": "le", ">=": "ge",
-                        "=": "num_eq", "!=": "num_ne"}
-            if op in ("+", "-", "*", "/"):
-                # computed LHS: ?a ⊕ t cmp expr — evaluated on the
-                # BIND-arithmetic decode kernels (integer fast lane +
-                # the scale-6 decimal lane for '/' and decimal operands)
-                lexpr = (op, var[1:], _arith_operand())
-                cmp = take()
-                if cmp not in cmp_keys:
-                    raise SparqlSyntaxError(
-                        f"expected a comparison after FILTER arithmetic, "
-                        f"got {cmp!r}"
-                    )
-                return ("numcmp", (cmp_keys[cmp], lexpr, _arith_expr()), "")
-            if op in ("<", ">", "<=", ">="):
-                # numeric comparison over xsd:integer typed literals;
-                # non-integer terms drop (the SPARQL type-error rule).
-                # RHS may be a computed expression (?b + 1) or ?var —
-                # those route to the two-sided numcmp kernel; a plain
-                # integer keeps the original single-column kernel
-                rexpr = _arith_expr()
-                if rexpr[0] is None and isinstance(rexpr[1], int):
-                    return (cmp_keys[op], var[1:], rexpr[1])
-                return (
-                    "numcmp",
-                    (cmp_keys[op], (None, var[1:], None), rexpr),
-                    "",
-                )
-            if op not in ("=", "!="):
-                raise SparqlUnsupportedError(f"unsupported FILTER operator {op!r}")
-            nxt = take()
-            if peek() in ("+", "-", "*", "/") and (
-                nxt.startswith("?") or nxt.isdigit()
-                or _IS_DEC_TOK.fullmatch(nxt)
-            ):
-                # computed RHS numeric equality: ?a = ?b + 1
-                if nxt.startswith("?"):
-                    first = nxt[1:]
-                elif nxt.isdigit():
-                    first = int(nxt)
-                else:
-                    first = ("dec", _dec_const(nxt))
-                rexpr = _arith_expr(first=first)
-                return (
-                    "numcmp",
-                    (cmp_keys[op], (None, var[1:], None), rexpr),
-                    "",
-                )
-            if _IS_DEC_TOK.fullmatch(nxt):
-                # ?a = 1.5 — numeric value equality via the decimal lane
-                return (
-                    "numcmp",
-                    (
-                        cmp_keys[op],
-                        (None, var[1:], None),
-                        (None, ("dec", _dec_const(nxt)), None),
-                    ),
-                    "",
-                )
-            val = _expand(nxt, prefixes, "object")
-            if val.startswith("?"):
-                # variable-to-variable term comparison: one vectorized
-                # column-vs-column kernel
-                return ("veq" if op == "=" else "vne", (var, val), "")
-            return ("eq" if op == "=" else "ne", var[1:], val)
-
-        # full boolean expression grammar over the simple conditions
-        # (SPARQL 1.1 §17.2 ConditionalOrExpression — && binds tighter
-        # than ||, parens nest arbitrarily):
-        #   or_expr  := and_expr ('||' and_expr)*
-        #   and_expr := primary ('&&' primary)*
-        #   primary  := '(' or_expr ')' | condition
-        # represented as ("and"/"or", (children...), "") nodes over the
-        # flat condition tuples; cond_mask evaluates them recursively.
-        # A top-level AND list is flattened into separate filter entries
-        # (each its own vectorized mask, ANDed streaming — the same
-        # physical plan as multiple FILTER clauses).
-        def parse_primary() -> tuple:
-            if peek() == "(":
-                take()
-                e = parse_or()
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing FILTER group")
-                return e
-            return parse_cond()
-
-        def parse_and() -> tuple:
-            kids = [parse_primary()]
-            while peek() == "&&":
-                take()
-                kids.append(parse_primary())
-            return kids[0] if len(kids) == 1 else ("and", tuple(kids), "")
-
-        def parse_or() -> tuple:
-            kids = [parse_and()]
-            while peek() == "||":
-                take()
-                kids.append(parse_and())
-            return kids[0] if len(kids) == 1 else ("or", tuple(kids), "")
-
-        expr = parse_or()
-        if take() != ")":
-            raise SparqlSyntaxError("expected ) closing FILTER")
-        if expr[0] == "and":
-            filters.extend(expr[1])
         else:
-            filters.append(expr)
+            filters.append(_filter_expr(cur, prefixes))
 
     optionals: list[_OptGroup] = []
     minus_groups: list[tuple[list, list, str]] = []
     exists_groups: list[tuple[list, list, str]] = []
-    binds: list[tuple[str, object, str]] = []
+    binds: list[tuple[_Expr, str]] = []
     subqueries: list[str] = []
 
     def take_bind() -> None:
-        # BIND ( expr AS ?alias ) with expr one of: STR/LANG/DATATYPE
-        # (?v), COALESCE(arg, ...), ?v (copy), or a ground term (const)
+        # BIND ( expr AS ?alias )
         if take() != "(":
             raise SparqlSyntaxError("expected ( after BIND")
-        t = take()
-        up = t.upper()
-        if up in ("STR", "LANG", "DATATYPE"):
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable")
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = {"STR": "str", "LANG": "lang", "DATATYPE": "dt"}[up], v
-        elif up in ("UCASE", "LCASE", "STRLEN"):
-            # string builtins in BIND: UCASE/LCASE preserve the
-            # language tag (SPARQL §17.4.3) and are defined over
-            # plain/lang-tagged literals only (typed literals and
-            # resources → error→unbound); STRLEN binds the xsd:integer
-            # length of the T6 Value (same kernel as the FILTER form)
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable")
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = up.lower(), v
-        elif up in ("STRLANG", "STRDT"):
-            # STRLANG(?v, "tag") / STRDT(?v, <dt>): construct a tagged
-            # / typed literal from a SIMPLE literal (anything else →
-            # error→unbound, per the SPARQL builtin definitions)
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable first")
-            if take() != ",":
-                raise SparqlSyntaxError(f"expected , in {up}")
-            second = take()
-            if up == "STRLANG":
-                if not (second.startswith('"') and second.endswith('"')):
-                    raise SparqlSyntaxError(
-                        'STRLANG needs a plain "tag" second argument'
-                    )
-                sec = second[1:-1]
-            else:
-                sec = _expand(second, prefixes, "object")
-                if not sec.startswith("<"):
-                    raise SparqlSyntaxError(
-                        "STRDT needs a datatype IRI second argument"
-                    )
-                sec = sec[1:-1]
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = up.lower(), (v, sec)
-        elif up in ("YEAR", "MONTH", "DAY", "HOURS", "MINUTES", "SECONDS"):
-            # date/time accessors (SPARQL §17.4.5) over xsd:date /
-            # xsd:dateTime literals — bind the component as an
-            # xsd:integer term (SECONDS: xsd:decimal); non-date
-            # bindings → error→unbound
-            # (HOURS/MINUTES/SECONDS additionally need the time part,
-            # so they are unbound on plain xsd:date)
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable")
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = "datefn", (up.lower(), v)
-        elif up in ("MD5", "SHA256"):
-            # hash builtins (SPARQL §17.4.4): hex digest of a simple
-            # literal, as a simple literal — document fingerprinting
-            # straight inside the query. MD5(?v) hashes the lexical
-            # form of a literal binding (other bindings →
-            # error→unbound); MD5(STR(?v)) hashes STR's value, so an
-            # IRI binding hashes its IRI string
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            via_str = v.upper() == "STR"
-            if via_str:
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( after STR")
-                v = take()
-                if not v.startswith("?"):
-                    raise SparqlSyntaxError("STR needs a ?variable")
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing STR")
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable")
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = "hash", (up.lower(), v, via_str)
-        elif up in ("ABS", "CEIL", "FLOOR", "ROUND"):
-            # XPath numeric builtins over the dual numeric lane:
-            # integer-typed rows pass through ABS as xsd:integer (CEIL/
-            # FLOOR/ROUND are identities on integers); decimal rows
-            # evaluate on the scale-6 lane and bind xsd:decimal (ROUND
-            # ties toward +inf per fn:round, FLOOR/CEIL toward ∓inf);
-            # non-numeric rows bind NULL (error→unbound)
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable")
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = "numfn", (up.lower(), v)
-        elif up == "COALESCE":
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after COALESCE")
-            args: list[str] = []
-            while True:
-                a = take()
-                args.append(a if a.startswith("?") else _expand(a, prefixes, "object"))
-                nxt = take()
-                if nxt == ")":
-                    break
-                if nxt != ",":
-                    raise SparqlSyntaxError("expected , or ) in COALESCE")
-            op, arg = "coalesce", tuple(args)
-        elif up == "CONCAT":
-            # CONCAT(part, ...) — parts are ?vars (contributing their
-            # T6 Value, i.e. STR(?v)) or plain "string" constants;
-            # result is a plain literal, unbound if any var is unbound
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after CONCAT")
-            parts: list[tuple[str, str]] = []
-            while True:
-                a = take()
-                if a.upper() == "STR" and peek() == "(":
-                    # CONCAT(STR(?v), ...) — the explicit idiom; a bare
-                    # ?v already contributes its T6 Value (= STR), so
-                    # the wrapper just unwraps
-                    take()
-                    a = take()
-                    if not a.startswith("?"):
-                        raise SparqlSyntaxError("STR needs a ?variable")
-                    if take() != ")":
-                        raise SparqlSyntaxError("expected ) closing STR")
-                if a.startswith("?"):
-                    parts.append(("var", a[1:]))
-                elif a.startswith('"') and a.endswith('"'):
-                    parts.append(("lit", a[1:-1]))
-                else:
-                    raise SparqlSyntaxError(
-                        "CONCAT parts must be ?variables, STR(?v) or "
-                        f'plain "strings", got {a!r}'
-                    )
-                nxt = take()
-                if nxt == ")":
-                    break
-                if nxt != ",":
-                    raise SparqlSyntaxError("expected , or ) in CONCAT")
-            op, arg = "concat", tuple(parts)
-        elif up == "SUBSTR":
-            # SUBSTR(?v, start [, len]) — 1-based character slice of
-            # the T6 Value, re-encoded as a plain literal
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after SUBSTR")
-            v = take()
-            if v.upper() == "STR" and peek() == "(":
-                # SUBSTR(STR(?v), ...): same unwrap as CONCAT — the
-                # slice is over the T6 Value either way
-                take()
-                v = take()
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing STR")
-            if not v.startswith("?"):
-                raise SparqlSyntaxError("SUBSTR needs a ?variable")
-            if take() != ",":
-                raise SparqlSyntaxError("expected , in SUBSTR")
-            start = take()
-            if not start.isdigit() or int(start) < 1:
-                raise SparqlSyntaxError(
-                    f"SUBSTR start must be a positive integer, got {start!r}"
-                )
-            nxt = take()
-            length = None
-            if nxt == ",":
-                ln = take()
-                if not ln.isdigit():
-                    raise SparqlSyntaxError(
-                        f"SUBSTR length must be an integer, got {ln!r}"
-                    )
-                length = int(ln)
-                nxt = take()
-            if nxt != ")":
-                raise SparqlSyntaxError("expected ) closing SUBSTR")
-            op, arg = "substr", (v[1:], int(start), length)
-        elif up == "REPLACE":
-            # REPLACE(?v, "regex", "replacement") over the T6 Value
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after REPLACE")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError("REPLACE needs a ?variable")
-            strs = []
-            for _ in range(2):
-                if take() != ",":
-                    raise SparqlSyntaxError("expected , in REPLACE")
-                t2 = take()
-                if not (t2.startswith('"') and t2.endswith('"')):
-                    raise SparqlSyntaxError(
-                        'REPLACE pattern/replacement must be plain "strings"'
-                    )
-                strs.append(t2[1:-1])
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing REPLACE")
-            op, arg = "replace", (v[1:], strs[0], strs[1])
-        elif up in ("STRBEFORE", "STRAFTER"):
-            # STRBEFORE/STRAFTER(?v, "sep") — "" when sep is absent
-            # (the SPARQL rule)
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {up}")
-            v = take()
-            if not v.startswith("?"):
-                raise SparqlSyntaxError(f"{up} needs a ?variable")
-            if take() != ",":
-                raise SparqlSyntaxError(f"expected , in {up}")
-            sep = take()
-            if not (sep.startswith('"') and sep.endswith('"')) or len(sep) < 3:
-                raise SparqlSyntaxError(
-                    f'{up} needs a non-empty plain "string" separator'
-                )
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {up}")
-            op, arg = up.lower(), (v[1:], sep[1:-1])
-        elif up == "IF":
-            # IF(?v = term, then, else) — the ternary over SPARQL term
-            # equality; then/else are ?vars (term copy) or ground terms
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after IF")
-            cv = take()
-            if not cv.startswith("?"):
-                raise SparqlSyntaxError("IF condition needs a ?variable")
-            bop = take()
-            if bop not in ("=", "!=", ">", "<", ">=", "<="):
-                raise SparqlUnsupportedError(
-                    f"IF condition supports = != > < >= <=, got {bop!r}"
-                )
-            ctok = take()
-            if bop in (">", "<", ">=", "<="):
-                # ordered IF conditions compare on the exact integer
-                # lane: the condition value must be a plain integer,
-                # the bound term an xsd:integer literal (non-integer →
-                # error→unbound per the SPARQL error rule)
-                neg = ctok.startswith("-")
-                if not (ctok[1:] if neg else ctok).isdigit():
-                    raise SparqlUnsupportedError(
-                        "ordered IF conditions need an integer constant"
-                    )
-                cval = int(ctok)
-            else:
-                cval = _expand(ctok, prefixes, "object")
-                if cval.startswith("?"):
-                    raise SparqlUnsupportedError(
-                        "variable-to-variable IF conditions are not supported"
-                    )
-            if take() != ",":
-                raise SparqlSyntaxError("expected , after IF condition")
-            tthen = take()
-            if not tthen.startswith("?"):
-                tthen = _expand(tthen, prefixes, "object")
-            if take() != ",":
-                raise SparqlSyntaxError("expected , after IF then-branch")
-            telse = take()
-            if not telse.startswith("?"):
-                telse = _expand(telse, prefixes, "object")
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing IF")
-            op, arg = "if", (cv[1:], bop, cval, tthen, telse)
-        elif (
-            t.startswith("?") or t.isdigit() or _IS_DEC_TOK.fullmatch(t)
-        ) and peek() in ("+", "-", "*", "/"):
-            # numeric arithmetic: a ⊕ b, operands ?var or unsigned
-            # number (negative constants via subtraction). Pure-integer
-            # + - * stay on the int64 fast lane; '/' and decimal
-            # operands evaluate on the scale-6 fixed-point lane and
-            # bind an xsd:decimal term (per-row: an all-integer row of
-            # a + - * expression still binds xsd:integer)
-            aop = take()
-
-            def _operand(tok: str):
-                if tok.startswith("?"):
-                    return tok
-                if tok.isdigit():
-                    return int(tok)
-                if _IS_DEC_TOK.fullmatch(tok):
-                    return ("dec", _dec_const(tok))
-                raise SparqlSyntaxError(
-                    "BIND arithmetic operands must be ?variables or "
-                    f"numbers, got {tok!r}"
-                )
-
-            op, arg = "arith", (aop, _operand(t), _operand(take()))
-        elif t.startswith("?"):
-            op, arg = "copy", t
-        else:
-            op, arg = "const", _expand(t, prefixes, "object")
+        e = _check(_ExprParser(cur, prefixes).or_())
+        _want(e, "term_or_num", "BIND")
         if take().upper() != "AS":
             raise SparqlSyntaxError("BIND needs AS ?alias")
         alias = take()
@@ -1915,7 +1495,7 @@ def parse(text: str) -> _Query:
             raise SparqlSyntaxError("BIND alias must be a ?variable")
         if take() != ")":
             raise SparqlSyntaxError("expected ) closing BIND")
-        binds.append((op, arg, alias[1:]))
+        binds.append((e, alias[1:]))
 
     pp_counter = [0]  # fresh hidden vars for property-path chaining
 
@@ -2068,7 +1648,9 @@ def parse(text: str) -> _Query:
                 pp_counter[0] += 1
                 into.append((cur, pv, nxt))
                 for pred in p[1]:
-                    filters.append(("ne", pv[1:], pred))
+                    filters.append(
+                        _Expr("!=", (_Expr("var", (pv[1:],)), _Expr("term", (pred,))))
+                    )
             else:
                 into.append((cur, p, nxt))
             cur = nxt
@@ -2680,7 +2262,7 @@ def _star_columns(q: _Query) -> list[str]:
             _star_columns(sub_q) if sub_q.select == ["*"] else sub_q.select
         ):
             add("?" + v)
-    for _, _, alias in q.binds:
+    for _, alias in q.binds:
         add("?" + alias)
     if not cols:
         raise SparqlUnsupportedError("SELECT * found no projectable variables")
@@ -2917,8 +2499,8 @@ def sparql_select(
             # refused with a typed error.
             fbad = [
                 x
-                for op, v, _ in grp.filters
-                for x in _filter_vars(op, v)
+                for f in grp.filters
+                for x in _vars(f)
                 if x not in g_vars
             ]
             if fbad:
@@ -2983,413 +2565,23 @@ def sparql_select(
 
     if q.binds:
         # BIND runs after the joins (arguments must be pattern-bound),
-        # before FILTER/aggregation so both can use the alias. Accessor
-        # binds re-enter TERM space: STR/LANG bind a plain literal
-        # ("value" — SPARQL's simple-literal return, in the engine's
-        # encoding, so FILTER ( ?alias = "x" ) composes), DATATYPE
-        # binds the <uri> resource term or NULL (unbound) when the
-        # term carries no datatype — BOUND() then works on it.
-        from ..terms import (
-            v_datatype,
-            v_language,
-            v_new_literal_term,
-            v_value,
-        )
-
-        _bacc = {"str": v_value, "lang": v_language, "dt": v_datatype}
-        for op, arg, alias in q.binds:
+        # before FILTER/aggregation so both can use the alias
+        for e, alias in q.binds:
             if alias in bound:
                 raise SparqlSyntaxError(f"BIND alias ?{alias} already bound")
-            if op == "concat":
-                used = [v for kind, v in arg if kind == "var"]
-            elif op in ("substr", "replace", "strbefore", "strafter"):
-                used = [arg[0]]
-            elif op == "if":
-                used = [arg[0]] + [
-                    t[1:] for t in (arg[3], arg[4]) if t.startswith("?")
-                ]
-            else:
-                args = arg if isinstance(arg, tuple) else (arg,)
-                used = [
-                    a[1:]
-                    for a in args
-                    if isinstance(a, str) and a.startswith("?")
-                ]
-            missing = [a for a in used if a not in bound]
-            if missing and op != "const":
+            missing = [v for v in _vars(e) if v not in bound]
+            if missing:
                 raise SparqlSyntaxError(f"BIND arguments never bound: {missing}")
             bound.append(alias)
-        bind_list = list(q.binds)
-
-        def apply_binds(batch: pa.Table) -> pa.Table:
-            for op, arg, alias in bind_list:
-                if op == "const":
-                    col = pa.array([arg] * batch.num_rows, pa.string())
-                elif op == "copy":
-                    col = batch[arg[1:]]
-                elif op == "coalesce":
-                    col = pc.coalesce(
-                        *[
-                            batch[a[1:]] if a.startswith("?") else pa.scalar(a)
-                            for a in arg
-                        ]
-                    )
-                elif op == "dt":
-                    raw = v_datatype(batch[arg[1:]])
-                    enc = pc.binary_join_element_wise("<", raw, ">", "")
-                    col = pc.if_else(
-                        pc.equal(raw, ""), pa.scalar(None, pa.string()), enc
-                    )
-                elif op == "concat":
-                    # vars contribute their T6 Value (STR); any unbound
-                    # var makes the result unbound (error→unbound)
-                    parts, valid = [], None
-                    for kind, v in arg:
-                        if kind == "lit":
-                            parts.append(v)
-                        else:
-                            c = batch[v]
-                            parts.append(v_value(c))
-                            iv = pc.is_valid(c)
-                            valid = iv if valid is None else pc.and_(valid, iv)
-                    raw = pc.binary_join_element_wise(*parts, "")
-                    if isinstance(raw, (str, pa.Scalar)):  # all-constant
-                        raw = pa.array(
-                            [raw if isinstance(raw, str) else raw.as_py()]
-                            * batch.num_rows,
-                            pa.string(),
-                        )
-                    col = v_new_literal_term(raw)
-                    if valid is not None:
-                        col = pc.if_else(
-                            valid, col, pa.scalar(None, pa.string())
-                        )
-                elif op == "substr":
-                    v, start, length = arg
-                    val = v_value(batch[v])
-                    if length is None:
-                        s = pc.utf8_slice_codeunits(val, start - 1)
-                    else:
-                        s = pc.utf8_slice_codeunits(
-                            val, start - 1, start - 1 + length
-                        )
-                    col = pc.if_else(
-                        pc.is_valid(batch[v]),
-                        v_new_literal_term(s),
-                        pa.scalar(None, pa.string()),
-                    )
-                elif op == "replace":
-                    v, pat, rep = arg
-                    s = pc.replace_substring_regex(
-                        v_value(batch[v]), pattern=pat, replacement=rep
-                    )
-                    col = pc.if_else(
-                        pc.is_valid(batch[v]),
-                        v_new_literal_term(s),
-                        pa.scalar(None, pa.string()),
-                    )
-                elif op in ("strbefore", "strafter"):
-                    import re as _re
-
-                    v, sep = arg
-                    val = v_value(batch[v])
-                    esc = _re.escape(sep)
-                    has = pc.match_substring(val, sep)
-                    # one anchored leftmost-match regex replace per
-                    # batch: strip from the FIRST separator to the end
-                    # (before) / from the start through it (after);
-                    # (?s) so values containing newlines still match
-                    if op == "strbefore":
-                        pat = f"(?s){esc}.*$"
-                    else:
-                        pat = f"(?s)^.*?{esc}"
-                    s = pc.replace_substring_regex(
-                        val, pattern=pat, replacement="", max_replacements=1
-                    )
-                    s = pc.if_else(has, s, pa.scalar(""))
-                    col = pc.if_else(
-                        pc.is_valid(batch[v]),
-                        v_new_literal_term(s),
-                        pa.scalar(None, pa.string()),
-                    )
-                elif op == "if":
-                    cv, bop, cval, tthen, telse = arg
-                    if bop in (">", "<", ">=", "<="):
-                        # ordered condition: exact integer lane — decode
-                        # the xsd:integer lexical; non-integer terms →
-                        # null mask → null output (error→unbound)
-                        mask = {
-                            ">": pc.greater, "<": pc.less,
-                            ">=": pc.greater_equal, "<=": pc.less_equal,
-                        }[bop](_int_value(batch[cv]), cval)
-                    else:
-                        mask = (pc.equal if bop == "=" else pc.not_equal)(
-                            batch[cv], cval
-                        )
-
-                    def _side(t):
-                        return (
-                            batch[t[1:]] if t.startswith("?") else pa.scalar(t)
-                        )
-
-                    col = pc.if_else(mask, _side(tthen), _side(telse))
-                    if isinstance(col, pa.Scalar):
-                        col = pa.array(
-                            [col.as_py()] * batch.num_rows, pa.string()
-                        )
-                elif op == "datefn":
-                    # YEAR/MONTH/DAY over xsd:date / xsd:dateTime
-                    # terms: one vectorized regex extract of the ISO
-                    # lexical, leading zeros dropped by the int cast,
-                    # re-encoded as an xsd:integer term (SECONDS as
-                    # xsd:decimal); anything else (unbound, non-date)
-                    # → null
-                    fn, dv = arg
-                    grp = {
-                        "year": "y", "month": "m", "day": "d",
-                        "hours": "hh", "minutes": "mm", "seconds": "ss",
-                    }[fn]
-                    if fn in ("hours", "minutes", "seconds"):
-                        # time components require the T… part (so a
-                        # plain xsd:date errors→unbound)
-                        pat = (
-                            r'^"\d{4}-\d{2}-\d{2}T(?P<hh>\d{2}):'
-                            r'(?P<mm>\d{2}):(?P<ss>\d{2}(?:\.\d+)?)'
-                            r'[^"]*"\^\^<'
-                            + re.escape(C.XSD_DATETIME)
-                            + r">$"
-                        )
-                    else:
-                        pat = (
-                            r'^"(?P<y>\d{4})-(?P<m>\d{2})-(?P<d>\d{2})'
-                            r'(?:T[^"]*)?"\^\^<(?:'
-                            + re.escape(C.XSD_DATE)
-                            + r"|"
-                            + re.escape(C.XSD_DATETIME)
-                            + r")>$"
-                        )
-                    part = pc.struct_field(
-                        pc.extract_regex(batch[dv[1:]], pat), grp
-                    )
-                    if fn == "seconds":
-                        # SECONDS is xsd:decimal (fractional seconds
-                        # kept) on the scale-6 lane; more than 6
-                        # fractional digits → unbound
-                        col = _dec_render(
-                            *_dec_decode(
-                                pc.binary_join_element_wise(
-                                    '"', part, f'"^^<{C.XSD_DECIMAL}>', ""
-                                )
-                            )
-                        )
-                    else:
-                        num = pc.cast(pc.cast(part, pa.int64()), pa.string())
-                        col = pc.if_else(
-                            pc.is_valid(num),
-                            pc.binary_join_element_wise(
-                                '"', num, f'"^^<{C.XSD_INTEGER}>', ""
-                            ),
-                            pa.scalar(None, pa.string()),
-                        )
-                elif op == "hash":
-                    # MD5/SHA256 hex digest of the lexical form of a
-                    # LITERAL binding (SPARQL §17.4.4), or of an IRI's
-                    # string under STR(); other and unbound rows →
-                    # null (error→unbound)
-                    import hashlib as _hl
-
-                    from ..terms import v_is_literal as _vil
-                    from ..terms import v_is_resource as _vir
-
-                    fn, hv, via_str = arg
-                    col_v = batch[hv[1:]]
-                    lex = v_value(col_v)
-                    hashable = _vil(col_v)
-                    if via_str:
-                        hashable = pc.or_(hashable, _vir(col_v))
-                    vals = []
-                    for s, ok in zip(lex.to_pylist(), hashable.to_pylist()):
-                        if not ok or s is None:
-                            vals.append(None)
-                        else:
-                            h = getattr(_hl, fn)(s.encode()).hexdigest()
-                            vals.append(f'"{h}"')
-                    col = pa.array(vals, pa.string())
-                elif op in ("ucase", "lcase"):
-                    # case-map the lexical form, PRESERVE the language
-                    # tag (§17.4.3); defined over plain/lang literals
-                    # only — typed literals and resources → unbound
-                    from ..terms import v_is_literal
-
-                    col0 = batch[arg[1:]]
-                    lex = (pc.utf8_upper if op == "ucase" else pc.utf8_lower)(
-                        v_value(col0)
-                    )
-                    base = v_new_literal_term(lex)  # handles escaping
-                    tag = v_language(col0)
-                    term = pc.binary_join_element_wise(
-                        base,
-                        pc.if_else(
-                            pc.equal(tag, ""),
-                            pa.scalar(""),
-                            pc.binary_join_element_wise("@", tag, ""),
-                        ),
-                        "",
-                    )
-                    ok = pc.and_(
-                        v_is_literal(col0), pc.equal(v_datatype(col0), "")
-                    )
-                    col = pc.if_else(
-                        pc.fill_null(ok, False),
-                        term,
-                        pa.scalar(None, pa.string()),
-                    )
-                elif op == "strlen":
-                    # xsd:integer length of the T6 Value — the same
-                    # kernel the FILTER STRLEN form uses
-                    col0 = batch[arg[1:]]
-                    n_ = pc.utf8_length(v_value(col0))
-                    col = pc.if_else(
-                        pc.is_valid(col0),
-                        pc.binary_join_element_wise(
-                            '"',
-                            pc.cast(n_, pa.string()),
-                            f'"^^<{C.XSD_INTEGER}>',
-                            "",
-                        ),
-                        pa.scalar(None, pa.string()),
-                    )
-                elif op in ("strlang", "strdt"):
-                    # construct a tagged/typed literal from a SIMPLE
-                    # literal by appending to the already-encoded term
-                    # (no re-escape needed) — anything else → unbound
-                    from ..terms import v_is_literal
-
-                    v, sec = arg
-                    col0 = batch[v[1:]]
-                    simple = pc.and_(
-                        pc.and_(
-                            v_is_literal(col0),
-                            pc.equal(v_language(col0), ""),
-                        ),
-                        pc.equal(v_datatype(col0), ""),
-                    )
-                    suffix = f"@{sec}" if op == "strlang" else f"^^<{sec}>"
-                    term = pc.binary_join_element_wise(col0, suffix, "")
-                    col = pc.if_else(
-                        pc.fill_null(simple, False),
-                        term,
-                        pa.scalar(None, pa.string()),
-                    )
-                elif op == "numfn":
-                    # ABS/CEIL/FLOOR/ROUND over the dual numeric lane:
-                    # integer-typed rows re-encode as xsd:integer (the
-                    # rounding fns are identities on integers), decimal
-                    # rows evaluate at scale 6 and bind xsd:decimal;
-                    # fn:round ties toward +inf, fn:floor/ceiling
-                    # toward ∓inf — all exact integer ops
-                    import numpy as np
-
-                    fn, var = arg
-                    ival_ = _int_value(batch[var[1:]])
-                    int_res = pc.abs(ival_) if fn == "abs" else ival_
-                    int_col = pc.binary_join_element_wise(
-                        '"',
-                        pc.cast(int_res, pa.string()),
-                        f'"^^<{C.XSD_INTEGER}>',
-                        "",
-                    )
-                    u, uval = _dec_decode(batch[var[1:]])
-                    S = _DEC_SCALE
-                    if fn == "abs":
-                        dres = np.abs(u)
-                    elif fn == "floor":
-                        dres = (u // S) * S
-                    elif fn == "ceil":
-                        dres = -((-u) // S) * S
-                    else:  # round: half toward +inf (fn:round)
-                        dres = ((u + S // 2) // S) * S
-                    dec_col = _dec_render(dres, uval)
-                    col = pc.coalesce(int_col, dec_col)
-                elif op == "arith":
-                    # dual lane: the int64 fast lane decodes xsd:integer
-                    # lexicals (non-integer terms → null), the scale-6
-                    # decimal lane handles '/' and rows with decimal
-                    # operands; the per-row coalesce keeps all-integer
-                    # + - * rows bit-identical to the pure-integer path
-                    # while mixed rows bind an xsd:decimal term.
-                    # Non-numeric terms are null in BOTH lanes → unbound
-                    # (SPARQL's error→unbound)
-                    import numpy as np
-
-                    aop, lhs, rhs = arg
-                    int_col = None
-                    if aop != "/" and not any(
-                        isinstance(x, tuple) for x in (lhs, rhs)
-                    ):
-
-                        def ival(operand):
-                            if isinstance(operand, int):
-                                return pa.scalar(operand, pa.int64())
-                            return _int_value(batch[operand[1:]])
-
-                        res = {
-                            "+": pc.add, "-": pc.subtract, "*": pc.multiply
-                        }[aop](ival(lhs), ival(rhs))
-                        int_col = pc.binary_join_element_wise(
-                            '"',
-                            pc.cast(res, pa.string()),
-                            f'"^^<{C.XSD_INTEGER}>',
-                            "",
-                        )
-                        if isinstance(int_col, pa.Scalar):  # const ⊕ const
-                            int_col = pa.array(
-                                [int_col.as_py()] * batch.num_rows,
-                                pa.string(),
-                            )
-
-                    n = batch.num_rows
-
-                    def dval(operand):
-                        if isinstance(operand, int):
-                            return (
-                                np.full(n, operand * _DEC_SCALE, np.int64),
-                                np.ones(n, bool),
-                            )
-                        if isinstance(operand, tuple):  # ("dec", unscaled)
-                            return (
-                                np.full(n, operand[1], np.int64),
-                                np.ones(n, bool),
-                            )
-                        return _dec_decode(batch[operand[1:]])
-
-                    la, lv = dval(lhs)
-                    ra, rv = dval(rhs)
-                    dvals, dvalid = _dec_arith(aop, la, lv, ra, rv)
-                    dec_col = _dec_render(dvals, dvalid)
-                    col = (
-                        dec_col
-                        if int_col is None
-                        else pc.coalesce(int_col, dec_col)
-                    )
-                else:
-                    col = v_new_literal_term(_bacc[op](batch[arg[1:]]))
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                batch = batch.append_column(alias, col)
-            return batch
-
-        joined = joined.map_batches(apply_binds, batch_format="pyarrow")
+        joined = joined.map_batches(
+            _bind_batch, fn_kwargs={"binds": list(q.binds)}, batch_format="pyarrow"
+        )
 
     if q.filters:
         # applied after the BGP joins, while every bound variable is in
-        # scope (filters may reference unselected vars) — one vectorized
-        # kernel per condition via the module-level _cond_mask (shared
-        # with OPTIONAL/EXISTS group filters), streaming.
-        bad = [
-            x for op, v, _ in q.filters for x in _filter_vars(op, v)
-            if x not in bound
-        ]
+        # scope (filters may reference unselected vars) — one streaming
+        # map over the conjunction of the constraints
+        bad = [x for f in q.filters for x in _vars(f) if x not in bound]
         if bad:
             raise SparqlSyntaxError(f"FILTER variables never bound: {bad}")
         joined = _apply_filters_ds(joined, q.filters)
@@ -3426,9 +2618,7 @@ def sparql_select(
             )
         outer_refs: list[str] = []
         if grp_filters:
-            fvars = {
-                x for op, v, _ in grp_filters for x in _filter_vars(op, v)
-            }
+            fvars = {x for f in grp_filters for x in _vars(f)}
             outer_refs = sorted(v for v in fvars if v not in grp_vars)
             fbad = [
                 v

@@ -1,19 +1,26 @@
-"""Property tests for the SPARQL front end (parser only — no Ray).
+"""Property tests for the SPARQL front end and expression evaluator
+(no Ray).
 
 The subset contract says anything outside the grammar raises a TYPED
 error (`SparqlSyntaxError` / `SparqlUnsupportedError`) instead of
 crashing or silently misparsing. Fuzz both arbitrary text and
 grammar-adjacent token soup: the parser must never escape with an
-IndexError/KeyError/AttributeError.
+IndexError/KeyError/AttributeError. FILTER expressions generated from
+the grammar must evaluate, over a binding table with unbound cells,
+exactly as a plain row-at-a-time SPARQL 1.1 §17.2 evaluator says.
 """
 
 from __future__ import annotations
 
+import re
+
+import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
 from ontograph_ray.store.sparql import (
     SparqlSyntaxError,
     SparqlUnsupportedError,
+    _eval,
     _parse_update,
     parse,
 )
@@ -38,6 +45,10 @@ _words = st.sampled_from(
         # round-5 decimal-lane tokens: decimal constants (valid and
         # over-precise), BIND/FILTER division
         "0.5", "1.2345678", "BIND",
+        # expression-language tokens: boolean and arithmetic operators,
+        # builtins of FILTER, BIND and IF
+        "&&", "||", "*", "IF", "COALESCE", "STRLEN", "CONCAT", "IN",
+        "STR", "REGEX", "BOUND", "isIRI",
     ]
 )
 _soup = st.lists(_words, min_size=0, max_size=25).map(" ".join)
@@ -94,3 +105,89 @@ def test_valid_bgps_parse_and_keep_patterns(pats):
     for (s, p, o), got in zip(pats, parsed.patterns):
         if p == "a":
             assert got[1].startswith("<http://www.w3.org/")
+
+
+# --- the expression evaluator against a row-at-a-time reference ---------
+
+_XI = "^^<http://www.w3.org/2001/XMLSchema#integer>"
+_ROWS = {
+    "a": [f'"1"{_XI}', f'"5"{_XI}', "<urn:x>", '"lit"', None, f'"-3"{_XI}', '"7"@en', None],
+    "b": [None, f'"5"{_XI}', f'"2"{_XI}', "<urn:x>", '"lit"', None, f'"9"{_XI}', '"z"'],
+}
+_TABLE = pa.table({k: pa.array(v, pa.string()) for k, v in _ROWS.items()})
+_GROUND = ["<urn:x>", '"lit"', f'"5"{_XI}', '"7"@en']
+
+
+def _int(v):
+    m = re.fullmatch(r'"([+-]?\d+)"' + re.escape(_XI), v)
+    return int(m.group(1)) if m else None
+
+
+def _cmp(op, x, y):
+    if x is None or y is None:
+        return None  # an error: unbound or not a number
+    return {"=": x == y, "!=": x != y, "<": x < y, ">": x > y}[op]
+
+
+def _and(x, y):  # §17.2 logical-and
+    if x is False or y is False:
+        return False
+    return None if x is None or y is None else True
+
+
+def _or(x, y):  # §17.2 logical-or
+    if x is True or y is True:
+        return True
+    return None if x is None or y is None else False
+
+
+_var = st.sampled_from(["a", "b"])
+_atoms = st.one_of(
+    st.builds(
+        lambda v: (f"BOUND(?{v})", lambda r: r[v] is not None), _var
+    ),
+    st.builds(
+        lambda f, v, neg: (
+            f"{'!' if neg else ''}{f}(?{v})",
+            lambda r: None if r[v] is None else (r[v][0] == ("<" if f == "isIRI" else '"')) != neg,
+        ),
+        st.sampled_from(["isIRI", "isLiteral"]),
+        _var,
+        st.booleans(),
+    ),
+    st.builds(
+        lambda v, op, t: (f"?{v} {op} {t}", lambda r: _cmp(op, r[v], t)),
+        _var, st.sampled_from(["=", "!="]), st.sampled_from(_GROUND),
+    ),
+    st.builds(
+        lambda op: (f"?a {op} ?b", lambda r: _cmp(op, r["a"], r["b"])),
+        st.sampled_from(["=", "!="]),
+    ),
+    st.builds(
+        lambda v, op, n: (
+            f"?{v} {op} {n}",
+            lambda r: None if r[v] is None else _cmp(op, _int(r[v]), n),
+        ),
+        _var, st.sampled_from(["<", ">"]), st.integers(-4, 6),
+    ),
+)
+_exprs = st.recursive(
+    _atoms,
+    lambda sub: st.builds(
+        lambda x, op, y: (
+            f"( {x[0]} {op} {y[0]} )",
+            lambda r: (_and if op == "&&" else _or)(x[1](r), y[1](r)),
+        ),
+        sub, st.sampled_from(["&&", "||"]), sub,
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs)
+def test_eval_matches_row_reference(expr):
+    text, ref = expr
+    cond = parse(f"SELECT * WHERE {{ ?s ?p ?o . FILTER ( {text} ) }}").filters[0]
+    rows = [dict(zip(_ROWS, vals)) for vals in zip(*_ROWS.values())]
+    assert _eval(_TABLE, cond).to_pylist() == [ref(r) for r in rows], text

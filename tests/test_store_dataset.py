@@ -3551,6 +3551,161 @@ class TestSparqlCoalesceCmp:
         assert "<urn:e4>" not in set(out2["e"]) and len(set(out2["e"])) == 4
 
 
+class TestSparqlExpressionLanguage:
+    """FILTER, BIND and IF share one expression tree and one evaluator:
+    a comparison reads both numeric lanes wherever it appears, and the
+    compositions the one grammar admits answer per SPARQL 1.1 §17."""
+
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+
+    def _store(self, trps):
+        from ontograph_ray.store import DatasetGraphStore
+
+        return DatasetGraphStore.from_triples("urn:g", trps)
+
+    def _nums(self, *vals):
+        from ontograph_ray import terms
+        from ontograph_ray.triples import new_triple
+
+        r, l = terms.new_resource_term, terms.new_literal_term
+        return self._store(
+            [
+                new_triple(r(f"urn:e{i}"), r("urn:v"), l(lex, datatype=self.XSD + dt))
+                for i, (lex, dt) in enumerate(vals)
+            ]
+        )
+
+    def _q(self, ds, text):
+        from ontograph_ray.store.sparql import sparql_select
+
+        return sparql_select(ds, text).to_pandas()
+
+    # ?w is bound nowhere: the OPTIONAL leaves it unbound on every row
+    _WHERE = "?e <urn:v> ?v . OPTIONAL { ?e <urn:w> ?w }"
+
+    def _kept(self, ds, flt):
+        out = self._q(ds, f"SELECT ?e WHERE {{ {self._WHERE} FILTER ( {flt} ) }}")
+        return sorted(out["e"]) if len(out) else []
+
+    def _bound(self, ds, expr):
+        out = self._q(
+            ds,
+            f"SELECT ?e ?z WHERE {{ {self._WHERE} BIND ( {expr} AS ?z ) }} ORDER BY ?e",
+        )
+        return [None if z is None or z != z else z for z in out["z"]]
+
+    def test_numeric_lanes_agree(self, ray_session):
+        # the same comparison answers the same through every parse path:
+        # a bare integer constant, a decimal constant, arithmetic, IF
+        ds = self._nums(("3", "integer"), ("4.5", "decimal"), ("7", "integer"))
+        for flt in ("?v < 5", "?v < 5.0", "?v + 0 < 5"):
+            assert self._kept(ds, flt) == ["<urn:e0>", "<urn:e1>"], flt
+        assert self._bound(ds, 'IF(?v < 5, "lo", "hi")') == ['"lo"', '"lo"', '"hi"']
+
+    def test_signed_lexicals_on_the_decimal_lane(self, ray_session):
+        # one optional sign, '+' meaning positive: "-+5" is no numeral
+        ds = self._nums(
+            ("-+5", "integer"), ("+5", "integer"), ("-5", "integer"), ("-4.5", "decimal")
+        )
+        assert self._kept(ds, "?v / 1 < 0") == ["<urn:e2>", "<urn:e3>"]
+        dec = f"^^<{self.XSD}decimal>"
+        assert self._bound(ds, "?v + 0.5") == [
+            None, f'"5.5"{dec}', f'"-4.5"{dec}', f'"-4.0"{dec}'
+        ]
+
+    def test_compositions_the_grammar_admits(self, ray_session):
+        # each of these was refused before FILTER, BIND and IF shared one
+        # grammar; the answers are the §17 ones
+        from ontograph_ray import terms
+        from ontograph_ray.triples import new_triple
+
+        r, l = terms.new_resource_term, terms.new_literal_term
+        xi, xd = f"^^<{self.XSD}integer>", f"^^<{self.XSD}decimal>"
+        ds = self._store(
+            [
+                new_triple(r("urn:e0"), r("urn:v"), l("3", datatype=self.XSD + "integer")),
+                new_triple(r("urn:e1"), r("urn:v"), l("12", datatype=self.XSD + "integer")),
+                new_triple(r("urn:e2"), r("urn:v"), l("2.5", datatype=self.XSD + "decimal")),
+                new_triple(r("urn:e3"), r("urn:v"), l("a@b.org")),
+                new_triple(r("urn:e4"), r("urn:v"), r("urn:x")),
+            ]
+        )
+        kept = lambda f: self._kept(ds, f)  # noqa: E731
+        # a constant on the left; = / != against an integer is numeric
+        assert kept("5 < ?v") == ["<urn:e1>"]
+        assert kept("?v = 3") == ["<urn:e0>"]
+        assert kept('"a@b.org" = ?v') == ["<urn:e3>"]
+        # arithmetic of any shape, precedence * over +, unary minus on
+        # an expression, numeric builtins as operands anywhere
+        assert kept("?v + 2 * 3 > 10") == ["<urn:e1>"]
+        assert kept("(?v + 1) * 2 = 8") == ["<urn:e0>"]
+        assert kept("-(?v - 4) > 0") == ["<urn:e0>", "<urn:e2>"]
+        assert kept("1 + ABS(?v - 10) <= 3") == ["<urn:e1>"]
+        assert kept("STRLEN(?v) > ?v") == ["<urn:e2>"]  # "2.5" has 3 chars
+        # string builtins compared with a plain string; term builtins and
+        # COALESCE compared by term identity, also with a variable
+        assert kept('STRBEFORE(?v, "@") = "a"') == ["<urn:e3>"]
+        assert kept('CONCAT(STR(?v), "!") = "urn:x!"') == ["<urn:e4>"]
+        assert kept("DATATYPE(?v) = DATATYPE(?v) && COALESCE(?v, 0) = ?v") == [
+            "<urn:e0>", "<urn:e1>", "<urn:e2>", "<urn:e3>"
+        ]
+        assert kept('COALESCE("k") = "k" && COALESCE(?w, "k") = "k"') == [
+            "<urn:e0>", "<urn:e1>", "<urn:e2>", "<urn:e3>", "<urn:e4>"
+        ]
+        assert kept("COALESCE(?v, 0) = 12") == ["<urn:e1>"]
+        # BIND: numbers, nested arithmetic and numeric builtins, unary
+        # minus, COALESCE and IF over numbers, IF's numeric conditions
+        bound = lambda x: self._bound(ds, x)  # noqa: E731
+        assert bound("-2.50") == [f'"-2.50"{xd}'] * 5
+        assert bound("ABS(?v - 10) + STRLEN(?v)") == [
+            f'"8"{xi}', f'"4"{xi}', f'"10.5"{xd}', None, None
+        ]
+        assert bound("-?v") == [f'"-3"{xi}', f'"-12"{xi}', f'"-2.5"{xd}', None, None]
+        assert bound("COALESCE(?w, 0)") == [f'"0"{xi}'] * 5
+        assert bound("IF(?v > 2.5, 1, 0)") == [f'"1"{xi}', f'"1"{xi}', f'"0"{xi}', None, None]
+        assert bound('IF(?v = 12, "x", "y")') == ['"y"', '"x"', '"y"', None, None]
+        assert bound('IF(?v > -4, "x", "y")') == ['"x"', '"x"', '"x"', None, None]
+
+    def test_errors_are_errors(self, ray_session):
+        # an accessor over an unbound variable, LCASE over an IRI and
+        # DATATYPE over an IRI are §17 errors; DATATYPE of an untyped
+        # literal is xsd:string / rdf:langString
+        from ontograph_ray import terms
+        from ontograph_ray.triples import new_triple
+
+        r, l = terms.new_resource_term, terms.new_literal_term
+        ds = self._store(
+            [
+                new_triple(r("urn:p1"), r("urn:name"), l("ann")),
+                new_triple(r("urn:p2"), r("urn:name"), r("urn:Ann")),
+                new_triple(r("urn:p3"), r("urn:name"), l("bo", "en")),
+                new_triple(r("urn:p1"), r("urn:knows"), r("urn:p2")),
+            ]
+        )
+        base = "SELECT * WHERE { ?p <urn:name> ?n . OPTIONAL { ?p <urn:knows> ?q } "
+
+        def ps(tail):
+            out = self._q(ds, base + tail + " }")
+            return sorted(out["p"]) if len(out) else []
+
+        assert ps('FILTER ( STR(?q) = "" )') == []
+        assert ps('FILTER ( !BOUND(?q) && ( STRLEN(?q) = 0 || STRSTARTS(?q, "") ) )') == []
+        assert ps('FILTER ( LCASE(?n) = "urn:ann" )') == []
+        assert ps(f"FILTER ( DATATYPE(?n) != <{self.XSD}integer> )") == [
+            "<urn:p1>", "<urn:p3>"
+        ]
+        out = self._q(
+            ds,
+            base + "BIND ( STR(?q) AS ?x ) BIND ( DATATYPE(?n) AS ?d ) } ORDER BY ?p",
+        )
+        assert out["x"].isna().tolist() == [False, True, True]
+        assert out["d"].tolist()[0] == f"<{self.XSD}string>"
+        assert out["d"].isna().tolist()[1]
+        assert out["d"].tolist()[2] == (
+            "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>"
+        )
+
+
 class TestSparqlSubqueryStar:
     """{ SELECT * } subquery bodies: projection derived statically."""
 
