@@ -155,9 +155,11 @@ one vectorized evaluator (``_eval``), null standing for error/unbound:
     = !=         two terms by identity (encoded term equality); a string
                  builtin against a plain "string" by lexical form (a
                  language tag is ignored); a number against a number or
-                 ?v by value
+                 ?v by value, an IRI or blank node being unequal to a
+                 number (§17.3 RDFterm-equal)
     + - * / -x   numeric. Two lanes, coalesced per row: int64 over
-                 xsd:integer lexicals (one optional sign) for + - *, and
+                 xsd:integer lexicals (one optional sign; a value beyond
+                 int64 is an error) for + - *, and
                  an exact scale-6 fixed-point lane for '/' and decimal
                  operands (xsd:decimal / plain-form xsd:double, at most
                  6 fractional digits, half-away-from-zero rounding where
@@ -269,16 +271,33 @@ from ..terms import (
 )
 
 # encoded xsd:integer literal term → named lexical-value group (shared
-# by numeric FILTER and BIND arithmetic)
+# by the numeric lanes and SUM/AVG)
 _INT_LIT_RE = r'^"(?P<v>[+-]?\d+)"\^\^<' + re.escape(C.XSD_INTEGER) + r">$"
+_INT64_MAX = str((1 << 63) - 1)
+_INT64_MIN = str(1 << 63)  # the magnitude of int64's minimum
 
 
 def _int_value(col):
-    """xsd:integer literal terms → int64; null where a term is not one.
+    """xsd:integer literal terms → int64; null where a term is not one,
+    or where its value lies outside int64 (so the cast cannot throw).
     The lexical may carry a sign (``"+5"``, ``"-5"``); Arrow's cast
     reads no leading ``+``, so it is trimmed first."""
     lex = pc.struct_field(pc.extract_regex(col, _INT_LIT_RE), "v")
-    return pc.cast(pc.utf8_ltrim(lex, characters="+"), pa.int64())
+    lex = pc.utf8_ltrim(lex, characters="+")
+    # only a batch holding a lexical as long as int64's bound pays the
+    # range check: the magnitude's digits, leading zeros dropped, ordered
+    # as strings against the bound (equal-length digit strings order as
+    # their numbers do)
+    if (pc.max(pc.utf8_length(lex)).as_py() or 0) >= len(_INT64_MAX):
+        mag = pc.utf8_ltrim(lex, characters="-0")
+        n = pc.utf8_length(mag)
+        lim = pc.if_else(pc.starts_with(lex, "-"), _INT64_MIN, _INT64_MAX)
+        fits = pc.or_(
+            pc.less(n, len(_INT64_MAX)),
+            pc.and_(pc.equal(n, len(_INT64_MAX)), pc.less_equal(mag, lim)),
+        )
+        lex = pc.if_else(fits, lex, pa.scalar(None, pa.string()))
+    return pc.cast(lex, pa.int64())
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +953,17 @@ def _filter_expr(cur: _Cursor, prefixes: dict) -> _Expr:
 
 def _col(batch: pa.Table, name: str) -> pa.Array:
     """A binding column as one plain string array."""
-    c = batch[name].combine_chunks()
+    c = batch[name]
+    c = c.chunk(0) if c.num_chunks == 1 else c.combine_chunks()
     return c if c.type == pa.string() else c.cast(pa.string())
+
+
+def _decoded(batch: pa.Table, e: _Expr) -> pa.Table:
+    """``batch`` with each column ``e`` reads made one plain string array,
+    so a variable read k times is decoded once."""
+    for name in set(_vars(e)) & set(batch.column_names):
+        batch = batch.set_column(batch.column_names.index(name), name, _col(batch, name))
+    return batch
 
 
 def _const(n: int, term: str) -> pa.Array:
@@ -988,10 +1016,13 @@ def _text(batch: pa.Table, e: _Expr) -> pa.Array:
 
 
 def _num(batch: pa.Table, e: _Expr) -> _Num:
-    """A node's value on the numeric lanes; a term column decodes its
+    return _as_num(_eval(batch, e))
+
+
+def _as_num(v) -> _Num:
+    """A value on the numeric lanes; a term column decodes its
     xsd:integer rows to the integer lane and only the REST on the
     decimal lane."""
-    v = _eval(batch, e)
     if isinstance(v, _Num):
         return v
     i = _int_value(v)
@@ -1046,14 +1077,30 @@ def _compare(op: str):
         if "str" in kinds:
             return _ARROW_CMP[op](_text(batch, x), _text(batch, y))
         if op in ("=", "!=") and "num" not in kinds:
-            return _ARROW_CMP[op](_term(batch, x), _term(batch, y))
-        a, b = _num(batch, x), _num(batch, y)
+            # a ground term side compares as one scalar; two ground sides
+            # stay arrays, so the mask keeps a row per binding
+            both = x.op == y.op == "term"
+            tx, ty = [
+                pa.scalar(e.args[0], pa.string()) if e.op == "term" and not both
+                else _term(batch, e)
+                for e in (x, y)
+            ]
+            return _ARROW_CMP[op](tx, ty)
+        vx, vy = _eval(batch, x), _eval(batch, y)
+        a, b = _as_num(vx), _as_num(vy)
         m = _ARROW_CMP[op](a.i, b.i)
         if not m.null_count:
             return m
         (ad, av), (bd, bv) = _dec_lane(a), _dec_lane(b)
         dm = pc.if_else(pa.array(av & bv), pa.array(_NP_CMP[op](ad, bd)), _NULL_BOOL)
-        return pc.coalesce(m, dm)
+        m = pc.coalesce(m, dm)
+        if op in ("=", "!="):
+            # §17.3: a number against an IRI or blank node is RDFterm-equal,
+            # false (against another literal it stays a type error)
+            for v in (vx, vy):
+                if not isinstance(v, _Num):
+                    m = pc.if_else(v_is_resource(v), op == "!=", m)
+        return m
 
     return k
 
@@ -1296,7 +1343,7 @@ _SIGNATURES = {
 
 
 def _filter_batch(batch: pa.Table, cond: _Expr) -> pa.Table:
-    return batch.filter(pc.fill_null(_eval(batch, cond), False))
+    return batch.filter(pc.fill_null(_eval(_decoded(batch, cond), cond), False))
 
 
 def _apply_filters_ds(ds, filters):
@@ -1309,7 +1356,7 @@ def _apply_filters_ds(ds, filters):
 def _bind_batch(batch: pa.Table, binds) -> pa.Table:
     """BIND: append each alias column, in order, so aliases chain."""
     for e, alias in binds:
-        batch = batch.append_column(alias, _term(batch, e))
+        batch = batch.append_column(alias, _term(_decoded(batch, e), e))
     return batch
 
 

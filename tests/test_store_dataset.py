@@ -3613,6 +3613,14 @@ class TestSparqlExpressionLanguage:
             None, f'"5.5"{dec}', f'"-4.5"{dec}', f'"-4.0"{dec}'
         ]
 
+    def test_integers_beyond_int64_are_errors(self, ray_session):
+        # a valid xsd:integer outside int64 is outside the numeric lanes:
+        # its row is a type error on both lanes, and no kernel raises
+        ds = self._nums(("99999999999999999999", "integer"), ("3", "integer"))
+        for flt in ("?v < 5.0", "?v / 1 > 0", "?v < 5", "COALESCE(?v, 0) < 5"):
+            assert self._kept(ds, flt) == ["<urn:e1>"], flt
+        assert self._bound(ds, "?v + 1") == [None, f'"4"^^<{self.XSD}integer>']
+
     def test_compositions_the_grammar_admits(self, ray_session):
         # each of these was refused before FILTER, BIND and IF shared one
         # grammar; the answers are the §17 ones
@@ -3634,6 +3642,9 @@ class TestSparqlExpressionLanguage:
         # a constant on the left; = / != against an integer is numeric
         assert kept("5 < ?v") == ["<urn:e1>"]
         assert kept("?v = 3") == ["<urn:e0>"]
+        # §17.3: a number and an IRI are RDFterm-unequal; a number and a
+        # plain literal are a type error
+        assert kept("?v != 3") == ["<urn:e1>", "<urn:e2>", "<urn:e4>"]
         assert kept('"a@b.org" = ?v') == ["<urn:e3>"]
         # arithmetic of any shape, precedence * over +, unary minus on
         # an expression, numeric builtins as operands anywhere
@@ -3663,7 +3674,7 @@ class TestSparqlExpressionLanguage:
         assert bound("-?v") == [f'"-3"{xi}', f'"-12"{xi}', f'"-2.5"{xd}', None, None]
         assert bound("COALESCE(?w, 0)") == [f'"0"{xi}'] * 5
         assert bound("IF(?v > 2.5, 1, 0)") == [f'"1"{xi}', f'"1"{xi}', f'"0"{xi}', None, None]
-        assert bound('IF(?v = 12, "x", "y")') == ['"y"', '"x"', '"y"', None, None]
+        assert bound('IF(?v = 12, "x", "y")') == ['"y"', '"x"', '"y"', None, '"y"']
         assert bound('IF(?v > -4, "x", "y")') == ['"x"', '"x"', '"x"', None, None]
 
     def test_errors_are_errors(self, ray_session):
