@@ -73,6 +73,15 @@ GAZETTEER = (
 # rewrite + connected_components) takes over.
 DRIVER_SMALL_MAX = 2_000_000
 
+# Fewest pages one task of the mention chain (detect → link → rewrite,
+# fused by Ray Data) takes: blocks of at least this many pages run one
+# task each, so no task bundles several large blocks and sets the wall;
+# smaller blocks are bundled up to it, so a small build does not pay
+# per-task overhead for ~30-page tasks, nor write one output file per
+# tiny block (a 1,000-page store went from 18 to 33 files, and its
+# read_parquet count() from 0.03 to 0.2-0.9 s, on 4 CPUs).
+MENTION_TASK_MIN_PAGES = 2048
+
 MENTIONS_PROP = f"{ONTO}#mentions"
 COOCCURS_PROP = f"{ONTO}#cooccursWith"
 IN_LANGUAGE_PROP = f"{ONTO}#inLanguage"
@@ -108,22 +117,33 @@ def _compile_gazetteer(gaz) -> pa.Array:
     return pa.array(sorted(set(gaz)), pa.string())
 
 
-def hits(batch: pa.Table, gaz_ref=None):
-    """P3+P5 detect kernel: one tokenize + gazetteer-select pass →
-    (surfaces, parent row indices). The gazetteer value-set array is
-    compiled once per worker; per batch it is is_in/take kernels — no
-    per-row Python. The shared kernel for every detect-shaped stage;
-    callers build only the columns they actually keep — building
-    alias/url URI strings for hits that a downstream distinct
-    immediately collapses is pure allocator traffic, and at 32-way
-    concurrency allocator/memory bandwidth (not CPU) is what these
-    stages contend on."""
+def _detect(batch: pa.Table, gaz_ref=None):
+    """P3+P5 detect kernel: one tokenize + gazetteer-lookup pass →
+    (gazetteer, per-hit gazetteer index g, per-hit parent row). A hit
+    is coded by integers, so each caller makes its distinct over one
+    int64 key (``_distinct``) and builds strings only for the distinct
+    rows; the sorted gazetteer array is compiled once per worker. This
+    pass is most of what both detect kernels cost: ≈20-25 ms of their
+    ≈24 and ≈30 ms on a 5,000-page batch (one thread, 4-CPU box)."""
     gaz = cached_get(
         _BCAST_CACHE, GAZETTEER if gaz_ref is None else gaz_ref, _compile_gazetteer
     )
     flat, parents = _tokenize(batch["text"])
-    sel = np.flatnonzero(pc.is_in(flat, value_set=gaz).to_numpy(zero_copy_only=False))
-    return pc.take(flat, pa.array(sel, pa.int64())), parents[sel]
+    g = pc.fill_null(pc.index_in(flat, value_set=gaz), -1).to_numpy()
+    sel = np.flatnonzero(g >= 0)
+    return gaz, g[sel].astype(np.int64), parents[sel]
+
+
+def _distinct(keys: np.ndarray, space: int) -> np.ndarray:
+    """Sorted distinct values of int64 ``keys`` in [0, space): a mark
+    array, O(n) where ``np.unique``'s sort is O(n log n), when the key
+    space is small next to the keys (every detect key space is bounded
+    by the gazetteer); ``np.unique`` past that."""
+    if space > 8 * len(keys) + 65536:
+        return np.unique(keys)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
 
 
 def _mentions_distinct_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
@@ -133,19 +153,21 @@ def _mentions_distinct_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
     downstream pass would see dynamically re-split blocks, where one
     page's mention rows can straddle a block boundary and batch-local
     distinct silently under-deduplicates (caught as a varying triple
-    count between benchmark runs)."""
-    surf, par = hits(batch, gaz_ref)
-    par_arr = pa.array(par, pa.int64())
-    m = pa.table(
+    count between benchmark runs). The distinct is over the int64 key
+    parent × |gazetteer| + g, and the (url, lang, surface) strings are
+    taken once per distinct mention: ≈24 ms on a 5,000-page batch
+    where a string ``group_by`` took ≈80 ms. Two rows with the same
+    url stay separate rows here; ``unique_urls=False`` dedups them."""
+    gaz, g, par = _detect(batch, gaz_ref)
+    key = _distinct(par * len(gaz) + g, batch.num_rows * len(gaz))
+    page = key // len(gaz)
+    return pa.table(
         {
-            "url": pc.take(batch["url"], par_arr),
-            "lang": pc.take(batch["lang"], par_arr),
-            "surface": surf,
+            "url": pc.take(batch["url"], page),
+            "lang": pc.take(batch["lang"], page),
+            "surface": pc.take(gaz, key % len(gaz)),
         }
     )
-    if m.num_rows == 0:
-        return m
-    return m.group_by(["url", "lang", "surface"], use_threads=False).aggregate([])
 
 
 def _ent_rel_partials_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
@@ -154,74 +176,43 @@ def _ent_rel_partials_batch(batch: pa.Table, gaz_ref=None) -> pa.Table:
     entities; kind='r' → per-batch distinct (src, dst) relation pairs.
     Sharing the pass halves the corpus tokenization work the entity
     and relation stages would otherwise each redo; the outputs are
-    tiny (bounded by the distinct sets, not the corpus)."""
-    surf, par = hits(batch, gaz_ref)
-    par_arr = pa.array(par, pa.int64())
-    lang = pc.take(batch["lang"], par_arr)
-    ents = (
-        pa.table({"surface": surf, "lang": lang})
-        .group_by(["surface", "lang"], use_threads=False)
-        .aggregate([])
-    )
-    # relations: adjacent same-page pairs with differing surfaces,
-    # made distinct on the SURFACE key first — the alias-URI strings
-    # are only built for the (tiny) distinct set, not per occurrence
-    m = len(surf)
-    if m >= 2:
-        same_parent = par[1:] == par[:-1]
-        differs = pc.not_equal(surf.slice(0, m - 1), surf.slice(1, m - 1)).to_numpy(
-            zero_copy_only=False
-        )
-        keep = np.flatnonzero(same_parent & differs)
-    else:
-        keep = np.empty(0, dtype=np.int64)
-    if len(keep):
-        keep_arr = pa.array(keep, pa.int64())
-        keep1_arr = pa.array(keep + 1, pa.int64())
-        rel_surf = pa.table(
-            {
-                "src_s": pc.take(surf, keep_arr),
-                "dst_s": pc.take(surf, keep1_arr),
-                "lang": pc.take(lang, keep_arr),
-            }
-        ).group_by(["src_s", "dst_s", "lang"], use_threads=False).aggregate([])
-        ent = pa.scalar(f"{ONTO}#ent_")
-        sep = pa.scalar("__")
-        rels = pa.table(
-            {
-                "src": pc.binary_join_element_wise(
-                    ent, rel_surf["src_s"].combine_chunks(), sep,
-                    rel_surf["lang"].combine_chunks(), ""
-                ),
-                "dst": pc.binary_join_element_wise(
-                    ent, rel_surf["dst_s"].combine_chunks(), sep,
-                    rel_surf["lang"].combine_chunks(), ""
-                ),
-            }
-        )
-        rels = rels.group_by(["src", "dst"], use_threads=False).aggregate([])
-    else:
-        rels = pa.table(
-            {"src": pa.array([], pa.string()), "dst": pa.array([], pa.string())}
-        )
-    n_e, n_r = ents.num_rows, rels.num_rows
-    return pa.table(
+    tiny (bounded by the distinct sets, not the corpus). Both
+    distincts are over int64 keys — entities on g × |langs| + lang
+    code, relations on (g_i × |gazetteer| + g_{i+1}) × |langs| + lang
+    code for adjacent same-page hits whose surfaces differ — and the
+    alias strings are built only for the distinct relation set:
+    ≈30 ms on a 5,000-page batch where string ``group_by``s took
+    ≈55 ms."""
+    gaz, g, par = _detect(batch, gaz_ref)
+    # a null lang is one code of its own, as it is one group key
+    lang = pc.dictionary_encode(batch["lang"].combine_chunks(), null_encoding="encode")
+    langs, n_g, n_l = lang.dictionary, len(gaz), len(lang.dictionary)
+    lc = lang.indices.to_numpy(zero_copy_only=False).astype(np.int64)[par]
+    ent = _distinct(g * n_l + lc, n_g * n_l)
+    pair = np.flatnonzero((par[1:] == par[:-1]) & (g[1:] != g[:-1]))
+    rel = _distinct((g[pair] * n_g + g[pair + 1]) * n_l + lc[pair], n_g * n_g * n_l)
+    rel_lang = pc.take(langs, rel % n_l)
+    prefix, sep = pa.scalar(f"{ONTO}#ent_"), pa.scalar("__")
+
+    def alias(codes):
+        return pc.binary_join_element_wise(prefix, pc.take(gaz, codes), sep, rel_lang, "")
+
+    ents = pa.table(
         {
-            "kind": pa.array(["e"] * n_e + ["r"] * n_r, pa.string()),
-            "surface": pa.concat_arrays(
-                [ents["surface"].combine_chunks(), pa.nulls(n_r, pa.string())]
-            ),
-            "lang": pa.concat_arrays(
-                [ents["lang"].combine_chunks(), pa.nulls(n_r, pa.string())]
-            ),
-            "src": pa.concat_arrays(
-                [pa.nulls(n_e, pa.string()), rels["src"].combine_chunks()]
-            ),
-            "dst": pa.concat_arrays(
-                [pa.nulls(n_e, pa.string()), rels["dst"].combine_chunks()]
-            ),
+            "kind": pa.array(["e"] * len(ent), pa.string()),
+            "surface": pc.take(gaz, ent // n_l),
+            "lang": pc.take(langs, ent % n_l),
         }
     )
+    rels = pa.table(
+        {
+            "kind": pa.array(["r"] * len(rel), pa.string()),
+            "src": alias(rel // n_l // n_g),
+            "dst": alias(rel // n_l % n_g),
+        }
+    )
+    # each part's missing columns are null-filled
+    return pa.concat_tables([ents, rels], promote_options="default")
 
 
 def ent_rel_partials_stage(pages: ray.data.Dataset) -> ray.data.Dataset:
@@ -243,7 +234,7 @@ def mentions_distinct_stage(pages: ray.data.Dataset) -> ray.data.Dataset:
         _mentions_distinct_batch,
         fn_kwargs={"gaz_ref": gaz_ref},
         batch_format="pyarrow",
-        batch_size=None,
+        batch_size=MENTION_TASK_MIN_PAGES,
     )
 
 
@@ -622,15 +613,18 @@ def build_kg(
     # NOT pin this table: it is the pipeline's largest intermediate
     # (~#pages × #entities-per-page rows), and measured at amplify 1600
     # pushing it through the object store costs MORE than re-running
-    # the (vectorized, hits()-based) detect pass fused into the
+    # the (vectorized, integer-keyed) detect pass fused into the
     # consumer chain — 49s to materialize vs ~7s to recompute at 32
-    # CPUs. With a checkpoint dir it IS persisted (durable Parquet),
-    # trading that cost for resumability.
+    # CPUs. On 4 CPUs at sf0.1 × 40 the recompute is one task per
+    # extracted block (20 tasks of 10k pages, the longest 0.16 s, the
+    # operator 0.8 s), and the detect kernel is ≈24 ms per 5k pages on
+    # one thread. With a checkpoint dir it IS persisted (durable
+    # Parquet), trading that cost for resumability.
     if checkpoint_dir:
         mentions_d = run.stage(
             "mentions_distinct",
             lambda: mentions_distinct_stage(extracted),
-            config={"gazetteer": GAZETTEER, "v": "3"},
+            config={"gazetteer": GAZETTEER, "v": "4"},
             inputs=["stage=extract"],
         )
     else:
@@ -645,7 +639,7 @@ def build_kg(
     partials = run.stage(
         "ent_rel_partials",
         lambda: ent_rel_partials_stage(extracted),
-        config={"gazetteer": GAZETTEER, "v": "2"},
+        config={"gazetteer": GAZETTEER, "v": "3"},
         inputs=["stage=extract"],
     )
 
@@ -688,8 +682,13 @@ def build_kg(
         return er_dist.map_batches(filt, batch_format="pyarrow")
 
     if use_driver_small:
-        er_tbl = pa.Table.from_pylist(er_dist.take_all())
-        if er_tbl.num_rows:
+        er_parts = [
+            b
+            for b in er_dist.iter_batches(batch_format="pyarrow", batch_size=None)
+            if b.num_rows
+        ]
+        if er_parts:
+            er_tbl = pa.concat_tables(er_parts)
             ents_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "e")).select(
                 ["surface", "lang"]
             )
@@ -754,7 +753,7 @@ def build_kg(
                 _rewrite_batch,
                 fn_kwargs={"comp_ref": comp_ref},
                 batch_format="pyarrow",
-                batch_size=65536,
+                batch_size=None,
             )
 
         # P7 with *dedup pushdown*: the big triple parts are distinct

@@ -1211,6 +1211,13 @@ def _datatype(batch, x):
     return pc.if_else(v_is_literal(col), iri, _NULL_STR)
 
 
+def _lang(batch, x):
+    """LANG (§17.4.2.6): a literal's language tag, "" when it has none;
+    IRIs, blank nodes and unbound are errors."""
+    col = _eval(batch, x)
+    return _Str(pc.if_else(v_is_literal(col), v_language(col), _NULL_STR))
+
+
 def _new_literal(suffix_of):
     """STRLANG/STRDT: a tagged / typed literal from a SIMPLE literal."""
 
@@ -1262,13 +1269,13 @@ def _langmatches(batch, lang, rng):
     return pc.or_(pc.equal(tag, r), pc.starts_with(tag, r + "-"))
 
 
-def _kind_test(kernel, wrap=lambda m: m):
-    """A term kernel (which reads unbound as "" / False) made an error
-    on unbound rows."""
+def _kind_test(kernel):
+    """A term kernel (which reads unbound as False) made an error on
+    unbound rows."""
 
     def k(batch, x):
         col = _eval(batch, x)
-        return wrap(_if_bound(col, kernel(col)))
+        return _if_bound(col, kernel(col))
 
     return k
 
@@ -1305,7 +1312,7 @@ _SIGNATURES = {
     "CONTAINS": (("var", "str"), "bool", lambda b, x, s: pc.match_substring(_text(b, x), _lex(s))),
     "REGEX": (("text", "str", "flags?"), "bool", _regex),
     "STR": (("var",), "str", lambda b, x: _Str(_text(b, x))),
-    "LANG": (("var",), "str", _kind_test(v_language, _Str)),
+    "LANG": (("var",), "str", _lang),
     "DATATYPE": (("var",), "term", _datatype),
     "LCASE": (("var",), "str", _case_fn(pc.utf8_lower)),
     "UCASE": (("var",), "str", _case_fn(pc.utf8_upper)),

@@ -381,6 +381,51 @@ class TestPipeline:
         c3 = build_kg(SF, amplify=3).triples.count()
         assert c3 == c1 + 2 * (c2 - c1)
 
+    def test_mention_chain_runs_one_task_per_extracted_block(self, ray_session):
+        """The fused mention chain (_mentions_distinct_batch →
+        mention_link_triples_batch → _rewrite_batch) runs one task per
+        extracted block once blocks hold MENTION_TASK_MIN_PAGES pages,
+        and bundles smaller blocks up to that. A larger bundle on any
+        map of the chain packs several big blocks into one task, whose
+        wall time then sets the build's; the triple count does not
+        show it."""
+        import re
+
+        from ontograph_ray.pipelines.kg import MENTION_TASK_MIN_PAGES
+
+        def plan(amplify):
+            blocks = [
+                len(b)
+                for b in pages.read_pages(SF, amplify=amplify)
+                .map_batches(pages.extract_text_batch, batch_format="pyarrow")
+                .iter_batches(batch_format="pyarrow", batch_size=None)
+            ]
+            res = build_kg(SF, amplify=amplify)
+            assert sum(
+                b.num_rows
+                for b in res.triples.iter_batches(batch_format="pyarrow", batch_size=None)
+            )
+
+            def operators(summary):
+                yield from summary.operators_stats
+                for parent in summary.parents:
+                    yield from operators(parent)
+
+            (chain,) = [
+                op
+                for op in operators(res.triples._get_stats_summary())
+                if "_mentions_distinct_batch" in op.operator_name
+            ]
+            tasks = re.search(r"(\d+) tasks executed", chain.block_execution_summary_str)
+            return blocks, int(tasks.group(1))
+
+        blocks, tasks = plan(80)
+        assert len(blocks) > 1 and min(blocks) >= MENTION_TASK_MIN_PAGES
+        assert tasks == len(blocks)
+        blocks, tasks = plan(1)
+        assert len(blocks) > 1 and sum(blocks) < MENTION_TASK_MIN_PAGES
+        assert tasks == 1
+
     def test_driver_small_cutover_is_logged(
         self, ray_session, monkeypatch, caplog
     ):

@@ -3716,6 +3716,29 @@ class TestSparqlExpressionLanguage:
             "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>"
         )
 
+    def test_lang_of_a_non_literal_is_an_error(self, ray_session):
+        # LANG (§17.4.2.6) takes a literal: over an IRI it is an error,
+        # so BIND leaves the variable unbound and FILTER drops the row;
+        # an untagged literal's LANG is ""
+        from ontograph_ray import terms
+        from ontograph_ray.triples import new_triple
+
+        r, l = terms.new_resource_term, terms.new_literal_term
+        ds = self._store(
+            [
+                new_triple(r("urn:p1"), r("urn:name"), l("ann")),
+                new_triple(r("urn:p2"), r("urn:name"), r("urn:Ann")),
+                new_triple(r("urn:p3"), r("urn:name"), l("bo", "en")),
+            ]
+        )
+        base = "SELECT * WHERE { ?p <urn:name> ?n "
+        out = self._q(ds, base + 'FILTER ( LANG(?n) = "" ) }')
+        assert sorted(out["p"]) == ["<urn:p1>"]
+        out = self._q(ds, base + "BIND ( LANG(?n) AS ?y ) } ORDER BY ?p")
+        assert [None if y is None or y != y else y for y in out["y"]] == [
+            '""', None, '"en"'
+        ]
+
 
 class TestSparqlSubqueryStar:
     """{ SELECT * } subquery bodies: projection derived statically."""
