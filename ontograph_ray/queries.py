@@ -3901,9 +3901,8 @@ def q_sparql_filter_abs(sf_dir: str):
 
 def q_sparql_subquery_star(sf_dir: str):
     """E8 extension: { SELECT * ... } subquery — the inner projection
-    is derived statically from the body's pattern variables
-    (store/sparql.py `_star_columns`), so the subquery executes once
-    (no schema probe) and inner-joins on the shared ?n."""
+    is the body's variable scope, derived statically (store/sparql.py
+    `Project.vars`), and inner-joins on the shared ?n."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
 

@@ -1,139 +1,127 @@
-"""SPARQL SELECT over a DatasetGraphStore — the E8 passthrough,
-Ray-Data-first.
+"""SPARQL over a DatasetGraphStore — the E8 passthrough, Ray-Data-first.
 
 The reference's endpoint hands raw SPARQL strings to Blazegraph
-(`blazegraph_endpoint.go:176-244`); every OTHER store operation the
-reference issues through that endpoint is a first-class distributed op
-in this engine. This module closes the remaining hole: a basic-graph-
-pattern SELECT subset compiled onto the engine's own primitives — each
-triple pattern is a wildcard ``matches()`` scan (streaming Arrow
-filter), patterns are combined with distributed ``hash_join`` on their
-shared variables, and DISTINCT / ORDER BY / LIMIT map to
-``distinct_on``, ``Dataset.sort`` and ``limit``.
+(`blazegraph_endpoint.go:176-244`). This module answers a documented
+subset of SPARQL 1.1 on the engine's own primitives instead, parsed
+strictly: anything outside it raises ``SparqlSyntaxError`` or
+``SparqlUnsupportedError`` rather than silently misanswering.
 
-Supported grammar (documented contract — a deliberate subset, parsed
-strictly; anything outside it raises ``SparqlSyntaxError`` rather than
-silently misanswering):
+One algebra. Every query form — SELECT, ASK, CONSTRUCT, DESCRIBE, a
+``{ SELECT … }`` subquery and the WHERE of the DELETE/INSERT update —
+parses to one SPARQL 1.1 §18 tree (``parse``). One rule pass
+(``_validate`` over the table ``_RULES``) refuses what the subset does
+not answer, before anything runs; one recursive lowering (each node's
+``lower``) runs the rest; ``explain(query)`` prints the tree with the
+primitive each node lowers to.
 
-    PREFIX pfx: <uri>                 (any number)
-    SELECT [DISTINCT] ?v ... | *
-    WHERE { s p o . s p o . ... }     terms: ?var | <uri> | pfx:local
-                                      | "lit" | "lit"@lang
-                                      | "lit"^^<dt> | "lit"^^pfx:local
-                                      | a  (= rdf:type, predicate slot)
-      s e1/e2/... o                   (sequence property path: rewritten
-                                      to a chain of patterns through
-                                      hidden ?__ppN variables; ?__pp*
-                                      names are reserved). Each element
-                                      e is: p | ^p (inverse: scans with
-                                      subject/object swapped) |
-                                      (p1|p2|...) with optional ^ per
-                                      alternative (bag union of
-                                      predicate-pruned scans) | e+
-                                      (arbitrary-length path: the
-                                      semi-naive transitive closure of
-                                      the element's edge relation, one
-                                      task on a small edge set; a
-                                      ground endpoint seeds the
-                                      fixpoint)
-                                      | e* (the closure plus the
-                                      zero-length path: a ground
-                                      endpoint reflexively matches
-                                      itself, two variable endpoints
-                                      bind every graph node) | e?
-                                      (zero-or-one: the element's edges
-                                      plus the zero-length path) | !p /
-                                      !(p1|p2|...) (negated property
-                                      set: any predicate EXCEPT those
-                                      listed — rewritten to a hidden
-                                      predicate variable + != filters;
-                                      top-level patterns only, no
-                                      inverse members) | !(...)+/*/?
-                                      (closure over a negated set: the
-                                      base relation is one NOT-IN-
-                                      filtered scan, then the same
-                                      fixpoint) —
-                                      path elements must be ground
-      FILTER ( expr )                 (an expression, below; an error or
-                                      unbound result drops the row)
-      FILTER regex ( ?v , "re" )      (RE2 over the ENCODED term string)
-      BIND ( expr AS ?alias )         (runs post-join, pre-FILTER and
-                                      binds the value as a term; an
-                                      error leaves the alias unbound;
-                                      aliases chain across BINDs)
-      (SAMPLE(?v) AS ?s)              (aggregate; deterministic engine →
-                                      pinned to the min term — a valid
-                                      sample, layout-stable, oracle-able)
-      { SELECT ... }                  (subquery: executed recursively —
-                                      aggregates/GROUP BY included —
-                                      then ONE bucketed inner hash join
-                                      on the shared variables; must
-                                      share ≥1 variable with the outer
-                                      patterns; SELECT * bodies project
-                                      the statically-derived variable
-                                      scope)
-      FILTER EXISTS { BGP }           (distributed semi-join on the
-                                      shared variables)
-      FILTER NOT EXISTS { BGP }       (anti-join; ≡ MINUS on this
-      MINUS { BGP }                   subset — groups must share ≥1
-                                      required-bound variable; plain
-                                      BGP bodies only)
-      OPTIONAL { s p o . ...          (left join; group-only vars NULL
-                 [OPTIONAL {...}] }   on unmatched rows; nesting =
-                                      LeftJoin(A, LeftJoin(B, C));
-                                      non-well-designed patterns — a
-                                      join variable unbound on one
-                                      side — refused, not misanswered)
-    WHERE { { BGP } UNION { BGP } .. }  (bag union; branches are plain
-                                      BGPs binding the SAME variables)
-    SELECT ?g (COUNT([DISTINCT] ?v|*) AS ?n) (MIN/MAX(?v) AS ?m)
-           (SUM/AVG(?v) AS ?s)
-           (GROUP_CONCAT(?v [; SEPARATOR="s"]) AS ?c)
-           ...  [GROUP BY ?g ...]
-                                      (one plan for every aggregate: an
-                                      Arrow partial kernel per block,
-                                      ONE bucketed exchange on the keys,
-                                      the Arrow final kernel per bucket;
-                                      no GROUP BY = no keys: the same
-                                      final over the block partials on
-                                      the driver → one row, COUNT/SUM 0
-                                      and AVG/MIN/MAX unbound when
-                                      empty. COUNT skips unbound
-                                      bindings; an unbound group key is
-                                      a group of its own; SUM/AVG
-                                      require xsd:integer literal
-                                      bindings — exact int64 partials,
-                                      anything else raises ValueError;
-                                      AVG = one float64 division per
-                                      group from exact (sum, count).
-                                      DISTINCT aggregates and
-                                      GROUP_CONCAT — sorted values, no
-                                      unbound ones — keep distinct
-                                      (keys, v) rows through the
-                                      exchange, so each must be the
-                                      sole aggregate, GROUP_CONCAT with
-                                      a GROUP BY; a whole-result
-                                      DISTINCT aggregate runs one
-                                      distinct exchange first. HAVING
-                                      ( AGG(...) cmp int ) filters the
-                                      groups post-aggregate — the
-                                      aggregate must also appear in
-                                      SELECT; GROUP BY with NO
-                                      aggregates → one row per group,
-                                      select ⊆ keys; SELECT DISTINCT
-                                      composes — dedup of the projected
-                                      rows after grouping)
-    VALUES ?v { t ... }               (postfix inline-data join over
-    VALUES (?a ?b) { (t t) ... }      required-bound variables: one
-                                      vectorized membership kernel per
-                                      batch — broadcast, no exchange;
-                                      UNDEF cells are wildcards, no
-                                      variables in rows)
-    ORDER BY (?v | ASC(?v) | DESC(?v)) ...   (optional)
-    LIMIT n                           (optional)
-    OFFSET n                          (requires ORDER BY + LIMIT: the
-                                      ordered ≤offset+limit head
-                                      finishes on the driver)
+Grammar → node:
+
+    PREFIX pfx: <uri>                    the prologue
+    SELECT [DISTINCT | REDUCED] ?v … | *  Project, Distinct (REDUCED also
+                                         drops duplicates: deterministic)
+    WHERE { group }                      the group's translation, below
+    s p o . …                            BGP; terms ?var | <uri> | pfx:x |
+                                         "lit"[@lang | ^^dt] | a
+      s e1/e2/… o                        a BGP chain via hidden ?__ppN
+      ^p  (p1|^p2)  (p1/p2)  e+ e* e?    one BGP pattern each (below)
+      !p  !(p1|p2)                       a hidden predicate variable and
+                                         one != per predicate in Filter
+    OPTIONAL { group }                   LeftJoin (the group's FILTERs
+                                         are its condition)
+    MINUS { group }                      Minus (§8.3.3: no outer scope)
+    FILTER [NOT] EXISTS { group }        Exists
+    FILTER ( expr ) | regex(?v, "re")    Filter (this regex: RE2 over the
+                                         encoded term)
+    BIND ( expr AS ?v )                  Extend
+    VALUES ?v { t … } | (?a ?b) { (t t) … }   Values, inline or postfix;
+                                         UNDEF cells are wildcards
+    { group } UNION { group } …          Union
+    { SELECT … }                         Join with the subquery's tree
+    (AGG(…) AS ?a) … [GROUP BY ?k …]     Group: COUNT([DISTINCT] ?v | *),
+                                         SUM / AVG([DISTINCT] ?v), MIN /
+                                         MAX / SAMPLE(?v), GROUP_CONCAT(
+                                         [DISTINCT] ?v [; SEPARATOR="s"])
+    HAVING ( AGG(?v | *) cmp int )       Having
+    ORDER BY ?v | ASC(?v) | DESC(?v) …   OrderBy
+    LIMIT n  OFFSET n                    Slice
+    ASK [WHERE] { [GRAPH <g> {] group [}] }        Ask
+    CONSTRUCT { template } WHERE …                 Construct
+    DESCRIBE <iri>… ?v… [WHERE …]                  Describe
+    DELETE { tpl } INSERT { tpl } WHERE { group }  Modify (sparql_update)
+
+Path elements are ground: ``^p`` scans with subject and object swapped,
+``(p1|^p2)`` is the bag union of the scans, ``(p1/p2)`` composes the
+steps with hash joins, ``e+`` is the closure seeded at a ground
+endpoint, ``e*`` adds the zero-length path (a ground endpoint matches
+itself, two variables bind every node), ``e?`` is the edges plus it,
+and ``!(…)+`` closes one NOT-IN-filtered scan.
+
+A group translates in one order: its triple patterns form one BGP (a
+group of only ``{…} UNION {…}`` is that Union); OPTIONAL, subqueries,
+BIND, the FILTERs, EXISTS, MINUS / NOT EXISTS and VALUES then wrap it.
+Inside the subset — well-designed OPTIONALs, required-bound join keys —
+that order gives the answers of the spec's element order.
+
+Rules (``_RULES``, one entry per refusal; a group's contents first):
+
+    BGP        non-empty; no fully-bound pattern; connected (each pattern
+               shares a variable with those before it) unless a pure-BGP
+               ASK; negated property sets only in a query's own group
+    Union      two or more branches, each a plain BGP, binding the same
+               variables
+    LeftJoin   shares a variable; well-designed (no join key that may be
+               unbound); its FILTERs read only the group's variables;
+               the group holds BGPs, nested OPTIONALs and FILTERs
+    Minus, Exists   share a required-bound variable; the group is a BGP
+               plus FILTERs; an EXISTS FILTER reads only required-bound
+               outer variables
+    Join       with a { SELECT } subquery only, sharing a variable
+    Extend     a fresh alias over bound arguments
+    Filter     bound variables (in a query's own group)
+    Values     one per query, over required-bound variables, ground cells
+    Group      algebraic aggregates; a DISTINCT aggregate or GROUP_CONCAT
+               as the sole aggregate, GROUP_CONCAT with GROUP BY
+    Having     the aggregate also in SELECT
+    Project    grouped: keys and aggregate aliases only
+    OrderBy    selected variables;  Slice: OFFSET needs ORDER BY + LIMIT
+    every expression  typed against ``_SIGNATURES`` (below)
+
+Lowering (``lower``; ``explain`` prints these):
+
+    BGP        per pattern a ``matches()`` scan pinned with
+               ``materialize()``, inner ``hash_join`` on the shared
+               variables; a path closure is ``transitive_closure
+               (sources=)`` — one local task or the distributed fixpoint,
+               chosen at run time by ``LOCAL_CLOSURE_MAX_EDGES``
+    Union      ``Dataset.union``;  Join: ``hash_join(how=inner)``
+    LeftJoin   ``hash_join(how=left)``, the condition filtering the group
+    Minus, Exists   anti / semi ``hash_join`` on the distinct shared keys;
+               a correlated EXISTS filters (distinct outer keys ⋈ group)
+               and joins on the qualifying keys
+    Extend, Filter  ``map_batches`` of ``_bind_batch`` / ``_filter_batch``
+    Values     a broadcast ``is_in`` membership filter, no exchange
+    Group      ``bucketed_group_map`` with the ``_aggregate_kernels``
+               partial/final pair; without keys the final runs on the
+               driver over the block partials (one row; COUNT/SUM 0 and
+               AVG/MIN/MAX unbound when empty); without aggregates
+               ``distinct_on`` the keys
+    Having, Project, Distinct, OrderBy, Slice   a map over the aggregate
+               columns, ``select_columns``, ``distinct_on``,
+               ``Dataset.sort``, ``limit`` (OFFSET: the ordered head is
+               sliced on the driver)
+    Ask        ``limit(1)`` per ground pattern and per connected
+               component (a pure BGP), else over the solutions
+    Construct  the template per solution, ``distinct_on`` the triples
+    Describe   IRIs only: an ``is_in`` scan; else a semi ``hash_join`` of
+               the triples with the described resources
+    Modify     an anti ``hash_join`` of the deletes, union + dedup of the
+               inserts; ground templates apply iff the group matches
+
+Aggregates: COUNT skips unbound values; an unbound group key is a group
+of its own; SUM/AVG need xsd:integer literals (exact int64 partials,
+anything else raises ValueError) and AVG divides once per group; a
+DISTINCT aggregate or GROUP_CONCAT (sorted values, none unbound) keeps
+distinct (keys…, v) rows through the exchange; SAMPLE is pinned to MIN.
 
 Expressions (SPARQL 1.1 §17) — one grammar for FILTER, BIND and IF,
 typed against one signature table (``_SIGNATURES``) and evaluated by
@@ -197,51 +185,14 @@ Outside the table a constant of the wrong form raises
 ``SparqlSyntaxError``; a variable or expression where the table asks
 for something else raises ``SparqlUnsupportedError``.
 
-``sparql_construct`` supports ``CONSTRUCT { template } WHERE { ... }``
-with the full SELECT-subset WHERE clause: the template instantiates
-per binding row (rows with an unbound OPTIONAL variable in the
-template are omitted, per spec) and the result is the globally deduped
-triple SET — a Dataset ready for ``DatasetGraphStore``.
-
-``sparql_update`` accepts the three update forms the reference's own
-store layer GENERATES (blazegraph_store.go:104,166,190,248,272 — the
-complete update surface the reference exercises), compiled onto the
-engine's bulk set operations:
-
-    INSERT DATA { [GRAPH <g> {] t1 . t2 . ... [}] }   → union + dedup
-    DELETE DATA { [GRAPH <g> {] t1 . t2 . ... [}] }   → broadcast anti-join
-    DELETE WHERE { [GRAPH <g> {] s p o . [}] }        → negated pattern
-    DELETE { tpl } INSERT { tpl } WHERE { BGP }       → modify form (either
-                                      template optional): bindings from one
-                                      recursive SELECT against the original
-                                      store, templates instantiated
-                                      vectorized, deletes via one bucketed
-                                      anti hash join, inserts via
-                                      union + dedup
-                                      (one pattern; ?vars = wildcards)
-
-``sparql_describe`` accepts ``DESCRIBE <iri>... [?v ...] [WHERE
-{ ... }]`` (full SELECT-subset WHERE) and returns the forward concise
-bounded description — all triples whose subject is a described
-resource; non-IRI bindings are skipped, blank-node closure does not
-apply (no blank nodes in the term model).
-
-``sparql_ask`` accepts ``ASK [WHERE] { [GRAPH <g> {] BGP [}] }`` —
-the existence forms the reference's store layer generates
-(graph-nonempty, blazegraph_store.go:294; ground triple exists,
-blazegraph_store.go:419) plus multi-pattern BGPs. Each condition
-short-circuits via ``limit(1)`` (no full scan); disconnected pattern
-groups are allowed (per-component non-emptiness, no cartesian).
+``sparql_update`` also accepts the update forms the reference's own
+store layer generates (blazegraph_store.go:104,166,190,248,272):
+``INSERT DATA`` / ``DELETE DATA { [GRAPH <g> {] ground triples [}] }``
+(union + dedup / broadcast anti-join) and ``DELETE WHERE { [GRAPH <g>
+{] one pattern [}] }`` (its variables are wildcards).
 
 Bindings are the engine's NTriples-encoded term strings (``<uri>`` /
 ``"lit"^^<dt>``), exactly what every other store op exchanges.
-
-Scale shape: patterns with bound terms are predicate/subject-pruned
-streaming filters over the triple Dataset; each join is ONE bucketed
-exchange on the shared-variable key. The BGP must be CONNECTED —
-a pattern sharing no variable with the ones already joined would be a
-cartesian product, which is refused (``SparqlUnsupportedError``)
-instead of silently exploding at scale.
 """
 
 from __future__ import annotations
@@ -249,7 +200,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -459,6 +410,8 @@ __all__ = [
     "sparql_describe",
     "sparql_select",
     "sparql_update",
+    "explain",
+    "parse",
 ]
 
 
@@ -498,65 +451,6 @@ def _tokenize(text: str) -> list[str]:
         out.append(m.group().strip())
         pos = m.end()
     return out
-
-
-
-@dataclass
-class _OptGroup:
-    """One OPTIONAL group: its required BGP plus nested OPTIONAL
-    children. Evaluates bottom-up as LeftJoin(patterns, child) per
-    child — SPARQL's LeftJoin(A, LeftJoin(B, C)) shape."""
-
-    patterns: list[tuple[str, str, str]]
-    children: "list[_OptGroup]" = field(default_factory=list)
-    # FILTER conditions inside the group — restricted to the group's
-    # own variables, applied before the left join (exactly SPARQL's
-    # LeftJoin condition for the well-designed case)
-    filters: list = field(default_factory=list)
-
-
-@dataclass
-class _Query:
-    select: list[str]  # variable names without '?', or ['*']
-    distinct: bool
-    patterns: list[tuple[str, str, str]]  # encoded term or '?var' per slot
-    filters: list[_Expr] = field(default_factory=list)  # FILTER constraints
-    # OPTIONAL groups — each a BGP plus nested OPTIONAL children
-    # (LeftJoin(A, LeftJoin(B, C)) per the SPARQL algebra)
-    optionals: "list[_OptGroup]" = field(default_factory=list)
-    # MINUS { BGP } and FILTER NOT EXISTS { BGP } — equivalent on this
-    # subset (groups must share ≥1 required-bound variable) unless a
-    # FILTER in the group reads outer variables — and
-    # FILTER EXISTS { BGP }: anti-/semi-join groups
-    # each group is (patterns, filters, kind): the BGP, any FILTER
-    # conditions inside the braces, and the keyword that opened it
-    # ("MINUS", "FILTER NOT EXISTS" or "FILTER EXISTS")
-    minus_groups: list[tuple[list, list, str]] = field(default_factory=list)
-    exists_groups: list[tuple[list, list, str]] = field(default_factory=list)
-    # postfix VALUES: (vars, ground-term rows) — inline broadcast semi-join
-    values_clause: tuple[list[str], list[tuple[str, ...]]] | None = None
-    # top-level { g1 } UNION { g2 } ... form: pattern groups, bag union
-    union_groups: list[list[tuple[str, str, str]]] = field(default_factory=list)
-    # (op, var|"*", alias): op ∈ {"count", "min", "max"}; select lists
-    # the alias in position
-    aggregates: list[tuple[str, str, str]] = field(default_factory=list)
-    group_by: list[str] = field(default_factory=list)
-    order_by: list[tuple[str, bool]] = field(default_factory=list)
-    #          (var, descending) — from ?v / ASC(?v) / DESC(?v)
-    limit: int | None = None
-    offset: int | None = None
-    # HAVING ( AGG(?v|*) cmp int ): (alias-of-matching-SELECT-agg,
-    # cmp, int) — applied as a post-aggregate filter
-    having: list[tuple[str, str, int]] = field(default_factory=list)
-    # GROUP_CONCAT separators by alias (default " ")
-    concat_seps: dict = field(default_factory=dict)
-    # BIND(expr AS ?alias): (expr, alias) — applied after the BGP joins,
-    # before FILTER/aggregation
-    binds: list[tuple[_Expr, str]] = field(default_factory=list)
-    # { SELECT ... } subqueries, re-synthesized to query text (outer
-    # PREFIXes prepended); each is executed recursively and inner-joined
-    # on the shared variables
-    subqueries: list[str] = field(default_factory=list)
 
 
 def _expand(tok: str, prefixes: dict[str, str], slot: str) -> str:
@@ -647,18 +541,18 @@ def _triples(cur: _Cursor, prefixes: dict, what: str) -> list[tuple[str, str, st
     return out
 
 
-def _graph_triples(cur: _Cursor, prefixes: dict, what: str):
-    """``{ [GRAPH <g> {] s p o . … [}] }`` → (g | None, patterns)."""
+def _in_graph(cur: _Cursor, body, what: str):
+    """``[GRAPH <g> {] body [}]`` → (g | None, body())."""
     if cur.peek() != "{" or cur.peek(1).upper() != "GRAPH":
-        return None, _triples(cur, prefixes, what)
+        return None, body()
     cur.take(), cur.take()
     g = cur.take()
     if not g.startswith("<"):
         raise SparqlSyntaxError(f"GRAPH needs <uri>, got {g!r}")
-    pats = _triples(cur, prefixes, "GRAPH block")
+    out = body()
     if cur.take() != "}":
         raise SparqlSyntaxError(f"expected }} closing the {what}")
-    return g[1:-1], pats
+    return g[1:-1], out
 
 
 def _instantiate(batch: pa.Table, templates) -> pa.Table:
@@ -944,7 +838,6 @@ def _filter_expr(cur: _Cursor, prefixes: dict) -> _Expr:
         e = _Expr("regex term", tuple(p.args()))
     else:
         raise SparqlSyntaxError(f"expected ( or regex after FILTER, got {head!r}")
-    _want(_check(e), "bool", "FILTER")
     return e
 
 
@@ -952,7 +845,11 @@ def _filter_expr(cur: _Cursor, prefixes: dict) -> _Expr:
 
 
 def _col(batch: pa.Table, name: str) -> pa.Array:
-    """A binding column as one plain string array."""
+    """A binding column as one plain string array. A variable with no
+    column is unbound on every row: a MINUS group's FILTER reading an
+    outer variable (§8.3.3)."""
+    if name not in batch.column_names:
+        return pa.nulls(batch.num_rows, pa.string())
     c = batch[name]
     c = c.chunk(0) if c.num_chunks == 1 else c.combine_chunks()
     return c if c.type == pa.string() else c.cast(pa.string())
@@ -1367,660 +1264,1389 @@ def _bind_batch(batch: pa.Table, binds) -> pa.Table:
     return batch
 
 
-def parse(text: str) -> _Query:
-    cur = _Cursor(text)
-    peek, take = cur.peek, cur.take
-    prefixes = _prologue(cur)
+# ---------------------------------------------------------------------------
+# The algebra (SPARQL 1.1 §18). Every query form parses to one tree of the
+# nodes below. A node works out its variable scope once: ``vars`` (the
+# in-scope variables, in bindings-column order) and ``maybe`` (those an
+# OPTIONAL may leave unbound). ``lower`` runs it on the engine's
+# primitives, ``op`` names that primitive for ``explain``. The subset's
+# refusals are the rule table _RULES, checked over the whole tree by
+# _validate before anything is lowered.
+# ---------------------------------------------------------------------------
 
-    if take().upper() != "SELECT":
-        raise SparqlSyntaxError("expected SELECT")
-    distinct = peek().upper() == "DISTINCT" and bool(take())
-    if not distinct and peek().upper() == "REDUCED":
-        # SELECT REDUCED: the spec PERMITS but does not require
-        # eliminating duplicates — this engine eliminates them, which
-        # is the deterministic (and SQL-oracle-able) choice within the
-        # spec's latitude
-        take()
-        distinct = True
-    select: list[str] = []
-    aggregates: list[tuple[str, str, str]] = []
-    concat_seps: dict = {}
-    while peek().startswith("?") or peek() in ("*", "("):
-        if peek() == "(":
-            # ( COUNT|MIN|MAX|SUM|AVG ( ?v | * ) AS ?alias )
-            take()
-            op = take().lower()
-            if op not in (
-                "count", "min", "max", "sum", "avg", "group_concat", "sample",
-            ):
-                raise SparqlUnsupportedError(f"unsupported aggregate {op!r}")
-            if op == "sample":
-                # SPARQL SAMPLE picks an arbitrary group member; this
-                # engine is deterministic everywhere, so SAMPLE is
-                # pinned to the minimum term — a valid sample, stable
-                # at any block layout, and SQL-oracle-able
-                op = "min"
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {op.upper()}")
-            if peek().upper() == "DISTINCT":
-                take()
-                if op in ("count", "sum", "avg", "group_concat"):
-                    # DISTINCT aggregates need per-group distinct rows
-                    # to survive the exchange — a dedicated plan below
-                    op = f"{op}_distinct"
-                elif op in ("min", "max"):
-                    pass  # DISTINCT is a no-op for MIN/MAX
-                else:
-                    raise SparqlUnsupportedError(
-                        f"{op.upper()}(DISTINCT ...) is not supported"
-                    )
-            arg = take()
-            if arg == "*":
-                if op != "count":
-                    raise SparqlSyntaxError(f"{op.upper()}(*) is not valid")
-            elif not arg.startswith("?"):
-                raise SparqlSyntaxError(f"{op.upper()} needs ?var or *")
-            sep = " "
-            if op.startswith("group_concat") and peek() == ";":
-                take()
-                if take().upper() != "SEPARATOR":
-                    raise SparqlSyntaxError(
-                        "expected SEPARATOR after ; in GROUP_CONCAT"
-                    )
-                if take() != "=":
-                    raise SparqlSyntaxError("expected = after SEPARATOR")
-                sv = take()
-                if not (sv.startswith('"') and sv.endswith('"')):
-                    raise SparqlSyntaxError(
-                        'GROUP_CONCAT separator must be a plain "string"'
-                    )
-                sep = sv[1:-1]
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {op.upper()}")
-            if take().upper() != "AS":
-                raise SparqlSyntaxError("aggregate needs AS ?alias")
-            alias = take()
-            if not alias.startswith("?"):
-                raise SparqlSyntaxError("aggregate alias must be a ?variable")
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing the aggregate")
-            aggregates.append((op, arg if arg == "*" else arg[1:], alias[1:]))
-            if op.startswith("group_concat"):
-                concat_seps[alias[1:]] = sep
-            select.append(alias[1:])
-            continue
-        t = take()
-        select.append("*" if t == "*" else t[1:])
-    if not select:
-        raise SparqlSyntaxError("SELECT needs variables or *")
-    if aggregates and "*" in select:
-        raise SparqlSyntaxError("SELECT * cannot be mixed with aggregates")
-    # SELECT DISTINCT with aggregates is allowed: per spec DISTINCT
-    # applies to the projected solution multiset AFTER grouping, which
-    # is exactly the executor's post-projection distinct_on pass.
 
-    values_holder: list = [None]
+def _visible(vars_) -> list[str]:
+    """Variables without the hidden ``__ppN`` path plumbing."""
+    return [v for v in vars_ if not v.startswith("__pp")]
 
-    def take_values() -> None:
-        # VALUES ?v { t ... } | VALUES ( ?a ?b ) { ( t t ) ... } —
-        # accepted inline inside the WHERE group AND in the postfix
-        # position (SPARQL allows both; on this engine the clause is
-        # a broadcast membership filter either way, so placement does
-        # not change the plan)
-        if values_holder[0] is not None:
-            raise SparqlUnsupportedError("multiple VALUES clauses")
-        vvars: list[str] = []
-        if peek() == "(":
-            take()
-            while peek().startswith("?"):
-                vvars.append(take()[1:])
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing VALUES variables")
-        elif peek().startswith("?"):
-            vvars.append(take()[1:])
-        if not vvars:
-            raise SparqlSyntaxError("VALUES needs at least one ?variable")
-        if take() != "{":
-            raise SparqlSyntaxError("expected { opening the VALUES block")
 
-        def vcell() -> str | None:
-            # UNDEF = a wildcard cell: the row places no constraint
-            # on that variable (SPARQL 11.8.2 solution compatibility)
-            if peek().upper() == "UNDEF":
-                take()
-                return None
-            return _expand(take(), prefixes, "object")
+def _keys(vs) -> str:
+    return "[" + ", ".join(vs) + "]"
 
-        rows: list[tuple[str | None, ...]] = []
-        while peek() != "}":
-            if len(vvars) == 1 and peek() != "(":
-                row = (vcell(),)
-            else:
-                if take() != "(":
-                    raise SparqlSyntaxError("expected ( opening a VALUES row")
-                row = tuple(vcell() for _ in vvars)
-                if take() != ")":
-                    raise SparqlSyntaxError("expected ) closing a VALUES row")
-            if any(t is not None and t.startswith("?") for t in row):
-                raise SparqlUnsupportedError(
-                    "variables in VALUES rows are not supported"
-                )
-            rows.append(row)
-        take()  # '}'
-        if not rows:
-            raise SparqlSyntaxError("VALUES needs at least one row")
-        values_holder[0] = (vvars, rows)
 
-    if take().upper() != "WHERE" or take() != "{":
-        raise SparqlSyntaxError("expected WHERE {")
-    patterns: list[tuple[str, str, str]] = []
-    filters: list[_Expr] = []
+def _pattern_vars(pat) -> list[str]:
+    """The variables one pattern binds, in its bindings' column order:
+    slot order for a plain pattern, subject then object for a path."""
+    slots = pat if isinstance(pat[1], str) else (pat[0], pat[2])
+    return list(dict.fromkeys(t[1:] for t in slots if t.startswith("?")))
 
-    def take_filter() -> None:
-        # FILTER ( expr ) | FILTER regex ( ?v , "re" )
-        # | FILTER [NOT] EXISTS { BGP }
-        if peek().upper() == "NOT":
-            take()
-            if take().upper() != "EXISTS":
-                raise SparqlSyntaxError("expected EXISTS after FILTER NOT")
-            minus_groups.append(take_group("FILTER NOT EXISTS"))
-        elif peek().upper() == "EXISTS":
-            take()
-            exists_groups.append(take_group("FILTER EXISTS"))
+
+class _Node:
+    """One algebra node. ``child`` is the node it extends inside its own
+    group; a nested group (an OPTIONAL, MINUS or EXISTS body, a UNION
+    branch, a subquery) is a named field, listed by :meth:`kids` with the
+    kind of group it is."""
+
+    form = "SELECT"  # the query form a tree rooted here answers
+
+    def kids(self) -> list:
+        """``(node, group kind)`` per input; kind None: the same group."""
+        return [(self.child, None)]
+
+    @functools.cached_property
+    def vars(self) -> list[str]:
+        return self.child.vars
+
+    @functools.cached_property
+    def maybe(self) -> frozenset:
+        return self.child.maybe
+
+    def explain(self, depth: int = 0) -> list[str]:
+        lines = ["  " * depth + self.op()]
+        for kid, _ in self.kids():
+            lines += kid.explain(depth + 1)
+        return lines
+
+
+@dataclass(eq=False)
+class BGP(_Node):
+    """Triple patterns (the predicate may be a property-path element):
+    each pattern one pinned scan, inner hash joins on the variables it
+    shares with the patterns before it."""
+
+    patterns: list
+
+    maybe = frozenset()
+
+    def kids(self):
+        return []
+
+    @functools.cached_property
+    def steps(self) -> list:
+        """(pattern, its variables, those shared with earlier patterns)."""
+        out, seen = [], []
+        for pat in self.patterns:
+            vs = _pattern_vars(pat)
+            out.append((pat, vs, [v for v in vs if v in seen]))
+            seen += [v for v in vs if v not in seen]
+        return out
+
+    @functools.cached_property
+    def vars(self):
+        return list(dict.fromkeys(v for _, vs, _ in self.steps for v in vs))
+
+    def lower(self, store):
+        return _join_patterns(store, self.patterns)[0]
+
+    def op(self):
+        return f"BGP: {len(self.patterns)} pattern(s), each scan pinned with materialize()"
+
+    def explain(self, depth: int = 0):
+        pad = "  " * (depth + 1)
+        return [super().explain(depth)[0]] + [
+            pad + _pattern_op(pat, shared) for pat, _, shared in self.steps
+        ]
+
+
+@dataclass(eq=False)
+class Union(_Node):
+    """Bag union of groups binding the same (visible) variables."""
+
+    branches: list
+
+    maybe = frozenset()
+
+    def kids(self):
+        return [(b, "UNION") for b in self.branches]
+
+    @functools.cached_property
+    def vars(self):
+        return _visible(self.branches[0].vars)
+
+    def lower(self, store):
+        parts = [b.lower(store).select_columns(self.vars) for b in self.branches]
+        return functools.reduce(lambda a, b: a.union(b), parts)
+
+    def op(self):
+        return f"Union: Dataset.union of {len(self.branches)} branches on {_keys(self.vars)}"
+
+
+@dataclass(eq=False)
+class Join(_Node):
+    """The group joined with a ``{ SELECT … }`` subquery's solutions."""
+
+    child: _Node
+    sub: _Node
+
+    def kids(self):
+        return [(self.child, None), (self.sub, "WHERE")]
+
+    @functools.cached_property
+    def shared(self):
+        return [v for v in self.sub.vars if v in self.child.vars]
+
+    @functools.cached_property
+    def vars(self):
+        return self.child.vars + [v for v in self.sub.vars if v not in self.child.vars]
+
+    def lower(self, store):
+        return dstore.hash_join(
+            self.child.lower(store), self.sub.lower(store), on=self.shared, how="inner"
+        )
+
+    def op(self):
+        return f"Join on {_keys(self.shared)}: hash_join(how=inner, on={_keys(self.shared)})"
+
+
+@dataclass(eq=False)
+class LeftJoin(_Node):
+    """OPTIONAL: a left join; the optional group's FILTERs are the join
+    condition, evaluated over the group's own variables."""
+
+    child: _Node
+    opt: _Node
+    exprs: tuple = ()
+
+    def kids(self):
+        return [(self.child, None), (self.opt, "OPTIONAL")]
+
+    @functools.cached_property
+    def shared(self):
+        return [v for v in self.opt.vars if v in self.child.vars]
+
+    @functools.cached_property
+    def vars(self):
+        return self.child.vars + [v for v in self.opt.vars if v not in self.child.vars]
+
+    @functools.cached_property
+    def maybe(self):
+        return self.child.maybe | (set(self.opt.vars) - set(self.child.vars))
+
+    def lower(self, store):
+        left, right = self.child.lower(store), self.opt.lower(store)
+        if self.exprs:
+            right = _apply_filters_ds(right, list(self.exprs))
+        return dstore.hash_join(
+            left, right, on=self.shared, how="left",
+            schemas=(_vars_schema(self.child.vars), _vars_schema(self.opt.vars)),
+        )
+
+    def op(self):
+        cond = ", the condition by _filter_batch on the group first" if self.exprs else ""
+        return f"LeftJoin on {_keys(self.shared)}: hash_join(how=left, on={_keys(self.shared)}){cond}"
+
+
+@dataclass(eq=False)
+class Extend(_Node):
+    """BIND(expr AS ?var). Consecutive BINDs run as one batch pass, in
+    order, so aliases chain."""
+
+    child: _Node
+    var: str
+    expr: _Expr
+
+    @functools.cached_property
+    def vars(self):
+        return self.child.vars + [self.var]
+
+    def lower(self, store):
+        binds, node = [], self
+        while isinstance(node, Extend):
+            binds.insert(0, (node.expr, node.var))
+            node = node.child
+        return node.lower(store).map_batches(
+            _bind_batch, fn_kwargs={"binds": binds}, batch_format="pyarrow"
+        )
+
+    def op(self):
+        return f"Extend ?{self.var}: map_batches(_bind_batch), one pass per run of BINDs"
+
+
+@dataclass(eq=False)
+class Filter(_Node):
+    """The group's FILTER conditions, applied as one conjunction."""
+
+    child: _Node
+    exprs: tuple
+
+    def lower(self, store):
+        return _apply_filters_ds(self.child.lower(store), list(self.exprs))
+
+    def op(self):
+        return f"Filter: map_batches(_filter_batch) over {len(self.exprs)} condition(s)"
+
+
+@dataclass(eq=False)
+class Exists(_Node):
+    """FILTER [NOT] EXISTS { group }: a semi (anti) join on the shared
+    variables. A FILTER in the group that reads outer variables is
+    correlated: it runs on the (distinct outer keys × group) bindings."""
+
+    child: _Node
+    group: _Node
+    negated: bool
+
+    @property
+    def kind(self) -> str:
+        return "FILTER NOT EXISTS" if self.negated else "FILTER EXISTS"
+
+    def kids(self):
+        return [(self.child, None), (self.group, self.kind)]
+
+    @functools.cached_property
+    def shared(self):
+        return _visible(v for v in self.group.vars if v in self.child.vars)
+
+    @functools.cached_property
+    def outer(self) -> list[str]:
+        """Variables the group's FILTERs read from outside the group."""
+        exprs = self.group.exprs if isinstance(self.group, Filter) else ()
+        return sorted({v for e in exprs for v in _vars(e)} - set(self.group.vars))
+
+    def lower(self, store):
+        joined, how = self.child.lower(store), "anti" if self.negated else "semi"
+        if not self.outer:
+            keys, on = self.group.lower(store), self.shared
+            keys = dstore.distinct_on(keys.select_columns(on), on)
         else:
-            filters.append(_filter_expr(cur, prefixes))
+            bgp, on = self.group.child, self.shared + self.outer
+            outer_keys = dstore.distinct_on(joined.select_columns(on), on)
+            probe = dstore.hash_join(
+                outer_keys, bgp.lower(store), on=self.shared, how="inner",
+                schemas=(_vars_schema(on), _vars_schema(bgp.vars)),
+            )
+            qualified = _apply_filters_ds(probe, list(self.group.exprs))
+            keys = dstore.distinct_on(qualified.select_columns(on), on)
+        return dstore.hash_join(
+            joined, keys, on=on, how=how,
+            schemas=(_vars_schema(self.child.vars), _vars_schema(on)),
+        )
 
-    optionals: list[_OptGroup] = []
-    minus_groups: list[tuple[list, list, str]] = []
-    exists_groups: list[tuple[list, list, str]] = []
-    binds: list[tuple[_Expr, str]] = []
-    subqueries: list[str] = []
+    def op(self):
+        how, on = "anti" if self.negated else "semi", _keys(self.shared + self.outer)
+        probe = f" (_filter_batch over distinct outer keys ⋈ group)" if self.outer else ""
+        return f"{self.kind} on {on}: {how}-join on distinct keys{probe}: hash_join(how={how}, on={on})"
 
-    def take_bind() -> None:
-        # BIND ( expr AS ?alias )
-        if take() != "(":
+
+@dataclass(eq=False)
+class Minus(Exists):
+    """MINUS { group }: the group is evaluated on its own (§8.3.3), so an
+    outer variable its FILTER reads is unbound there; then an anti-join
+    on the shared variables."""
+
+    negated: bool = True
+
+    kind = "MINUS"
+    outer = []
+
+
+@dataclass(eq=False)
+class Values(_Node):
+    """Inline data over required-bound variables: one broadcast
+    membership filter per batch (UNDEF cells are wildcards)."""
+
+    child: _Node
+    cols: list
+    rows: list
+
+    def lower(self, store):
+        joined, vvars, vrows = self.child.lower(store), self.cols, self.rows
+        if any(all(c is None for c in row) for row in vrows):
+            # a row of only UNDEF cells constrains nothing
+            return joined
+        if len(vvars) == 1:
+            allowed = pa.array([r[0] for r in vrows if r[0] is not None], pa.string())
+
+            def apply_values(batch: pa.Table) -> pa.Table:
+                return batch.filter(pc.is_in(batch[vvars[0]], value_set=allowed))
+
+        else:
+            # multi-var rows: exact per-row conjunction OR-ed across the
+            # (small, inline) row set — no composite-key encoding, so
+            # literal content can never alias a row boundary
+            def apply_values(batch: pa.Table) -> pa.Table:
+                mask = None
+                for row in vrows:
+                    m = None
+                    for c, val in zip(vvars, row):
+                        if val is not None:  # UNDEF: no constraint
+                            eq = pc.equal(batch[c], val)
+                            m = eq if m is None else pc.and_(m, eq)
+                    mask = m if mask is None else pc.or_(mask, m)
+                return batch.filter(pc.fill_null(mask, False))
+
+        return joined.map_batches(apply_values, batch_format="pyarrow")
+
+    def op(self):
+        return f"Values {_keys(self.cols)}: broadcast is_in membership filter, {len(self.rows)} row(s), no exchange"
+
+
+@dataclass(eq=False)
+class Group(_Node):
+    """GROUP BY keys with the aggregates, or, with no aggregates, one
+    solution per group. ``aggs``: (op, var | "*", alias)."""
+
+    child: _Node
+    keys: list
+    aggs: list
+    seps: dict
+
+    @functools.cached_property
+    def vars(self):
+        return self.keys + [a for _, _, a in self.aggs]
+
+    def lower(self, store):
+        joined, keys, aggs = self.child.lower(store), self.keys, list(self.aggs)
+        if not aggs:
+            return dstore.distinct_on(joined.select_columns(keys), keys)
+        if keys:
+            partial, final = _aggregate_kernels(aggs, keys, self.seps)
+            return dstore.bucketed_group_map(
+                joined, keys, final, partial_fn=partial, batch_format="pyarrow"
+            )
+        op, var, alias = aggs[0]
+        if op.endswith("_distinct"):
+            # one global distinct exchange first; over its rows the
+            # DISTINCT aggregate IS the plain one
+            joined = dstore.distinct_on(joined.select_columns([var]), [var])
+            aggs = [(op.removesuffix("_distinct"), var, alias)]
+        # whole-result: GROUP BY on no keys — one partial row per block,
+        # the same final over them on the driver (1 row out); the partial
+        # of an empty table is the identity row, so an empty result still
+        # aggregates (COUNT/SUM 0, others unbound)
+        partial, final = _aggregate_kernels(aggs, [], self.seps)
+        empty = pa.table({v: pa.array([], pa.string()) for _, v, _ in aggs if v != "*"})
+        parts = joined.map_batches(partial, batch_format="pyarrow").iter_batches(
+            batch_size=None, batch_format="pyarrow"
+        )
+        return ray.data.from_arrow(
+            final(pa.concat_tables([partial(empty), *parts], promote_options="permissive"))
+        )
+
+    def op(self):
+        aggs = "".join(f" {op}({v})" for op, v, _ in self.aggs)
+        plan = (
+            "bucketed_group_map with the _aggregate_kernels pair" if self.keys and aggs
+            else "_aggregate_kernels partial per block, final on the driver" if aggs
+            else "distinct_on the keys"
+        )
+        return f"Group {_keys(self.keys)}{aggs}: {plan}"
+
+
+def _having_alias(node, op: str, arg: str):
+    """The SELECT alias of the aggregate a HAVING condition names."""
+    aggs = node.aggs if isinstance(node, Group) else []
+    return next((a for o, v, a in aggs if o == op and v == arg), None)
+
+
+@dataclass(eq=False)
+class Having(_Node):
+    """HAVING ( AGG(?v|*) cmp int ): filters the groups on the alias of
+    the matching SELECT aggregate. ``conds``: (op, arg, cmp, int)."""
+
+    child: _Node
+    conds: list
+
+    def lower(self, store):
+        hv = [(_having_alias(self.child, op, arg), cmp, n) for op, arg, cmp, n in self.conds]
+
+        def apply_having(batch: pa.Table) -> pa.Table:
+            mask = None
+            for alias, cmp, n in hv:
+                m = _ARROW_CMP[cmp](batch[alias], n)
+                mask = m if mask is None else pc.and_(mask, m)
+            return batch.filter(mask)
+
+        return self.child.lower(store).map_batches(apply_having, batch_format="pyarrow")
+
+    def op(self):
+        return f"Having: map_batches over the aggregate columns, {len(self.conds)} condition(s)"
+
+
+@dataclass(eq=False)
+class Project(_Node):
+    """The selected variables (``["*"]``: every visible in-scope one)."""
+
+    child: _Node
+    select: list
+
+    @functools.cached_property
+    def vars(self):
+        return _visible(self.child.vars) if self.select == ["*"] else self.select
+
+    @functools.cached_property
+    def maybe(self):
+        return self.child.maybe & set(self.vars)
+
+    def lower(self, store):
+        return self.child.lower(store).select_columns(self.vars)
+
+    def op(self):
+        return f"Project {_keys(self.vars)}: select_columns({_keys(self.vars)})"
+
+
+@dataclass(eq=False)
+class Distinct(_Node):
+    """SELECT DISTINCT / REDUCED (REDUCED takes the spec's latitude to
+    eliminate duplicates: deterministic and SQL-oracle-able)."""
+
+    child: _Node
+
+    def lower(self, store):
+        return dstore.distinct_on(self.child.lower(store), self.vars)
+
+    def op(self):
+        return f"Distinct: distinct_on({_keys(self.vars)})"
+
+
+@dataclass(eq=False)
+class OrderBy(_Node):
+    """ORDER BY over the projected variables: (var, descending)."""
+
+    child: _Node
+    keys: list
+
+    def lower(self, store):
+        return self.child.lower(store).sort(
+            [v for v, _ in self.keys], descending=[d for _, d in self.keys]
+        )
+
+    def op(self):
+        keys = ", ".join(f"{'DESC' if d else 'ASC'}(?{v})" for v, d in self.keys)
+        return f"OrderBy {keys}: Dataset.sort"
+
+
+@dataclass(eq=False)
+class Slice(_Node):
+    """LIMIT / OFFSET. An OFFSET needs ORDER BY and LIMIT: the ordered
+    ≤ offset+limit head finishes on the driver."""
+
+    child: _Node
+    limit: int | None
+    offset: int | None
+
+    def lower(self, store):
+        out = self.child.lower(store)
+        if self.limit is None:
+            return out
+        if not self.offset:
+            return out.limit(self.limit)
+        # Arrow slice keeps the schema even when the result is empty
+        head = pa.Table.from_pandas(
+            out.limit(self.offset + self.limit).to_pandas(), preserve_index=False
+        )
+        return ray.data.from_arrow(head.slice(self.offset))
+
+    def op(self):
+        head = f"limit({(self.offset or 0) + self.limit})" if self.limit is not None else "all rows"
+        return f"Slice offset {self.offset or 0} limit {self.limit}: {head}" + (", sliced on the driver" if self.offset else "")
+
+
+@dataclass(eq=False)
+class Ask(_Node):
+    """ASK: does the group have a solution?"""
+
+    child: _Node
+    graph: str | None = None
+
+    form = "ASK"
+
+    def kids(self):
+        return [(self.child, "ASK" if isinstance(self.child, BGP) else "WHERE")]
+
+    def lower(self, store) -> bool:
+        return _exists(store, self.child)
+
+    def op(self):
+        if isinstance(self.child, BGP):
+            return "Ask: limit(1) existence probe per ground pattern and per connected component"
+        return "Ask: limit(1) on the group's solutions"
+
+
+@dataclass(eq=False)
+class Construct(_Node):
+    """CONSTRUCT: the template instantiated per solution, as a set."""
+
+    child: _Node
+    templates: list
+
+    form = "CONSTRUCT"
+
+    def lower(self, store):
+        return dstore.distinct_on(
+            self.child.lower(store).map_batches(
+                _instantiate, fn_kwargs={"templates": self.templates}, batch_format="pyarrow"
+            ),
+            tr.COLUMNS,
+        )
+
+    def op(self):
+        return (
+            f"Construct: map_batches(_instantiate) over {len(self.templates)} template(s), "
+            "distinct_on(subject, predicate, object)"
+        )
+
+
+@dataclass(eq=False)
+class Describe(_Node):
+    """DESCRIBE: every triple whose subject is a described resource."""
+
+    child: _Node | None
+    iris: list
+    names: list
+
+    form = "DESCRIBE"
+
+    def kids(self):
+        return [] if self.child is None else [(self.child, None)]
+
+    def lower(self, store):
+        triples = store.dataset
+        if not self.names:
+            wanted = pa.array(sorted(set(self.iris)), pa.string())
+
+            def filt(batch: pa.Table) -> pa.Table:
+                subj = batch[tr.SUBJECT].combine_chunks().cast(pa.string())
+                return batch.filter(pc.is_in(subj, value_set=wanted))
+
+            return triples.map_batches(filt, batch_format="pyarrow")
+        bindings = self.child.lower(store)
+
+        def project(col: str):
+            def fn(batch: pa.Table) -> pa.Table:
+                c = batch[col].combine_chunks().cast(pa.string())
+                keep = pc.and_(pc.is_valid(c), pc.starts_with(c, "<"))
+                return pa.table({tr.SUBJECT: c.filter(keep)})
+
+            return fn
+
+        resources = functools.reduce(
+            lambda a, b: a.union(b),
+            [bindings.map_batches(project(v), batch_format="pyarrow") for v in self.names],
+        )
+        if self.iris:
+            resources = resources.union(
+                ray.data.from_arrow(
+                    pa.table({tr.SUBJECT: pa.array(sorted(set(self.iris)), pa.string())})
+                )
+            )
+        # left-semi keeps each matching triple exactly once regardless of
+        # how many bindings name its subject — no distinct pass needed
+        return dstore.hash_join(triples, resources, on=tr.SUBJECT, how="semi")
+
+    def op(self):
+        if not self.names:
+            return "Describe: streaming is_in filter on subject, no exchange"
+        return "Describe: resources from the solutions, hash_join(how=semi, on=[subject]) with the triples"
+
+
+def _template_vars(templates) -> set[str]:
+    return {t[1:] for pat in templates for t in pat if t.startswith("?")}
+
+
+@dataclass(eq=False)
+class Modify(_Node):
+    """DELETE { tpl } INSERT { tpl } WHERE { group }: both templates
+    instantiate against the solutions over the ORIGINAL store; ground
+    templates apply iff the group has a solution."""
+
+    child: _Node
+    delete: list
+    insert: list
+
+    def kids(self):
+        ask = not self.tpl_vars and isinstance(self.child, BGP)
+        return [(self.child, "ASK" if ask else "WHERE")]
+
+    @functools.cached_property
+    def tpl_vars(self) -> list[str]:
+        return sorted(_template_vars(self.delete + self.insert))
+
+    def lower(self, store) -> "dstore.DatasetGraphStore":
+        if not self.tpl_vars:
+            if not _exists(store, self.child):
+                return store
+            out = store
+            if self.delete:
+                out = out.delete_triples_unchecked(_ground_table(self.delete))
+            if self.insert:
+                out = out.add_triples_unchecked(_ground_table(self.insert))
+            return out
+        bindings = Project(self.child, self.tpl_vars).lower(store)
+
+        def instantiate(tpl):
+            return bindings.map_batches(
+                _instantiate, fn_kwargs={"templates": tpl}, batch_format="pyarrow"
+            )
+
+        out_ds = store.matches()
+        if self.delete:
+            out_ds = dstore.hash_join(
+                out_ds,
+                dstore.distinct_on(instantiate(self.delete), tr.COLUMNS),
+                on=tr.COLUMNS,
+                how="anti",
+            )
+        out = dstore.DatasetGraphStore(store.get_uri(), out_ds)
+        if self.insert:
+            out = out.add_triples_unchecked(instantiate(self.insert))
+        return out
+
+
+def _show_path(p) -> str:
+    """A predicate slot back in SPARQL path syntax."""
+    if isinstance(p, str):
+        return p
+    if p[0] in _CLOSURES:
+        return _show_path(p[1]) + _CLOSURES[p[0]]
+    if p[0] == "negset":
+        return "!(" + "|".join(p[1]) + ")"
+    if p[0] == "seq":
+        return "(" + "/".join(("^" if inv else "") + q for q, inv in p[1]) + ")"
+    alts = [("^" if inv else "") + q for q, inv in p]
+    return alts[0] if len(alts) == 1 else "(" + "|".join(alts) + ")"
+
+
+_CLOSURES = {"closure": "+", "closure0": "*", "zeroone": "?"}
+
+
+def _pattern_op(pat, shared) -> str:
+    """``explain``'s line for one BGP pattern."""
+    s, p, o = pat
+    if isinstance(p, str):
+        slots = zip(("subject", "predicate", "object"), pat)
+        out = "matches(" + ", ".join(f"{c}={t}" for c, t in slots if not t.startswith("?")) + ") scan"
+    elif p[0] in _CLOSURES:
+        zero = "" if p[0] == "closure" else ", plus zero-length pairs, distinct_on([src, dst])"
+        if p[0] == "zeroone":
+            out = "the element's edges" + zero
+        else:
+            seed = o + " (reversed edges)" if s.startswith("?") and not o.startswith("?") else s
+            seed = "none" if seed.startswith("?") else seed
+            out = (
+                f"transitive_closure(seed={seed}){zero}; one local task or the distributed "
+                "fixpoint, chosen at run time by LOCAL_CLOSURE_MAX_EDGES"
+            )
+    else:
+        out = f"bag union of {len(p)} predicate scans"
+    if shared:
+        out += f"; hash_join(how=inner, on={_keys(shared)})"
+    return f"{s} {_show_path(p)} {o}: {out}"
+
+
+# ---------------------------------------------------------------------------
+# The parser. One recursive-descent pass per query form; every group
+# graph pattern — the WHERE of each form, OPTIONAL / MINUS / [NOT] EXISTS
+# bodies, UNION branches and { SELECT } subqueries — goes through ONE
+# method, _Parser.group, which returns the group's §18.2.2 translation.
+# ---------------------------------------------------------------------------
+
+
+class _Parser:
+    def __init__(self, text: str, what: str = "query"):
+        self.cur = _Cursor(text, what)
+        self.prefixes = _prologue(self.cur)
+        self.hidden = 0  # fresh ?__ppN names for path rewriting
+
+    def fresh(self) -> str:
+        self.hidden += 1
+        return f"?__pp{self.hidden - 1}"
+
+    def query(self) -> _Node:
+        form = {
+            "SELECT": self.select, "ASK": self.ask,
+            "CONSTRUCT": self.construct, "DESCRIBE": self.describe,
+        }.get(self.cur.peek().upper())
+        if form is None:
+            raise SparqlSyntaxError("expected SELECT, ASK, CONSTRUCT or DESCRIBE")
+        node = form()
+        self.cur.done()
+        return node
+
+    # -- query forms ---------------------------------------------------------
+
+    def select(self) -> _Node:
+        cur = self.cur
+        if cur.take().upper() != "SELECT":
+            raise SparqlSyntaxError("expected SELECT")
+        distinct = cur.peek().upper() in ("DISTINCT", "REDUCED") and bool(cur.take())
+        select: list[str] = []
+        aggs: list[tuple[str, str, str]] = []
+        seps: dict = {}
+        while cur.peek().startswith("?") or cur.peek() in ("*", "("):
+            if cur.peek() == "(":
+                op, arg, alias, sep = self.aggregate()
+                aggs.append((op, arg, alias))
+                if op.startswith("group_concat"):
+                    seps[alias] = sep
+                select.append(alias)
+                continue
+            t = cur.take()
+            select.append("*" if t == "*" else t[1:])
+        if not select:
+            raise SparqlSyntaxError("SELECT needs variables or *")
+        return self.solution(select, distinct, aggs, seps)
+
+    def aggregate(self):
+        """``( AGG ( [DISTINCT] ?v | * [; SEPARATOR="s"] ) AS ?alias )``"""
+        cur = self.cur
+        cur.take()
+        op = cur.take().lower()
+        if op == "sample":
+            # SPARQL SAMPLE picks an arbitrary group member; this engine
+            # is deterministic everywhere, so SAMPLE is pinned to the
+            # minimum term — a valid sample, stable at any block layout,
+            # and SQL-oracle-able
+            op = "min"
+        if cur.take() != "(":
+            raise SparqlSyntaxError(f"expected ( after {op.upper()}")
+        if cur.peek().upper() == "DISTINCT":
+            cur.take()
+            if op not in ("min", "max"):  # a no-op for MIN/MAX
+                op += "_distinct"
+        arg = cur.take()
+        if arg == "*":
+            if op != "count":
+                raise SparqlSyntaxError(f"{op.upper()}(*) is not valid")
+        elif not arg.startswith("?"):
+            raise SparqlSyntaxError(f"{op.upper()} needs ?var or *")
+        sep = " "
+        if op.startswith("group_concat") and cur.peek() == ";":
+            cur.take()
+            if cur.take().upper() != "SEPARATOR":
+                raise SparqlSyntaxError("expected SEPARATOR after ; in GROUP_CONCAT")
+            if cur.take() != "=":
+                raise SparqlSyntaxError("expected = after SEPARATOR")
+            sv = cur.take()
+            if not (sv.startswith('"') and sv.endswith('"')):
+                raise SparqlSyntaxError('GROUP_CONCAT separator must be a plain "string"')
+            sep = sv[1:-1]
+        if cur.take() != ")":
+            raise SparqlSyntaxError(f"expected ) closing {op.upper()}")
+        if cur.take().upper() != "AS":
+            raise SparqlSyntaxError("aggregate needs AS ?alias")
+        alias = cur.take()
+        if not alias.startswith("?"):
+            raise SparqlSyntaxError("aggregate alias must be a ?variable")
+        if cur.take() != ")":
+            raise SparqlSyntaxError("expected ) closing the aggregate")
+        return op, arg if arg == "*" else arg[1:], alias[1:], sep
+
+    def solution(self, select, distinct=False, aggs=(), seps=None) -> _Node:
+        """``WHERE { … }`` and the solution modifiers → Group, Having,
+        Project, Distinct, OrderBy and Slice over the WHERE tree."""
+        cur = self.cur
+        if cur.take().upper() != "WHERE" or cur.peek() != "{":
+            raise SparqlSyntaxError("expected WHERE {")
+        node = self.group()
+        keys, having, order = [], [], []
+        limit = offset = None
+        while cur.peek() not in ("", "}"):
+            kw = cur.take().upper()
+            if kw == "VALUES":
+                node = Values(node, *self.values())
+            elif kw == "GROUP":
+                if cur.take().upper() != "BY":
+                    raise SparqlSyntaxError("expected GROUP BY")
+                while cur.peek().startswith("?") and len(cur.peek()) > 1:
+                    keys.append(cur.take()[1:])
+                if not keys:
+                    raise SparqlSyntaxError("GROUP BY needs variables")
+            elif kw == "HAVING":
+                having.append(self.having())
+            elif kw == "ORDER":
+                if cur.take().upper() != "BY":
+                    raise SparqlSyntaxError("expected ORDER BY")
+                order += self.order_keys()
+            elif kw in ("LIMIT", "OFFSET"):
+                n = cur.take()
+                if not n.isdigit():
+                    raise SparqlSyntaxError(f"{kw} needs an integer, got {n!r}")
+                limit, offset = (int(n), offset) if kw == "LIMIT" else (limit, int(n))
+            else:
+                raise SparqlUnsupportedError(f"unsupported clause {kw!r}")
+        if aggs or keys:
+            node = Group(node, keys, list(aggs), dict(seps or {}))
+        if having:
+            node = Having(node, having)
+        node = Project(node, select)
+        if distinct:
+            node = Distinct(node)
+        if order:
+            node = OrderBy(node, order)
+        if limit is not None or offset is not None:
+            node = Slice(node, limit, offset)
+        return node
+
+    def having(self):
+        """``( AGG ( [DISTINCT] ?v | * ) cmp [-]int )`` → (op, arg, cmp, n)"""
+        cur = self.cur
+        if cur.take() != "(":
+            raise SparqlSyntaxError("expected ( after HAVING")
+        op = cur.take().lower()
+        if cur.take() != "(":
+            raise SparqlSyntaxError(f"expected ( after {op.upper()}")
+        if cur.peek().upper() == "DISTINCT":
+            cur.take()
+            op += "_distinct"
+        arg = cur.take()
+        if arg != "*" and not arg.startswith("?"):
+            raise SparqlSyntaxError("HAVING aggregate needs ?var or *")
+        if cur.take() != ")":
+            raise SparqlSyntaxError(f"expected ) closing {op.upper()}")
+        cmp = cur.take()
+        if cmp not in _CMP:
+            raise SparqlSyntaxError(f"bad HAVING comparator {cmp!r}")
+        n = cur.take()
+        neg = n == "-"
+        if neg:
+            n = cur.take()
+        if not n.isdigit():
+            raise SparqlSyntaxError(f"HAVING needs an integer bound, got {n!r}")
+        if cur.take() != ")":
+            raise SparqlSyntaxError("expected ) closing HAVING")
+        return op, arg if arg == "*" else arg[1:], cmp, -int(n) if neg else int(n)
+
+    def order_keys(self) -> list[tuple[str, bool]]:
+        """``?v | ASC(?v) | DESC(?v)`` … → (var, descending)"""
+        cur, out = self.cur, []
+        while True:
+            t = cur.peek()
+            if t.startswith("?") and len(t) > 1:
+                out.append((cur.take()[1:], False))
+            elif t.upper() in ("ASC", "DESC"):
+                direction = cur.take().upper()
+                if cur.take() != "(":
+                    raise SparqlSyntaxError(f"expected ( after {direction}")
+                v = cur.take()
+                if not (v.startswith("?") and len(v) > 1):
+                    raise SparqlSyntaxError(f"{direction}() needs a variable")
+                if cur.take() != ")":
+                    raise SparqlSyntaxError(f"expected ) closing {direction}()")
+                out.append((v[1:], direction == "DESC"))
+            elif not out:
+                raise SparqlSyntaxError("ORDER BY needs variables")
+            else:
+                return out
+
+    def ask(self) -> _Node:
+        cur = self.cur
+        cur.take()
+        if cur.peek().upper() == "WHERE":
+            cur.take()
+        graph, node = _in_graph(cur, self.group, "ASK pattern")
+        return Ask(node, graph)
+
+    def construct(self) -> _Node:
+        cur = self.cur
+        cur.take()
+        templates = _triples(cur, self.prefixes, "CONSTRUCT template")
+        if not templates:
+            raise SparqlSyntaxError("empty CONSTRUCT template")
+        if cur.peek().upper() != "WHERE":
+            raise SparqlSyntaxError("expected WHERE after the CONSTRUCT template")
+        return Construct(self.solution(["*"]), templates)
+
+    def describe(self) -> _Node:
+        cur = self.cur
+        cur.take()
+        iris: list[str] = []
+        names: list[str] = []
+        while cur.peek() and cur.peek().upper() != "WHERE":
+            tok = cur.peek()
+            if tok.startswith("?"):
+                names.append(cur.take()[1:])
+            elif tok.startswith("<") or re.match(r"^[A-Za-z_][\w-]*:[\w-]+$", tok):
+                iris.append(_expand(cur.take(), self.prefixes, "subject"))
+            else:
+                raise SparqlSyntaxError(f"unexpected DESCRIBE target {tok!r}")
+        if not iris and not names:
+            raise SparqlSyntaxError("DESCRIBE needs at least one target")
+        if names and cur.peek().upper() != "WHERE":
+            raise SparqlSyntaxError("DESCRIBE with variables requires WHERE")
+        where = self.solution(names or ["*"]) if cur.peek() else None
+        return Describe(where, iris, names)
+
+    # -- group graph patterns --------------------------------------------------
+
+    def group(self) -> _Node:
+        """``{ … }`` → the group's translation. Its triple patterns form
+        one BGP (a group of only ``{…} UNION {…}`` is that Union); then,
+        in this order: OPTIONAL → LeftJoin, subqueries → Join, BIND →
+        Extend, the FILTERs → one Filter, FILTER EXISTS → Exists, MINUS /
+        FILTER NOT EXISTS → Minus / Exists, VALUES → Values. Inside the
+        supported subset (well-designed OPTIONALs, required-bound join
+        keys) that order gives the answers of the spec's element order."""
+        cur = self.cur
+        if cur.take() != "{":
+            raise SparqlSyntaxError("expected { opening a group graph pattern")
+        pats: list = []
+        filters: list = []
+        opts, subs, unions, binds, semi, anti, values = [], [], [], [], [], [], []
+        while cur.peek() != "}":
+            kw = cur.peek().upper()
+            if kw == "FILTER":
+                cur.take()
+                neg = cur.peek().upper() == "NOT" and bool(cur.take())
+                if neg and cur.peek().upper() != "EXISTS":
+                    raise SparqlSyntaxError("expected EXISTS after FILTER NOT")
+                if cur.peek().upper() == "EXISTS":
+                    cur.take()
+                    (anti if neg else semi).append((self.group(), neg))
+                else:
+                    filters.append(_filter_expr(cur, self.prefixes))
+            elif kw in ("OPTIONAL", "MINUS"):
+                cur.take()
+                (opts if kw == "OPTIONAL" else anti).append((self.group(), kw))
+            elif kw == "BIND":
+                cur.take()
+                binds.append(self.bind())
+            elif kw == "VALUES":
+                cur.take()
+                values.append(self.values())
+            elif kw == "{" and cur.peek(1).upper() == "SELECT":
+                cur.take()
+                subs.append(self.select())
+                if cur.take() != "}":
+                    raise SparqlSyntaxError("expected } closing the subquery")
+            elif kw == "{":
+                branches = [self.group()]
+                while cur.peek().upper() == "UNION":
+                    cur.take()
+                    branches.append(self.group())
+                unions.append(Union(branches))
+            else:
+                self.pattern(pats, filters)
+            if cur.peek() == ".":
+                cur.take()
+        cur.take()  # '}'
+
+        node = BGP(pats) if pats or not unions else None
+        for u in unions:
+            node = u if node is None else Join(node, u)
+        for grp, _ in opts:
+            if isinstance(grp, Filter):  # the group's FILTERs: the join condition
+                node = LeftJoin(node, grp.child, grp.exprs)
+            else:
+                node = LeftJoin(node, grp)
+        for sub in subs:
+            node = Join(node, sub)
+        for e, alias in binds:
+            node = Extend(node, alias, e)
+        if filters:
+            node = Filter(node, tuple(filters))
+        for grp, _ in semi:
+            node = Exists(node, grp, False)
+        for grp, kind in anti:
+            node = Minus(node, grp) if kind == "MINUS" else Exists(node, grp, True)
+        for cols, rows in values:
+            node = Values(node, cols, rows)
+        return node
+
+    def bind(self) -> tuple[_Expr, str]:
+        """``( expr AS ?alias )``"""
+        cur = self.cur
+        if cur.take() != "(":
             raise SparqlSyntaxError("expected ( after BIND")
-        e = _check(_ExprParser(cur, prefixes).or_())
-        _want(e, "term_or_num", "BIND")
-        if take().upper() != "AS":
+        e = _ExprParser(cur, self.prefixes).or_()
+        if cur.take().upper() != "AS":
             raise SparqlSyntaxError("BIND needs AS ?alias")
-        alias = take()
+        alias = cur.take()
         if not alias.startswith("?"):
             raise SparqlSyntaxError("BIND alias must be a ?variable")
-        if take() != ")":
+        if cur.take() != ")":
             raise SparqlSyntaxError("expected ) closing BIND")
-        binds.append((e, alias[1:]))
+        return e, alias[1:]
 
-    pp_counter = [0]  # fresh hidden vars for property-path chaining
+    def values(self):
+        """``?v { t … }`` | ``( ?a ?b ) { ( t t ) … }`` → (vars, rows);
+        UNDEF cells are None."""
+        cur = self.cur
+        cols: list[str] = []
+        if cur.peek() == "(":
+            cur.take()
+            while cur.peek().startswith("?"):
+                cols.append(cur.take()[1:])
+            if cur.take() != ")":
+                raise SparqlSyntaxError("expected ) closing VALUES variables")
+        elif cur.peek().startswith("?"):
+            cols.append(cur.take()[1:])
+        if not cols:
+            raise SparqlSyntaxError("VALUES needs at least one ?variable")
+        if cur.take() != "{":
+            raise SparqlSyntaxError("expected { opening the VALUES block")
 
-    def take_path_elem():
-        # one path element:
-        #   [^]pred                      → str (plain) or 1-choice tuple
-        #   ( [^]pred | [^]pred ... )    → tuple of (pred, inverted)
-        #   !pred | !(p1|p2|...)         → ("negset", (p1, p2, ...))
-        # alternation/inverse elements must be ground predicates
-        if peek() == "!":
-            take()
+        def cell() -> str | None:
+            if cur.peek().upper() == "UNDEF":
+                cur.take()
+                return None
+            return _expand(cur.take(), self.prefixes, "object")
+
+        rows: list[tuple[str | None, ...]] = []
+        while cur.peek() != "}":
+            if len(cols) == 1 and cur.peek() != "(":
+                rows.append((cell(),))
+                continue
+            if cur.take() != "(":
+                raise SparqlSyntaxError("expected ( opening a VALUES row")
+            rows.append(tuple(cell() for _ in cols))
+            if cur.take() != ")":
+                raise SparqlSyntaxError("expected ) closing a VALUES row")
+        cur.take()  # '}'
+        if not rows:
+            raise SparqlSyntaxError("VALUES needs at least one row")
+        return cols, rows
+
+    # -- triple patterns and property paths -----------------------------------
+
+    def path_elem(self):
+        """One path element: ``[^]pred`` → str (plain) or a 1-choice
+        tuple; ``( [^]p | [^]p … )`` → tuple of (pred, inverted);
+        ``( [^]p / [^]p … )`` → ("seq", choices); ``!p`` / ``!(p|…)`` →
+        ("negset", preds). Alternation/inverse elements are ground."""
+        cur, prefixes = self.cur, self.prefixes
+        if cur.peek() == "!":
+            cur.take()
             preds: list[str] = []
-            multi = peek() == "("
-            if multi:
-                take()
+            multi = cur.peek() == "(" and bool(cur.take())
             while True:
-                if peek() == "^":
+                if cur.peek() == "^":
                     raise SparqlUnsupportedError(
-                        "inverse members in a negated property set "
-                        "are not supported"
+                        "inverse members in a negated property set are not supported"
                     )
-                np_ = _expand(take(), prefixes, "predicate")
+                np_ = _expand(cur.take(), prefixes, "predicate")
                 if np_.startswith("?"):
-                    raise SparqlSyntaxError(
-                        "negated property sets need ground predicates"
-                    )
+                    raise SparqlSyntaxError("negated property sets need ground predicates")
                 preds.append(np_)
-                if multi and peek() == "|":
-                    take()
-                    continue
-                break
-            if multi and take() != ")":
-                raise SparqlSyntaxError(
-                    "expected ) closing the negated property set"
-                )
+                if not (multi and cur.peek() == "|"):
+                    break
+                cur.take()
+            if multi and cur.take() != ")":
+                raise SparqlSyntaxError("expected ) closing the negated property set")
             return ("negset", tuple(preds))
-        if peek() == "(":
-            take()
-            choices: list[tuple[str, bool]] = []
+        if cur.peek() == "(":
+            cur.take()
 
             def one():
-                inv = peek() == "^" and bool(take())
-                p = _expand(take(), prefixes, "predicate")
+                inv = cur.peek() == "^" and bool(cur.take())
+                p = _expand(cur.take(), prefixes, "predicate")
                 if p.startswith("?"):
                     raise SparqlSyntaxError(
-                        "parenthesized path elements must be ground "
-                        "predicates, not ?vars"
+                        "parenthesized path elements must be ground predicates, not ?vars"
                     )
                 return (p, inv)
 
-            choices.append(one())
-            if peek() == "/":
-                # ( e1 / e2 [/ e3 ...] ) — a grouped SEQUENCE, usually
-                # under a closure modifier ((p/q)* — "friend-of-friend
-                # chains"); the executor composes the step relations
-                # with hash joins before the fixpoint
-                while peek() == "/":
-                    take()
-                    choices.append(one())
-                if take() != ")":
-                    raise SparqlSyntaxError(
-                        "expected ) closing the path sequence"
-                    )
-                return ("seq", tuple(choices))
-            while peek() == "|":
-                take()
+            choices = [one()]
+            sep = cur.peek() if cur.peek() in ("/", "|") else "|"
+            while cur.peek() == sep:
+                cur.take()
                 choices.append(one())
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing the path alternative")
+            if cur.take() != ")":
+                what = "sequence" if sep == "/" else "alternative"
+                raise SparqlSyntaxError(f"expected ) closing the path {what}")
+            if sep == "/":
+                # ( e1 / e2 … ): a grouped SEQUENCE, usually under a
+                # closure modifier ((p/q)*); the step relations compose
+                # with hash joins before the fixpoint
+                return ("seq", tuple(choices))
             if len(choices) < 2:
-                raise SparqlSyntaxError(
-                    "a parenthesized path needs at least two |-alternatives"
-                )
+                raise SparqlSyntaxError("a parenthesized path needs at least two |-alternatives")
             return tuple(choices)
-        inv = peek() == "^" and bool(take())
-        p = _expand(take(), prefixes, "predicate")
+        inv = cur.peek() == "^" and bool(cur.take())
+        p = _expand(cur.take(), prefixes, "predicate")
         if inv:
             if p.startswith("?"):
                 raise SparqlSyntaxError("inverse path ^ needs a ground predicate")
             return ((p, True),)
         return p
 
-    def take_elem() -> object:
-        e = take_path_elem()
-        mod = peek()
-        if mod in ("+", "*", "?"):
-            # a negset element rides through as-is: the executor builds
-            # its base relation as ONE NOT-IN-filtered scan
-            take()
+    def path_step(self) -> list:
+        """One path element with its optional + * ? modifier → the chain
+        elements it stands for (a bare grouped sequence splices in as
+        its single-choice steps)."""
+        e = self.path_elem()
+        mod = self.cur.peek()
+        if mod in _MODIFIERS:
+            self.cur.take()
             if isinstance(e, str):
                 if e.startswith("?"):
-                    raise SparqlSyntaxError(
-                        f"path modifier {mod} needs ground predicates"
-                    )
+                    raise SparqlSyntaxError(f"path modifier {mod} needs ground predicates")
                 e = ((e, False),)
-            kind = {"+": "closure", "*": "closure0", "?": "zeroone"}[mod]
-            return (kind, e)
-        if isinstance(e, tuple) and len(e) == 2 and e[0] == "seq":
-            # a grouped sequence WITHOUT a modifier is just the plain
-            # sequence — splice it back into the chain as ordinary
-            # single-choice elements
-            return ("splice", e[1])
-        return e
+            return [(_MODIFIERS[mod], e)]
+        if isinstance(e, tuple) and e[0] == "seq":
+            return [((p, inv),) for p, inv in e[1]]
+        return [e]
 
-    def take_pattern(into: list) -> None:
-        s = _expand(take(), prefixes, "subject")
-        elems = [take_elem()]
-        while peek() == "/":
-            take()
-            elems.append(take_elem())
-        # grouped sequences without a modifier splice back into the
-        # chain as ordinary single-choice elements
-        flat: list = []
-        for e in elems:
-            if isinstance(e, tuple) and len(e) == 2 and e[0] == "splice":
-                flat.extend(((p, inv),) for p, inv in e[1])
-            else:
-                flat.append(e)
-        elems = flat
-        o = _expand(take(), prefixes, "object")
-        if len(elems) > 1 and any(
-            isinstance(p, str) and p.startswith("?") for p in elems
-        ):
-            raise SparqlSyntaxError(
-                "property-path elements must be ground predicates, not ?vars"
-            )
-        # sequence path e1/e2/... rewrites to a chain of patterns through
-        # hidden ?__ppN variables (excluded from SELECT * / UNION typing);
-        # each element is a plain predicate or a tuple of (pred, inverted)
-        # alternatives resolved per-pattern in _pattern_bindings
-        cur = s
+    def pattern(self, into: list, filters: list) -> None:
+        """``s path o`` → patterns. A sequence path e1/e2/… becomes a
+        chain of patterns through hidden ?__ppN variables (excluded from
+        SELECT * and the UNION typing); a negated property set becomes a
+        hidden predicate variable plus one != FILTER per excluded
+        predicate, joining the group's FILTERs."""
+        cur = self.cur
+        s = _expand(cur.take(), self.prefixes, "subject")
+        elems = self.path_step()
+        while cur.peek() == "/":
+            cur.take()
+            elems += self.path_step()
+        o = _expand(cur.take(), self.prefixes, "object")
+        if len(elems) > 1 and any(isinstance(p, str) and p.startswith("?") for p in elems):
+            raise SparqlSyntaxError("property-path elements must be ground predicates, not ?vars")
+        at = s
         for k, p in enumerate(elems):
-            if k == len(elems) - 1:
-                nxt = o
+            nxt = o if k == len(elems) - 1 else self.fresh()
+            if isinstance(p, tuple) and p[0] == "negset":
+                pv = self.fresh()
+                into.append((at, pv, nxt))
+                filters += [_Expr("!=", (_Expr("var", (pv[1:],)), _Expr("term", (q,)))) for q in p[1]]
             else:
-                nxt = f"?__pp{pp_counter[0]}"
-                pp_counter[0] += 1
-            if not isinstance(p, str) and len(p) == 2 and p[0] == "negset":
-                # negated property set: rewrite to a hidden predicate
-                # variable plus one != filter per excluded predicate —
-                # filters run on the joined bindings BEFORE the hidden
-                # ?__pp columns are dropped, so no new executor
-                # machinery is needed
-                if into is not patterns:
-                    raise SparqlUnsupportedError(
-                        "negated property sets are only supported in "
-                        "the top-level pattern"
-                    )
-                pv = f"?__pp{pp_counter[0]}"
-                pp_counter[0] += 1
-                into.append((cur, pv, nxt))
-                for pred in p[1]:
-                    filters.append(
-                        _Expr("!=", (_Expr("var", (pv[1:],)), _Expr("term", (pred,))))
-                    )
-            else:
-                into.append((cur, p, nxt))
-            cur = nxt
-        if peek() == ".":
-            take()
+                into.append((at, p, nxt))
+            at = nxt
 
-    def take_group(kind: str) -> tuple[list, list, str]:
-        # { BGP [FILTER(...)]... } — the group body for MINUS /
-        # FILTER [NOT] EXISTS; FILTER conditions inside the braces are
-        # collected per group (nested EXISTS stays out of the subset)
-        if take() != "{":
-            raise SparqlSyntaxError(f"expected {{ after {kind}")
-        grp: list[tuple[str, str, str]] = []
-        grp_filters: list = []
-        while peek() != "}":
-            up = peek().upper()
-            if up == "FILTER":
-                take()
-                mark_f = len(filters)
-                mark_m = len(minus_groups)
-                mark_e = len(exists_groups)
-                take_filter()
-                if len(minus_groups) > mark_m or len(exists_groups) > mark_e:
-                    raise SparqlUnsupportedError(
-                        f"nested FILTER [NOT] EXISTS inside a {kind} "
-                        "group is not supported"
-                    )
-                grp_filters.extend(filters[mark_f:])
-                del filters[mark_f:]
-                if peek() == ".":
-                    take()
-                continue
-            if up in ("OPTIONAL", "UNION", "MINUS", "VALUES"):
-                raise SparqlUnsupportedError(
-                    f"{kind} groups must be graph patterns plus FILTER"
-                )
-            take_pattern(grp)
-        take()  # '}'
-        if not grp:
-            raise SparqlSyntaxError(f"empty {kind} group")
-        return grp, grp_filters, kind
 
-    def take_optional_group() -> _OptGroup:
-        # { BGP [OPTIONAL { ... }] [FILTER(...)]... } — OPTIONAL groups
-        # may nest (LeftJoin(B, C) inside LeftJoin(A, ·)) and may carry
-        # FILTER conditions over their own variables (the LeftJoin
-        # condition of the well-designed case — see _eval_optional);
-        # UNION/MINUS/VALUES inside a group remain out of the subset
-        if take() != "{":
-            raise SparqlSyntaxError("expected { after OPTIONAL")
-        pats: list[tuple[str, str, str]] = []
-        children: list[_OptGroup] = []
-        grp_filters: list = []
-        while peek() != "}":
-            up = peek().upper()
-            if up == "OPTIONAL":
-                take()
-                children.append(take_optional_group())
-                if peek() == ".":
-                    take()
-                continue
-            if up == "FILTER":
-                take()
-                mark_f = len(filters)
-                mark_m = len(minus_groups)
-                mark_e = len(exists_groups)
-                take_filter()
-                if len(minus_groups) > mark_m or len(exists_groups) > mark_e:
-                    raise SparqlUnsupportedError(
-                        "FILTER [NOT] EXISTS inside an OPTIONAL group "
-                        "is not supported"
-                    )
-                grp_filters.extend(filters[mark_f:])
-                del filters[mark_f:]
-                if peek() == ".":
-                    take()
-                continue
-            if up in ("UNION", "MINUS", "VALUES"):
-                raise SparqlUnsupportedError(
-                    "OPTIONAL groups may contain only graph patterns, "
-                    "nested OPTIONAL and FILTER"
-                )
-            take_pattern(pats)
-        take()  # '}'
-        if not pats:
-            raise SparqlSyntaxError("empty OPTIONAL group")
-        return _OptGroup(pats, children, grp_filters)
+_MODIFIERS = {"+": "closure", "*": "closure0", "?": "zeroone"}
 
-    # union form: WHERE { { g1 } UNION { g2 } [UNION { g3 } ...] } —
-    # exclusive with the plain-pattern form (strict subset; branches
-    # are plain BGPs, no FILTER/OPTIONAL inside)
-    union_groups: list[list[tuple[str, str, str]]] = []
-    if peek() == "{":
-        while True:
-            if take() != "{":
-                raise SparqlSyntaxError("expected { opening UNION branch")
-            grp: list[tuple[str, str, str]] = []
-            while peek() != "}":
-                if peek().upper() in ("FILTER", "OPTIONAL", "UNION", "MINUS", "VALUES"):
-                    raise SparqlUnsupportedError(
-                        "UNION branches must be plain graph patterns"
-                    )
-                take_pattern(grp)
-            take()  # '}'
-            if not grp:
-                raise SparqlSyntaxError("empty UNION branch")
-            union_groups.append(grp)
-            if peek().upper() == "UNION":
-                take()
-                continue
-            break
-        if take() != "}":
-            raise SparqlSyntaxError("expected } closing WHERE")
-        if len(union_groups) < 2:
-            raise SparqlSyntaxError("UNION needs at least two branches")
-    else:
-        while peek() != "}":
-            if peek().upper() == "FILTER":
-                take()
-                take_filter()
-                if peek() == ".":
-                    take()
-                continue
-            if peek().upper() == "OPTIONAL":
-                take()
-                optionals.append(take_optional_group())
-                if peek() == ".":
-                    take()
-                continue
-            if peek().upper() == "MINUS":
-                take()
-                minus_groups.append(take_group("MINUS"))
-                if peek() == ".":
-                    take()
-                continue
-            if peek().upper() == "BIND":
-                take()
-                take_bind()
-                if peek() == ".":
-                    take()
-                continue
-            if peek().upper() == "VALUES":
-                take()
-                take_values()
-                if peek() == ".":
-                    take()
-                continue
-            if peek() == "{":
-                # nested group: only the { SELECT ... } subquery form
-                take()
-                if peek().upper() != "SELECT":
-                    raise SparqlUnsupportedError(
-                        "nested groups other than { SELECT ... } "
-                        "subqueries are not supported"
-                    )
-                depth, sub_toks = 1, []
-                while depth:
-                    t = take()
-                    if t == "{":
-                        depth += 1
-                    elif t == "}":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    sub_toks.append(t)
-                pre = " ".join(
-                    f"PREFIX {n}: <{u}>" for n, u in prefixes.items()
-                )
-                subqueries.append((pre + " " + " ".join(sub_toks)).strip())
-                if peek() == ".":
-                    take()
-                continue
-            take_pattern(patterns)
-        take()  # '}'
-        if not patterns:
-            raise SparqlSyntaxError("empty graph pattern")
 
-    order_by: list[tuple[str, bool]] = []
-    group_by: list[str] = []
-    having: list[tuple[str, str, int]] = []
-    limit = None
-    offset = None
-    while peek():
-        kw = take().upper()
-        if kw == "VALUES":
-            take_values()
-        elif kw == "GROUP":
-            if take().upper() != "BY":
-                raise SparqlSyntaxError("expected GROUP BY")
-            while peek().startswith("?") and len(peek()) > 1:
-                group_by.append(take()[1:])
-            if not group_by:
-                raise SparqlSyntaxError("GROUP BY needs variables")
-        elif kw == "HAVING":
-            if take() != "(":
-                raise SparqlSyntaxError("expected ( after HAVING")
-            hop = take().lower()
-            if hop not in ("count", "min", "max", "sum", "avg"):
-                raise SparqlUnsupportedError(
-                    f"HAVING needs an aggregate, got {hop!r}"
-                )
-            if take() != "(":
-                raise SparqlSyntaxError(f"expected ( after {hop.upper()}")
-            if peek().upper() == "DISTINCT":
-                take()
-                if hop != "count":
-                    raise SparqlUnsupportedError(
-                        f"{hop.upper()}(DISTINCT ...) is not supported"
-                    )
-                hop = "count_distinct"
-            harg = take()
-            if harg != "*" and not harg.startswith("?"):
-                raise SparqlSyntaxError("HAVING aggregate needs ?var or *")
-            if take() != ")":
-                raise SparqlSyntaxError(f"expected ) closing {hop.upper()}")
-            cmp = take()
-            if cmp not in ("<", ">", "<=", ">=", "=", "!="):
-                raise SparqlSyntaxError(f"bad HAVING comparator {cmp!r}")
-            n = take()
-            hneg = n == "-"
-            if hneg:
-                n = take()
-            if not n.isdigit():
-                raise SparqlSyntaxError(
-                    f"HAVING needs an integer bound, got {n!r}"
-                )
-            if take() != ")":
-                raise SparqlSyntaxError("expected ) closing HAVING")
-            key = harg if harg == "*" else harg[1:]
-            match = [
-                a for op_, v_, a in aggregates if op_ == hop and v_ == key
-            ]
-            if not match:
-                raise SparqlUnsupportedError(
-                    "the HAVING aggregate must also appear in SELECT "
-                    "(this subset filters on the selected alias)"
-                )
-            having.append(
-                (match[0], cmp, -int(n) if hneg else int(n))
+def parse(text: str) -> _Node:
+    """Query text (SELECT, ASK, CONSTRUCT or DESCRIBE) → its algebra
+    tree, not yet checked against the rules (:func:`_validate`)."""
+    return _Parser(text).query()
+
+
+# ---------------------------------------------------------------------------
+# The rules: every refusal of the subset, checked over the whole tree by
+# _validate before anything runs. A rule is (node type, error class,
+# check(node, group kind) → message or None); the group kind is "WHERE"
+# (a query's own group), "ASK" (a pure-BGP existence pattern),
+# "OPTIONAL", "MINUS", "FILTER [NOT] EXISTS" or "UNION".
+# ---------------------------------------------------------------------------
+
+_AGG_OPS = ("count", "min", "max", "sum", "avg", "group_concat")
+_EMPTY = {
+    "WHERE": "empty graph pattern",
+    "ASK": "empty ASK pattern",
+    "OPTIONAL": "empty OPTIONAL group",
+    "UNION": "empty UNION branch",
+}
+
+
+def _content(node: _Node, where: str):
+    """What a group of kind ``where`` may contain, checked before the
+    node's own inputs: (error class, message) or None."""
+    if where == "OPTIONAL" and not isinstance(node, (BGP, LeftJoin, Filter)):
+        if isinstance(node, Exists) and not isinstance(node, Minus):
+            return SparqlUnsupportedError, "FILTER [NOT] EXISTS inside an OPTIONAL group is not supported"
+        return SparqlUnsupportedError, "OPTIONAL groups may contain only graph patterns, nested OPTIONAL and FILTER"
+    if where == "UNION" and not isinstance(node, BGP):
+        return SparqlUnsupportedError, "UNION branches must be plain graph patterns"
+    if where in ("MINUS", "FILTER EXISTS", "FILTER NOT EXISTS") and not isinstance(node, (BGP, Filter)):
+        if isinstance(node, Exists) and not isinstance(node, Minus):
+            return SparqlUnsupportedError, f"nested FILTER [NOT] EXISTS inside a {where} group is not supported"
+        return SparqlUnsupportedError, f"{where} groups must be graph patterns plus FILTER"
+    if isinstance(node, Join) and not isinstance(node.sub, (Project, Distinct, OrderBy, Slice)):
+        return SparqlUnsupportedError, "nested groups other than { SELECT ... } subqueries are not supported"
+    return None
+
+
+def _bgp_refusal(n: BGP, where: str):
+    for k, (pat, vs, shared) in enumerate(n.steps):
+        # a pure-BGP ASK probes ground triples and each connected
+        # component on its own; every other BGP lowers to one join chain
+        if not vs and (where != "ASK" or not isinstance(pat[1], str)):
+            return "fully-bound patterns (ASK semantics) are not supported"
+        if k and not shared and where != "ASK":
+            return (
+                f"pattern {pat} shares no variable with the preceding "
+                "patterns — cartesian products are refused"
             )
-        elif kw == "ORDER":
-            if take().upper() != "BY":
-                raise SparqlSyntaxError("expected ORDER BY")
-            while True:
-                t = peek()
-                if t.startswith("?") and len(t) > 1:
-                    order_by.append((take()[1:], False))
-                elif t.upper() in ("ASC", "DESC"):
-                    direction = take().upper()
-                    if take() != "(":
-                        raise SparqlSyntaxError(
-                            f"expected ( after {direction}"
-                        )
-                    v = take()
-                    if not (v.startswith("?") and len(v) > 1):
-                        raise SparqlSyntaxError(
-                            f"{direction}() needs a variable"
-                        )
-                    if take() != ")":
-                        raise SparqlSyntaxError(
-                            f"expected ) closing {direction}()"
-                        )
-                    order_by.append((v[1:], direction == "DESC"))
-                else:
-                    break
-            if not order_by:
-                raise SparqlSyntaxError("ORDER BY needs variables")
-        elif kw == "LIMIT":
-            n = take()
-            if not n.isdigit():
-                raise SparqlSyntaxError(f"LIMIT needs an integer, got {n!r}")
-            limit = int(n)
-        elif kw == "OFFSET":
-            n = take()
-            if not n.isdigit():
-                raise SparqlSyntaxError(f"OFFSET needs an integer, got {n!r}")
-            offset = int(n)
-        else:
-            raise SparqlUnsupportedError(f"unsupported clause {kw!r}")
-    if offset is not None and (limit is None or not order_by):
-        # without a total order the skipped prefix is nondeterministic;
-        # without LIMIT the driver-side finish is unbounded
-        raise SparqlUnsupportedError(
-            "OFFSET requires ORDER BY and LIMIT in this subset"
-        )
-    if aggregates and not group_by:
-        # whole-result aggregate (one output row): model as GROUP BY on
-        # no keys — handled in the executor
-        pass
-    if group_by and not aggregates:
-        # valid SPARQL: grouping with no aggregates projects ONE row
-        # per group — the selected variables must all be group keys
-        # (a non-key variable's per-group value is undefined; standard
-        # engines reject it too)
-        if select == ["*"]:
-            select = list(group_by)
-        bad = [v for v in select if v not in group_by]
+    return None
+
+
+def _union_refusal(n: Union, where: str):
+    for b in n.branches[1:]:
+        visible = set(_visible(b.vars))
+        if visible != set(n.vars):
+            return f"UNION branches bind different variables: {sorted(n.vars)} vs {sorted(visible)}"
+    return None
+
+
+def _checked_exprs(exprs, kind: str, where: str) -> None:
+    """Type expressions against _SIGNATURES; the table's own rules raise
+    the error class (see _want)."""
+    for e in exprs:
+        _want(_check(e), kind, where)
+
+
+def _grouped(n: _Node):
+    """The Group a projection reads (through a HAVING), or None."""
+    n = n.child.child if isinstance(n.child, Having) else n.child
+    return n if isinstance(n, Group) else None
+
+
+def _projection_refusal(n: Project, where: str):
+    g = _grouped(n)
+    if g is not None and g.aggs and n.select == ["*"]:
+        return "SELECT * cannot be mixed with aggregates"
+    if g is not None and n.select != ["*"]:
+        ok = g.keys + [a for _, _, a in g.aggs]
+        bad = [v for v in n.select if v not in ok]
+        if bad and g.aggs:
+            return f"selected variables not in GROUP BY or aggregated: {bad}"
         if bad:
-            raise SparqlSyntaxError(
-                f"selected variables not in GROUP BY: {bad}"
+            return f"selected variables not in GROUP BY: {bad}"
+    missing = [c for c in n.vars if c not in n.child.vars]
+    return missing and f"SELECT variables never bound: {missing}"
+
+
+def _aggregate_refusal(n: Group, where: str):
+    ops = [op for op, _, _ in n.aggs]
+    for op in ops:
+        if op.removesuffix("_distinct") not in _AGG_OPS:
+            return f"unsupported aggregate {op.removesuffix('_distinct')!r}"
+    # a DISTINCT aggregate or GROUP_CONCAT needs the raw (keys…, v) rows
+    # to reach the final pass — no combiner can collapse them beside the
+    # row-collapsing partials of the other aggregates, so the subset
+    # allows either only as the sole aggregate; a whole-corpus concat
+    # into one string is an anti-scale operation
+    if len(ops) > 1 and any(op.startswith("group_concat") for op in ops):
+        return "GROUP_CONCAT cannot be mixed with other aggregates"
+    if len(ops) > 1 and any(op.endswith("_distinct") for op in ops):
+        return "a DISTINCT aggregate cannot be mixed with other aggregates"
+    if ops and ops[0].startswith("group_concat") and not n.keys:
+        return "GROUP_CONCAT requires GROUP BY in this subset"
+    return None
+
+
+def _having_refusal(n: Having, where: str):
+    for op, arg, _, _ in n.conds:
+        base = op.removesuffix("_distinct")
+        if base not in ("count", "min", "max", "sum", "avg"):
+            return f"HAVING needs an aggregate, got {base!r}"
+        if op != base and base != "count":
+            return f"{base.upper()}(DISTINCT ...) is not supported"
+        if _having_alias(n.child, op, arg) is None:
+            return (
+                "the HAVING aggregate must also appear in SELECT "
+                "(this subset filters on the selected alias)"
             )
-    if aggregates:
-        bad = [v for v in select if v not in group_by
-               and v not in {a for _, _, a in aggregates}]
-        if bad:
-            raise SparqlSyntaxError(
-                f"selected variables not in GROUP BY or aggregated: {bad}"
-            )
-    if having and not aggregates:
-        raise SparqlUnsupportedError("HAVING requires aggregates")
-    return _Query(
-        select, distinct, patterns, filters, optionals,
-        minus_groups, exists_groups, values_holder[0], union_groups,
-        aggregates, group_by, order_by, limit, offset, having=having,
-        concat_seps=concat_seps, binds=binds, subqueries=subqueries,
-    )
+    return None
+
+
+_RULES = [
+    (BGP, SparqlSyntaxError, lambda n, w: not n.patterns and _EMPTY.get(w, f"empty {w} group")),
+    (BGP, SparqlUnsupportedError, lambda n, w: w not in ("WHERE", "ASK") and any(
+        isinstance(p, str) and p.startswith("?__pp") for _, p, _ in n.patterns
+    ) and "negated property sets are only supported in the top-level pattern"),
+    (BGP, SparqlUnsupportedError, _bgp_refusal),
+    (Union, SparqlSyntaxError, lambda n, w: len(n.branches) < 2 and "UNION needs at least two branches"),
+    (Union, SparqlUnsupportedError, _union_refusal),
+    (Join, SparqlUnsupportedError, lambda n, w: not n.shared and (
+        "subquery shares no variable with the outer patterns"
+    )),
+    (LeftJoin, SparqlSyntaxError, lambda n, w: _checked_exprs(n.exprs, "bool", "FILTER")),
+    (LeftJoin, SparqlUnsupportedError, lambda n, w: not n.shared and (
+        "nested OPTIONAL shares no variable with its enclosing group — cartesian products are refused"
+        if w == "OPTIONAL" else
+        "OPTIONAL group shares no variable with the required patterns — cartesian products are refused"
+    )),
+    # an equi-join key that may be unbound diverges from SPARQL's
+    # compatible-mapping semantics (unbound matches anything), so such
+    # patterns — exactly the non-well-designed ones (Pérez et al. 2009)
+    # — are refused rather than misanswered
+    (LeftJoin, SparqlUnsupportedError, lambda n, w: any(
+        v in n.opt.maybe or v in n.child.maybe for v in n.shared
+    ) and (
+        "non-well-designed OPTIONAL nesting: a join variable may be unbound on one side"
+        if w == "OPTIONAL" else
+        "non-well-designed OPTIONAL: a join variable may be unbound on one side"
+    )),
+    # the condition may read only the group's own variables: then
+    # Filter(group) before the left join IS LeftJoin(outer, group, C)
+    (LeftJoin, SparqlUnsupportedError, lambda n, w: (fbad := [
+        x for e in n.exprs for x in _vars(e) if x not in n.opt.vars
+    ]) and f"FILTER inside OPTIONAL may reference only the group's own variables; outer refs: {fbad}"),
+    (Extend, SparqlSyntaxError, lambda n, w: _checked_exprs([n.expr], "term_or_num", "BIND")),
+    (Extend, SparqlSyntaxError, lambda n, w: n.var in n.child.vars and f"BIND alias ?{n.var} already bound"),
+    (Extend, SparqlSyntaxError, lambda n, w: (missing := [
+        v for v in _vars(n.expr) if v not in n.child.vars
+    ]) and f"BIND arguments never bound: {missing}"),
+    (Filter, SparqlSyntaxError, lambda n, w: _checked_exprs(n.exprs, "bool", "FILTER")),
+    # a MINUS / EXISTS group's FILTER may read outer variables (the
+    # Exists rule below); a MINUS group's sees them unbound
+    (Filter, SparqlSyntaxError, lambda n, w: w == "WHERE" and (bad := [
+        x for e in n.exprs for x in _vars(e) if x not in n.child.vars
+    ]) and f"FILTER variables never bound: {bad}"),
+    (Exists, SparqlUnsupportedError, lambda n, w: not n.shared and (
+        "MINUS / FILTER [NOT] EXISTS group shares no variable with the outer "
+        "patterns — the disjoint-domain case is refused"
+    )),
+    (Exists, SparqlUnsupportedError, lambda n, w: (bad := [
+        v for v in n.shared if v in n.child.maybe
+    ]) and f"MINUS / FILTER [NOT] EXISTS on OPTIONAL-only variables is not supported: {bad}"),
+    (Exists, SparqlUnsupportedError, lambda n, w: (fbad := [
+        v for v in n.outer if v not in n.child.vars or v in n.child.maybe
+    ]) and f"FILTER inside MINUS / EXISTS references variables that are not required-bound outside: {fbad}"),
+    (Values, SparqlUnsupportedError, lambda n, w: isinstance(n.child, Values) and "multiple VALUES clauses"),
+    (Values, SparqlUnsupportedError, lambda n, w: any(
+        c is not None and c.startswith("?") for row in n.rows for c in row
+    ) and "variables in VALUES rows are not supported"),
+    (Values, SparqlSyntaxError, lambda n, w: (missing := [
+        v for v in n.cols if v not in n.child.vars
+    ]) and f"VALUES variables never bound: {missing}"),
+    (Values, SparqlUnsupportedError, lambda n, w: (bad := [
+        v for v in n.cols if v in n.child.maybe
+    ]) and f"VALUES on OPTIONAL-only variables is not supported: {bad}"),
+    (Group, SparqlUnsupportedError, _aggregate_refusal),
+    (Group, SparqlSyntaxError, lambda n, w: (bad := [v for v in n.keys if v not in n.child.vars] + [
+        v for _, v, _ in n.aggs if v != "*" and v not in n.child.vars
+    ]) and f"{'aggregate/' if n.aggs else ''}GROUP BY variables never bound: {bad}"),
+    (Having, SparqlUnsupportedError, _having_refusal),
+    (Project, SparqlSyntaxError, _projection_refusal),
+    (Project, SparqlUnsupportedError, lambda n, w: not n.vars and "SELECT * found no projectable variables"),
+    (OrderBy, SparqlUnsupportedError, lambda n, w: (bad := [
+        v for v, _ in n.keys if v not in n.child.vars
+    ]) and f"ORDER BY on unselected vars: {bad}"),
+    # without a total order the skipped prefix is nondeterministic;
+    # without LIMIT the driver-side finish is unbounded
+    (Slice, SparqlUnsupportedError, lambda n, w: n.offset is not None and (
+        n.limit is None or not isinstance(n.child, OrderBy)
+    ) and "OFFSET requires ORDER BY and LIMIT in this subset"),
+    (Construct, SparqlSyntaxError, lambda n, w: (missing := sorted(
+        _template_vars(n.templates) - set(n.child.vars)
+    )) and f"CONSTRUCT template variables never bound: {missing}"),
+    (Describe, SparqlUnsupportedError, lambda n, w: not n.names and n.child is not None and (
+        "WHERE on an explicit-IRI DESCRIBE binds nothing — refused"
+    )),
+    (Modify, SparqlSyntaxError, lambda n, w: (missing := [
+        v for v in n.tpl_vars if v not in n.child.vars
+    ]) and f"modify template variables never bound in WHERE: {missing}"),
+]
+
+
+def _validate(node: _Node, where: str = "WHERE") -> _Node:
+    """Check a tree against the rules: what each group may contain
+    first, then the inputs, then the node's own rules."""
+    bad = _content(node, where)
+    if bad:
+        raise bad[0](bad[1])
+    for kid, kind in node.kids():
+        _validate(kid, kind or where)
+    for typ, cls, rule in _RULES:
+        if isinstance(node, typ):
+            msg = rule(node, where)
+            if msg:
+                raise cls(msg)
+    return node
 
 
 def _pattern_bindings(
@@ -2145,10 +2771,6 @@ def _pattern_bindings(
             out_vars.append(s[1:])
         if o.startswith("?") and o != s:
             out_vars.append(o[1:])
-        if not out_vars:
-            raise SparqlUnsupportedError(
-                "fully-bound patterns (ASK semantics) are not supported"
-            )
 
         def swapped(batch: pa.Table) -> pa.Table:
             return pa.table({"src": batch["dst"], "dst": batch["src"]})
@@ -2277,57 +2899,12 @@ def _vars_schema(vars_: list[str]) -> "pa.Schema":
     return pa.schema([(v, pa.string()) for v in vars_])
 
 
-def _star_columns(q: _Query) -> list[str]:
-    """The variable list a SELECT * body projects, derived statically.
-
-    Mirrors the executor's runtime ``bound`` construction order —
-    pattern slots in appearance order (union branches when the group is
-    a UNION), then OPTIONAL groups, then subquery projections, then
-    BIND aliases — with hidden property-path vars (``__ppN``) excluded,
-    exactly like the top-level ``SELECT *`` projection. Static
-    derivation means a ``{ SELECT * ... }`` subquery never needs a
-    schema probe (which would execute its plan a second time)."""
-    cols: list[str] = []
-
-    def add(slot: str) -> None:
-        if slot.startswith("?") and not slot[1:].startswith("__pp"):
-            if slot[1:] not in cols:
-                cols.append(slot[1:])
-
-    def add_pats(pats) -> None:
-        for pat in pats:
-            for slot in pat:
-                add(slot)
-
-    add_pats(q.patterns)
-    for grp in q.union_groups:
-        add_pats(grp)
-
-    def add_opt(grp: _OptGroup) -> None:
-        add_pats(grp.patterns)
-        for child in grp.children:
-            add_opt(child)
-
-    for grp in q.optionals:
-        add_opt(grp)
-    for sub_text in q.subqueries:
-        sub_q = parse(sub_text)
-        for v in (
-            _star_columns(sub_q) if sub_q.select == ["*"] else sub_q.select
-        ):
-            add("?" + v)
-    for _, alias in q.binds:
-        add("?" + alias)
-    if not cols:
-        raise SparqlUnsupportedError("SELECT * found no projectable variables")
-    return cols
-
-
 def _join_patterns(
     store: "dstore.DatasetGraphStore", patterns
 ) -> tuple[ray.data.Dataset, list[str]]:
     """Compile a connected pattern group into one bindings Dataset:
-    each pattern scans, then inner hash joins on the shared variables."""
+    each pattern scans, then inner hash joins on the shared variables
+    (the BGP rules guarantee every pattern after the first shares one)."""
     joined: ray.data.Dataset | None = None
     bound: list[str] = []
     for pat in patterns:
@@ -2339,19 +2916,10 @@ def _join_patterns(
         # (pattern-pruned), not the corpus, and the join exchange would
         # materialize it anyway.
         ds = ds.materialize()
-        if not vars_:
-            raise SparqlUnsupportedError(
-                "fully-bound patterns (ASK semantics) are not supported"
-            )
         if joined is None:
             joined, bound = ds, vars_
             continue
         shared = [v for v in vars_ if v in bound]
-        if not shared:
-            raise SparqlUnsupportedError(
-                f"pattern {pat} shares no variable with the preceding "
-                "patterns — cartesian products are refused"
-            )
         joined = dstore.hash_join(
             joined,
             ds,
@@ -2476,6 +3044,14 @@ def _aggregate_kernels(aggs: list, keys: list[str], seps: dict):
     return partial, final
 
 
+def _checked(query: str, form: str) -> _Node:
+    """Parse one query of ``form`` and check it against the rules."""
+    root = parse(query)
+    if root.form != form:
+        raise SparqlSyntaxError(f"expected {form}")
+    return _validate(root)
+
+
 def sparql_select(
     store: "dstore.DatasetGraphStore", query: str
 ) -> ray.data.Dataset:
@@ -2483,540 +3059,50 @@ def sparql_select(
     the store; returns a Dataset with one column per selected variable,
     values in the engine's NTriples term encoding (optional-only
     variables are NULL on rows their group did not match)."""
-    q = parse(query)
-    if q.union_groups:
-        # bag union (SPARQL UNION keeps duplicates): each branch is an
-        # independent BGP join; the strict subset requires identical
-        # variable sets so the union is well-typed with no null padding
-        branches = [_join_patterns(store, grp) for grp in q.union_groups]
-        # hidden property-path vars (__ppN) are per-branch plumbing and
-        # excluded from the same-variables typing rule and the union
-        bound = [v for v in branches[0][1] if not v.startswith("__pp")]
-        for _, vars_ in branches[1:]:
-            visible = {v for v in vars_ if not v.startswith("__pp")}
-            if visible != set(bound):
-                raise SparqlUnsupportedError(
-                    f"UNION branches bind different variables: "
-                    f"{sorted(bound)} vs {sorted(visible)}"
-                )
-        aligned = [ds.select_columns(bound) for ds, _ in branches]
-        joined = aligned[0]
-        for ds in aligned[1:]:
-            joined = joined.union(ds)
-    else:
-        joined, bound = _join_patterns(store, q.patterns)
-
-    opt_only: set[str] = set()
-
-    def _eval_optional(grp: _OptGroup):
-        """Bottom-up LeftJoin(patterns, child) per nested child —
-        SPARQL's LeftJoin(A, LeftJoin(B, C)). Returns (bindings,
-        variable list, nullable set): a variable introduced only under
-        a nested OPTIONAL may be NULL. An equi-join key that can be
-        NULL diverges from SPARQL's compatible-mapping semantics
-        (unbound matches anything), so such patterns — exactly the
-        non-well-designed ones (Pérez et al. 2009) — are refused with
-        a typed error rather than silently misanswered."""
-        g_ds, g_vars = _join_patterns(store, grp.patterns)
-        nullable: set[str] = set()
-        for child in grp.children:
-            c_ds, c_vars, c_null = _eval_optional(child)
-            shared = [v for v in c_vars if v in g_vars]
-            if not shared:
-                raise SparqlUnsupportedError(
-                    "nested OPTIONAL shares no variable with its "
-                    "enclosing group — cartesian products are refused"
-                )
-            if any(v in c_null or v in nullable for v in shared):
-                raise SparqlUnsupportedError(
-                    "non-well-designed OPTIONAL nesting: a join "
-                    "variable may be unbound on one side"
-                )
-            g_ds = dstore.hash_join(
-                g_ds,
-                c_ds,
-                on=shared,
-                how="left",
-                schemas=(_vars_schema(g_vars), _vars_schema(c_vars)),
-            )
-            new = [v for v in c_vars if v not in g_vars]
-            nullable.update(new)
-            g_vars += new
-        if grp.filters:
-            # FILTER inside the OPTIONAL group: on this subset the
-            # condition may reference only the group's own variables,
-            # which makes Filter(group) THEN LeftJoin(outer, ·, true)
-            # exactly SPARQL's LeftJoin(outer, group, C) — an errored
-            # (unbound) condition row drops here and the outer row
-            # keeps null bindings either way. Conditions over OUTER
-            # variables would need a join-time condition and are
-            # refused with a typed error.
-            fbad = [
-                x
-                for f in grp.filters
-                for x in _vars(f)
-                if x not in g_vars
-            ]
-            if fbad:
-                raise SparqlUnsupportedError(
-                    "FILTER inside OPTIONAL may reference only the "
-                    f"group's own variables; outer refs: {fbad}"
-                )
-            g_ds = _apply_filters_ds(g_ds, grp.filters)
-        return g_ds, g_vars, nullable
-
-    for grp in q.optionals:
-        # OPTIONAL { ... } = left outer join of the (internally
-        # evaluated, possibly nested) group bindings onto the rows so
-        # far; unmatched rows keep null bindings for the group-only
-        # variables — exactly SPARQL's OPTIONAL semantics for
-        # var-disjoint filters.
-        grp_ds, grp_vars, grp_null = _eval_optional(grp)
-        shared = [v for v in grp_vars if v in bound]
-        if not shared:
-            raise SparqlUnsupportedError(
-                "OPTIONAL group shares no variable with the required "
-                "patterns — cartesian products are refused"
-            )
-        if any(v in grp_null or v in opt_only for v in shared):
-            raise SparqlUnsupportedError(
-                "non-well-designed OPTIONAL: a join variable may be "
-                "unbound on one side"
-            )
-        joined = dstore.hash_join(
-            joined,
-            grp_ds,
-            on=shared,
-            how="left",
-            schemas=(_vars_schema(bound), _vars_schema(grp_vars)),
-        )
-        new_vars = [v for v in grp_vars if v not in bound]
-        opt_only.update(new_vars)
-        bound += new_vars
-
-    for sub_text in q.subqueries:
-        # { SELECT ... } subquery: executed recursively (full subset —
-        # aggregates, GROUP BY, nested paths all work), then ONE
-        # bucketed inner hash join on the shared variables brings its
-        # projected columns (aggregate aliases included) into the outer
-        # scope for FILTER / BIND / SELECT. SELECT * bodies project the
-        # statically-derived variable set (pattern slots, union
-        # branches, OPTIONAL groups, BIND aliases — hidden path vars
-        # excluded), so no schema probe executes the subquery twice.
-        sub_q = parse(sub_text)
-        sub_cols = (
-            _star_columns(sub_q) if sub_q.select == ["*"] else sub_q.select
-        )
-        shared = [v for v in sub_cols if v in bound]
-        if not shared:
-            raise SparqlUnsupportedError(
-                "subquery shares no variable with the outer patterns"
-            )
-        joined = dstore.hash_join(
-            joined, sparql_select(store, sub_text), on=shared, how="inner"
-        )
-        bound += [v for v in sub_cols if v not in bound]
-
-    if q.binds:
-        # BIND runs after the joins (arguments must be pattern-bound),
-        # before FILTER/aggregation so both can use the alias
-        for e, alias in q.binds:
-            if alias in bound:
-                raise SparqlSyntaxError(f"BIND alias ?{alias} already bound")
-            missing = [v for v in _vars(e) if v not in bound]
-            if missing:
-                raise SparqlSyntaxError(f"BIND arguments never bound: {missing}")
-            bound.append(alias)
-        joined = joined.map_batches(
-            _bind_batch, fn_kwargs={"binds": list(q.binds)}, batch_format="pyarrow"
-        )
-
-    if q.filters:
-        # applied after the BGP joins, while every bound variable is in
-        # scope (filters may reference unselected vars) — one streaming
-        # map over the conjunction of the constraints
-        bad = [x for f in q.filters for x in _vars(f) if x not in bound]
-        if bad:
-            raise SparqlSyntaxError(f"FILTER variables never bound: {bad}")
-        joined = _apply_filters_ds(joined, q.filters)
-
-    for (grp, grp_filters, kind), how in [(g, "semi") for g in q.exists_groups] + [
-        (g, "anti") for g in q.minus_groups
-    ]:
-        # FILTER EXISTS → distributed semi-join; MINUS / FILTER NOT
-        # EXISTS → anti-join on the shared variables. On this subset
-        # (≥1 shared variable, required-bound, group vars beyond the
-        # shared ones purely existential) MINUS and NOT EXISTS coincide.
-        # The group's bindings are projected to the shared key and
-        # globally deduped first, so the join exchange ships only
-        # distinct keys. FILTER conditions inside the group braces:
-        # group-internal conditions pre-filter the group bindings;
-        # CORRELATED conditions (referencing outer variables, e.g.
-        # FILTER(?z != ?o) with ?o outer) run on the joined
-        # (outer-keys × group) bindings and the qualifying key set
-        # drives the semi/anti join — still only distinct keys on the
-        # wire.
-        grp_ds, grp_vars = _join_patterns(store, grp)
-        shared = [v for v in grp_vars if v in bound and not v.startswith("__pp")]
-        if not shared:
-            raise SparqlUnsupportedError(
-                "MINUS / FILTER [NOT] EXISTS group shares no variable "
-                "with the outer patterns — the disjoint-domain case is "
-                "refused"
-            )
-        bad = [v for v in shared if v in opt_only]
-        if bad:
-            raise SparqlUnsupportedError(
-                f"MINUS / FILTER [NOT] EXISTS on OPTIONAL-only "
-                f"variables is not supported: {bad}"
-            )
-        outer_refs: list[str] = []
-        if grp_filters:
-            fvars = {x for f in grp_filters for x in _vars(f)}
-            outer_refs = sorted(v for v in fvars if v not in grp_vars)
-            fbad = [
-                v
-                for v in outer_refs
-                if v not in bound or v in opt_only
-            ]
-            if fbad:
-                raise SparqlUnsupportedError(
-                    "FILTER inside MINUS / EXISTS references variables "
-                    f"that are not required-bound outside: {fbad}"
-                )
-            if outer_refs and kind == "MINUS":
-                # SPARQL 1.1 §8.3.3: a MINUS group is evaluated on its
-                # own, so these variables are unbound inside it — the
-                # correlated (NOT EXISTS) plan below would be wrong
-                raise SparqlUnsupportedError(
-                    "FILTER inside MINUS references outer variables "
-                    f"{outer_refs}; use FILTER NOT EXISTS for a "
-                    "correlated condition"
-                )
-            if not outer_refs:
-                # internal-only condition: pre-filter the group
-                grp_ds = _apply_filters_ds(grp_ds, grp_filters)
-        if outer_refs:
-            need = shared + outer_refs
-            outer_keys = dstore.distinct_on(
-                joined.select_columns(need), need
-            )
-            probe = dstore.hash_join(
-                outer_keys,
-                grp_ds,
-                on=shared,
-                how="inner",
-                schemas=(_vars_schema(need), _vars_schema(grp_vars)),
-            )
-            qualified = _apply_filters_ds(probe, grp_filters)
-            keys = dstore.distinct_on(qualified.select_columns(need), need)
-            joined = dstore.hash_join(
-                joined,
-                keys,
-                on=need,
-                how=how,
-                schemas=(_vars_schema(bound), _vars_schema(need)),
-            )
-        else:
-            keys = dstore.distinct_on(grp_ds.select_columns(shared), shared)
-            joined = dstore.hash_join(
-                joined,
-                keys,
-                on=shared,
-                how=how,
-                schemas=(_vars_schema(bound), _vars_schema(shared)),
-            )
-
-    if q.values_clause:
-        # postfix VALUES = join against the inline table; ground rows
-        # over required-bound variables reduce to one vectorized
-        # membership test per batch — an inline broadcast semi-join,
-        # no exchange.
-        vvars, vrows = q.values_clause
-        missing = [v for v in vvars if v not in bound]
-        if missing:
-            raise SparqlSyntaxError(f"VALUES variables never bound: {missing}")
-        bad = [v for v in vvars if v in opt_only]
-        if bad:
-            raise SparqlUnsupportedError(
-                f"VALUES on OPTIONAL-only variables is not supported: {bad}"
-            )
-
-        if any(all(c is None for c in row) for row in vrows):
-            # a row of only UNDEF cells constrains nothing — the whole
-            # VALUES clause is a no-op filter
-            apply_values = None
-        elif len(vvars) == 1:
-            # NOTE both closures bind their captures as DEFAULT ARGS:
-            # map_batches executes lazily and this function reassigns
-            # names like ``cols`` further down, so a by-reference
-            # capture would read the projection's value, not VALUES'.
-            def apply_values(
-                batch: pa.Table,
-                col=vvars[0],
-                allowed=pa.array(
-                    [r[0] for r in vrows if r[0] is not None],
-                    type=pa.string(),
-                ),
-            ) -> pa.Table:
-                return batch.filter(pc.is_in(batch[col], value_set=allowed))
-
-        else:
-            # multi-var rows: exact per-row conjunction OR-ed across the
-            # (small, inline) row set — no composite-key encoding, so
-            # literal content can never alias a row boundary. UNDEF
-            # cells place no constraint and drop out of the conjunction.
-            def apply_values(
-                batch: pa.Table, vr=tuple(vrows), vc=tuple(vvars)
-            ) -> pa.Table:
-                mask = None
-                for row in vr:
-                    m = None
-                    for c, val in zip(vc, row):
-                        if val is None:  # UNDEF wildcard
-                            continue
-                        eq = pc.equal(batch[c], val)
-                        m = eq if m is None else pc.and_(m, eq)
-                    if m is None:  # all-UNDEF row (guarded above)
-                        m = pa.array([True] * len(batch))
-                    mask = m if mask is None else pc.or_(mask, m)
-                return batch.filter(pc.fill_null(mask, False))
-
-        if apply_values is not None:
-            joined = joined.map_batches(apply_values, batch_format="pyarrow")
-
-    if q.aggregates:
-        bad = [v for v in q.group_by if v not in bound] + [
-            v for _, v, _ in q.aggregates if v != "*" and v not in bound
-        ]
-        if bad:
-            raise SparqlSyntaxError(f"aggregate/GROUP BY variables never bound: {bad}")
-        aggs = list(q.aggregates)
-        group_by = list(q.group_by)
-        op, var, alias = aggs[0]
-        # a DISTINCT aggregate or GROUP_CONCAT needs the raw (keys…, v)
-        # rows to reach the final pass — no combiner can collapse them
-        # beside the row-collapsing partials of the other aggregates, so
-        # the subset allows either only as the sole aggregate; a
-        # whole-corpus concat into one string is an anti-scale operation
-        if len(aggs) > 1 and any(o.startswith("group_concat") for o, _, _ in aggs):
-            raise SparqlUnsupportedError(
-                "GROUP_CONCAT cannot be mixed with other aggregates"
-            )
-        if len(aggs) > 1 and any(o.endswith("_distinct") for o, _, _ in aggs):
-            raise SparqlUnsupportedError(
-                "a DISTINCT aggregate cannot be mixed with other aggregates"
-            )
-        if op.startswith("group_concat") and not group_by:
-            raise SparqlUnsupportedError(
-                "GROUP_CONCAT requires GROUP BY in this subset"
-            )
-        if group_by:
-            partial, final = _aggregate_kernels(aggs, group_by, q.concat_seps)
-            joined = dstore.bucketed_group_map(
-                joined, group_by, final, partial_fn=partial,
-                batch_format="pyarrow",
-            )
-        else:
-            if op.endswith("_distinct"):
-                # one global distinct exchange first; over its rows the
-                # DISTINCT aggregate IS the plain one
-                joined = dstore.distinct_on(joined.select_columns([var]), [var])
-                aggs = [(op.removesuffix("_distinct"), var, alias)]
-            # whole-result: GROUP BY on no keys — one partial row per
-            # block, the same final over them on the driver (1 row out);
-            # the partial of an empty table is the identity row, so an
-            # empty result still aggregates (COUNT/SUM 0, others unbound)
-            partial, final = _aggregate_kernels(aggs, [], q.concat_seps)
-            empty = pa.table(
-                {v: pa.array([], pa.string()) for _, v, _ in aggs if v != "*"}
-            )
-            parts = joined.map_batches(partial, batch_format="pyarrow").iter_batches(
-                batch_size=None, batch_format="pyarrow"
-            )
-            joined = ray.data.from_arrow(
-                final(
-                    pa.concat_tables(
-                        [partial(empty), *parts], promote_options="permissive"
-                    )
-                )
-            )
-        bound = group_by + [a for _, _, a in aggs]
-    elif q.group_by:
-        # GROUP BY without aggregates: one solution per group → a
-        # distinct projection onto the group keys (the parse pass
-        # already pinned select ⊆ group_by). Single bucketed
-        # distinct exchange — same plan DISTINCT uses.
-        bad = [v for v in q.group_by if v not in bound]
-        if bad:
-            raise SparqlSyntaxError(f"GROUP BY variables never bound: {bad}")
-        gb = list(q.group_by)
-        joined = dstore.distinct_on(joined.select_columns(gb), gb)
-        bound = gb
-
-    if q.having:
-        # post-aggregate filter on the already-computed alias columns
-        # (plain numeric columns, no term decode) — streaming
-        hv = list(q.having)
-        _HCMP = {
-            "<": pc.less, ">": pc.greater, "<=": pc.less_equal,
-            ">=": pc.greater_equal, "=": pc.equal, "!=": pc.not_equal,
-        }
-
-        def apply_having(batch: pa.Table) -> pa.Table:
-            mask = None
-            for alias, cmp, n in hv:
-                m = _HCMP[cmp](batch[alias], n)
-                mask = m if mask is None else pc.and_(mask, m)
-            return batch.filter(mask)
-
-        joined = joined.map_batches(apply_having, batch_format="pyarrow")
-
-    cols = (
-        [v for v in bound if not v.startswith("__pp")]
-        if q.select == ["*"]
-        else q.select
-    )
-    missing = [c for c in cols if c not in bound]
-    if missing:
-        raise SparqlSyntaxError(f"SELECT variables never bound: {missing}")
-    out = joined.select_columns(cols)
-    if q.distinct:
-        out = dstore.distinct_on(out, cols)
-    if q.order_by:
-        ob_vars = [v for v, _ in q.order_by]
-        bad = [v for v in ob_vars if v not in cols]
-        if bad:
-            raise SparqlUnsupportedError(f"ORDER BY on unselected vars: {bad}")
-        out = out.sort(ob_vars, descending=[d for _, d in q.order_by])
-    if q.limit is not None:
-        if q.offset:
-            # OFFSET requires ORDER BY + LIMIT (parse-time rule): the
-            # totally-ordered head is at most offset+limit rows — small
-            # by construction — so the skip finishes on the driver;
-            # Arrow slice keeps the schema even when the result is empty
-            head = pa.Table.from_pandas(
-                out.limit(q.offset + q.limit).to_pandas(),
-                preserve_index=False,
-            )
-            out = ray.data.from_arrow(head.slice(q.offset))
-        else:
-            out = out.limit(q.limit)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# SPARQL CONSTRUCT: template over SELECT bindings → deduped triple set
-# ---------------------------------------------------------------------------
+    return _checked(query, "SELECT").lower(store)
 
 
 def sparql_construct(
     store: "dstore.DatasetGraphStore", query: str
 ) -> ray.data.Dataset:
     """``CONSTRUCT { template } WHERE { ... }`` → Dataset(subject,
-    predicate, object). The WHERE clause supports the FULL SELECT
-    subset (module doc) — the template is parsed here, then the
-    remaining tokens are re-synthesized into a ``SELECT *`` query so
-    bindings come from the exact same plan as ``sparql_select``.
-    CONSTRUCT returns a SET of triples: templates are instantiated per
-    binding row, rows with an unbound (OPTIONAL-null) template variable
-    are omitted per the spec, and the union is globally deduped."""
-    cur = _Cursor(query)
-    prefixes = _prologue(cur)
-    head = cur.toks[: cur.i]
-    if cur.take().upper() != "CONSTRUCT":
-        raise SparqlSyntaxError("expected CONSTRUCT {")
-    templates = _triples(cur, prefixes, "CONSTRUCT template")
-    if not templates:
-        raise SparqlSyntaxError("empty CONSTRUCT template")
-    if cur.peek().upper() != "WHERE":
-        raise SparqlSyntaxError("expected WHERE after the CONSTRUCT template")
-
-    bindings = sparql_select(store, " ".join(head + ["SELECT", "*"] + cur.rest()))
-
-    tvars = {t[1:] for pat in templates for t in pat if t.startswith("?")}
-    missing = sorted(tvars - set(bindings.schema().names))
-    if missing:
-        raise SparqlSyntaxError(
-            f"CONSTRUCT template variables never bound: {missing}"
-        )
-    return dstore.distinct_on(
-        bindings.map_batches(
-            _instantiate, fn_kwargs={"templates": templates}, batch_format="pyarrow"
-        ),
-        tr.COLUMNS,
-    )
+    predicate, object). The WHERE clause and its solution modifiers are
+    the SELECT subset (module doc), run as ``SELECT *``. CONSTRUCT
+    returns a SET of triples: templates are instantiated per binding
+    row, rows with an unbound (OPTIONAL-null) template variable are
+    omitted per the spec, and the union is globally deduped."""
+    return _checked(query, "CONSTRUCT").lower(store)
 
 
-# ---------------------------------------------------------------------------
-# SPARQL ASK — the existence forms the reference's store layer generates
-# ---------------------------------------------------------------------------
-
-
-def _parse_ask(text: str):
-    """→ (graph|None, [(s,p,o)]) — terms NTriples-encoded, ?vars kept."""
-    cur = _Cursor(text)
-    prefixes = _prologue(cur)
-    if cur.take().upper() != "ASK":
-        raise SparqlSyntaxError("expected ASK")
-    if cur.peek().upper() == "WHERE":
-        cur.take()
-    graph, pats = _graph_triples(cur, prefixes, "ASK pattern")
-    cur.done()
-    if not pats:
-        raise SparqlSyntaxError("empty ASK pattern")
-    return graph, pats
-
-def sparql_ask(store: "dstore.DatasetGraphStore", query: str) -> bool:
-    """``ASK [WHERE] { [GRAPH <g> {] s p o . ... [}] }`` → bool.
-
-    Covers (and generalizes) the two ASK forms the reference's store
-    layer generates — graph-nonempty (``blazegraph_store.go:294``,
-    backing ``NamespaceExists``/online checks) and ground-triple
-    existence (``blazegraph_store.go:419``, backing the checked
-    add/delete conflict probes) — plus multi-pattern BGPs.
-
-    Scale shape: every check is pruned at the scan and short-circuits
-    at the first empty condition. Ground patterns and single-variable
-    patterns are ``matches()`` scans consumed via ``limit(1)`` (the
-    streaming executor stops producing once one row exists — no full
-    scan, no exchange). Multi-pattern groups are split into connected
-    components on shared variables; each component runs the same
-    bucketed-hash-join plan as SELECT, consumed via ``limit(1)``.
-    Unlike SELECT, DISCONNECTED patterns are allowed: ASK of a
-    conjunction needs only per-component non-emptiness, never the
-    cartesian product of bindings."""
-    graph, pats = _parse_ask(query)
-    if graph is not None and graph != store.get_uri():
-        raise SparqlUnsupportedError(
-            f"ASK targets GRAPH <{graph}>, store is <{store.get_uri()}>"
-        )
-
-    ground = [p for p in pats if not any(t.startswith("?") for t in p)]
-    varpats = [p for p in pats if any(t.startswith("?") for t in p)]
-
-    # cheapest first: ground existence probes (fully pruned scans)
+def _exists(store: "dstore.DatasetGraphStore", node: _Node) -> bool:
+    """Does ``node`` have a solution? Every check stops at its first
+    row via ``limit(1)``. A pure BGP probes each ground pattern (a
+    pruned scan), then each connected component of the rest, cheapest
+    first and short-circuiting — disconnected patterns need only
+    per-component non-emptiness, never their cartesian product."""
+    if not isinstance(node, BGP):
+        return node.lower(store).limit(1).count() > 0
+    ground = [p for p in node.patterns if not _pattern_vars(p)]
     for s, p, o in ground:
         if store.matches(s, p, o).limit(1).count() == 0:
             return False
-
-    # connected components over shared variables
-    comps: list[list[tuple[str, str, str]]] = []
+    comps: list[list] = []
     compvars: list[set[str]] = []
-    for pat in varpats:
-        vs = {t[1:] for t in pat if t.startswith("?")}
+    for pat in node.patterns:
+        vs = set(_pattern_vars(pat))
+        if not vs:
+            continue
         hit = [k for k, cv in enumerate(compvars) if cv & vs]
         if not hit:
             comps.append([pat])
             compvars.append(vs)
-        else:
-            k0 = hit[0]
-            comps[k0].append(pat)
-            compvars[k0] |= vs
-            for k in reversed(hit[1:]):
-                comps[k0] += comps.pop(k)
-                compvars[k0] |= compvars.pop(k)
-
+            continue
+        k0 = hit[0]
+        comps[k0].append(pat)
+        compvars[k0] |= vs
+        for k in reversed(hit[1:]):
+            comps[k0] += comps.pop(k)
+            compvars[k0] |= compvars.pop(k)
     for comp in comps:
         if len(comp) == 1:
             # single pattern: no join, no materialize — stream + limit(1)
@@ -3028,9 +3114,22 @@ def sparql_ask(store: "dstore.DatasetGraphStore", query: str) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# SPARQL DESCRIBE — forward concise-bounded description of resources
-# ---------------------------------------------------------------------------
+def sparql_ask(store: "dstore.DatasetGraphStore", query: str) -> bool:
+    """``ASK [WHERE] { [GRAPH <g> {] group [}] }`` → bool.
+
+    Covers (and generalizes) the two ASK forms the reference's store
+    layer generates — graph-nonempty (``blazegraph_store.go:294``,
+    backing ``NamespaceExists``/online checks) and ground-triple
+    existence (``blazegraph_store.go:419``, backing the checked
+    add/delete conflict probes). A pure BGP runs the existence plan of
+    :func:`_exists`; any other group runs the SELECT plan under
+    ``limit(1)``."""
+    ask = _checked(query, "ASK")
+    if ask.graph is not None and ask.graph != store.get_uri():
+        raise SparqlUnsupportedError(
+            f"ASK targets GRAPH <{ask.graph}>, store is <{store.get_uri()}>"
+        )
+    return ask.lower(store)
 
 
 def sparql_describe(
@@ -3058,72 +3157,21 @@ def sparql_describe(
     semi hash-join (triples ⋈ resources on subject) — the binding set
     is never collected, so a DESCRIBE whose WHERE matches millions of
     resources still streams."""
-    cur = _Cursor(query)
-    peek, take = cur.peek, cur.take
-    prefixes = _prologue(cur)
-    head = cur.toks[: cur.i]
-    if take().upper() != "DESCRIBE":
-        raise SparqlSyntaxError("expected DESCRIBE")
+    return _checked(query, "DESCRIBE").lower(store)
 
-    iris: list[str] = []
-    vars_: list[str] = []
-    while peek() and peek().upper() != "WHERE":
-        tok = peek()
-        if tok.startswith("?"):
-            vars_.append(take()[1:])
-        elif tok.startswith("<") or re.match(r"^[A-Za-z_][\w-]*:[\w-]+$", tok):
-            iris.append(_expand(take(), prefixes, "subject"))
-        else:
-            raise SparqlSyntaxError(f"unexpected DESCRIBE target {tok!r}")
-    if not iris and not vars_:
-        raise SparqlSyntaxError("DESCRIBE needs at least one target")
-    if vars_ and peek().upper() != "WHERE":
-        raise SparqlSyntaxError("DESCRIBE with variables requires WHERE")
-    if not vars_ and peek():
-        raise SparqlUnsupportedError(
-            "WHERE on an explicit-IRI DESCRIBE binds nothing — refused"
-        )
 
-    triples = store.dataset
-
-    if not vars_:
-        wanted = pa.array(sorted(set(iris)), pa.string())
-
-        def filt(batch: pa.Table) -> pa.Table:
-    
-            subj = batch[tr.SUBJECT].combine_chunks().cast(pa.string())
-            return batch.filter(pc.is_in(subj, value_set=wanted))
-
-        return triples.map_batches(filt, batch_format="pyarrow")
-
-    select_q = " ".join(
-        head + ["SELECT"] + ["?" + v for v in vars_] + cur.rest()
-    )
-    bindings = sparql_select(store, select_q)
-
-    def project(col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-    
-            c = batch[col].combine_chunks().cast(pa.string())
-            keep = pc.and_(pc.is_valid(c), pc.starts_with(c, "<"))
-            return pa.table({tr.SUBJECT: c.filter(keep)})
-
-        return fn
-
-    resources = bindings.map_batches(project(vars_[0]), batch_format="pyarrow")
-    for v in vars_[1:]:
-        resources = resources.union(
-            bindings.map_batches(project(v), batch_format="pyarrow")
-        )
-    if iris:
-        resources = resources.union(
-            ray.data.from_arrow(
-                pa.table({tr.SUBJECT: pa.array(sorted(set(iris)), pa.string())})
-            )
-        )
-    # left-semi keeps each matching triple exactly once regardless of
-    # how many bindings name its subject — no distinct pass needed
-    return dstore.hash_join(triples, resources, on=tr.SUBJECT, how="semi")
+def explain(query: str) -> str:
+    """The plan of a query, without running it: one line per algebra
+    node (indented under its parent) with the primitive it lowers to,
+    and one line per BGP pattern with its scan, path fixpoint and join.
+    A refused query gives its refusal instead. No Ray work is done: the
+    closure fixpoint's local-or-distributed choice is made at run time
+    from the edge count."""
+    try:
+        root = _validate(parse(query))
+    except (SparqlSyntaxError, SparqlUnsupportedError) as e:
+        return f"refused ({type(e).__name__}): {e}"
+    return "\n".join(root.explain())
 
 
 # ---------------------------------------------------------------------------
@@ -3134,9 +3182,9 @@ def sparql_describe(
 def _parse_update(text: str):
     """→ ("insert_data"|"delete_data", graph|None, [(s,p,o) ground])
        | ("delete_where", graph|None, [(s,p,o) term-or-'?var')])
-       | ("modify", None, (delete tpl, insert tpl, where))"""
-    cur = _Cursor(text, "update")
-    prefixes = _prologue(cur)
+       | ("modify", None, Modify)"""
+    p = _Parser(text, "update")
+    cur, prefixes = p.cur, p.prefixes
     verb = cur.take().upper()
     if verb not in ("DELETE", "INSERT"):
         raise SparqlUnsupportedError(f"unsupported update verb {verb!r}")
@@ -3152,9 +3200,9 @@ def _parse_update(text: str):
             kw = cur.take().upper()
         if kw != "WHERE":
             raise SparqlSyntaxError("expected WHERE closing the modify update")
-        where = _triples(cur, prefixes, "WHERE block")
+        where = p.group()
         cur.done()
-        return "modify", None, (del_tpl, ins_tpl, where)
+        return "modify", None, Modify(where, del_tpl, ins_tpl)
     nxt = cur.take().upper()
     kind = {
         ("INSERT", "DATA"): "insert_data",
@@ -3163,7 +3211,7 @@ def _parse_update(text: str):
     }.get((verb, nxt))
     if kind is None:
         raise SparqlUnsupportedError(f"unsupported update {verb} {nxt}")
-    graph, pats = _graph_triples(cur, prefixes, "update block")
+    graph, pats = _in_graph(cur, lambda: _triples(cur, prefixes, "update block"), "update block")
     cur.done()
     if not pats:
         raise SparqlSyntaxError("empty update block")
@@ -3188,65 +3236,6 @@ def _parse_update(text: str):
     return kind, graph, pats
 
 
-def _apply_modify(
-    store: "dstore.DatasetGraphStore",
-    del_tpl: list[tuple[str, str, str]],
-    ins_tpl: list[tuple[str, str, str]],
-    where: list[tuple[str, str, str]],
-) -> "dstore.DatasetGraphStore":
-    """DELETE { tpl } INSERT { tpl } WHERE { BGP } — the SPARQL 1.1
-    modify form (either template may be absent). Bindings come from one
-    recursive SELECT over the template variables against the ORIGINAL
-    store (spec semantics: both templates instantiate against the same
-    pre-update state); templates instantiate vectorized over the
-    binding batches; deletes apply as ONE bucketed anti hash join on
-    the triple key and inserts as union + global dedup. The store is
-    functional — a new version is returned, the input untouched."""
-    tpl_vars = sorted(
-        {t[1:] for trip in del_tpl + ins_tpl for t in trip if t.startswith("?")}
-    )
-    where_vars = {t[1:] for trip in where for t in trip if t.startswith("?")}
-    missing = [v for v in tpl_vars if v not in where_vars]
-    if missing:
-        raise SparqlSyntaxError(
-            f"modify template variables never bound in WHERE: {missing}"
-        )
-    body = " . ".join(f"{s} {p} {o}" for s, p, o in where)
-
-    if not tpl_vars:
-        # ground templates: apply iff the WHERE pattern matches at all
-        if not sparql_ask(store, f"ASK {{ {body} }}"):
-            return store
-        out = store
-        if del_tpl:
-            out = out.delete_triples_unchecked(_ground_table(del_tpl))
-        if ins_tpl:
-            out = out.add_triples_unchecked(_ground_table(ins_tpl))
-        return out
-
-    bindings = sparql_select(
-        store, "SELECT " + " ".join(f"?{v}" for v in tpl_vars) + f" WHERE {{ {body} }}"
-    )
-
-    def instantiate(tpl):
-        return bindings.map_batches(
-            _instantiate, fn_kwargs={"templates": tpl}, batch_format="pyarrow"
-        )
-
-    out_ds = store.matches()
-    if del_tpl:
-        out_ds = dstore.hash_join(
-            out_ds,
-            dstore.distinct_on(instantiate(del_tpl), tr.COLUMNS),
-            on=tr.COLUMNS,
-            how="anti",
-        )
-    out = dstore.DatasetGraphStore(store.get_uri(), out_ds)
-    if ins_tpl:
-        out = out.add_triples_unchecked(instantiate(ins_tpl))
-    return out
-
-
 def sparql_update(
     store: "dstore.DatasetGraphStore", update: str
 ) -> "dstore.DatasetGraphStore":
@@ -3259,7 +3248,7 @@ def sparql_update(
             f"update targets GRAPH <{graph}>, store is <{store.get_uri()}>"
         )
     if kind == "modify":
-        return _apply_modify(store, *pats)
+        return _validate(pats).lower(store)
     if kind == "delete_where":
         s, p, o = pats[0]
         return store.without_matches(

@@ -2,11 +2,15 @@
 its oracle_sql() twin on the same sf dir; compare row count, schema and
 order-insensitive values (columns sorted by name, rows sorted).
 
-Usage: python scripts/check_oracles.py [sf_dir] [query ...]
+Usage: python scripts/check_oracles.py [sf_dir] [pattern ...]
+
+Each pattern is a query name or a shell-style pattern (``fnmatch``):
+``'sparql_*'`` runs every SPARQL key.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import sys
 import time
 
@@ -44,7 +48,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+    only = sys.argv[2:]
 
     import ray
 
@@ -81,7 +85,7 @@ def main() -> int:
 
     failures = []
     for name, fn in qs.items():
-        if only and name not in only:
+        if only and not any(fnmatch.fnmatchcase(name, pat) for pat in only):
             continue
         t0 = time.time()
         try:

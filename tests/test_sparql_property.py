@@ -100,9 +100,9 @@ def test_valid_bgps_parse_and_keep_patterns(pats):
         parsed = parse(q)
     except SparqlUnsupportedError:
         return  # e.g. disconnected BGP / cartesian refusal happens later
-    assert len(parsed.patterns) == len(pats)
+    assert len(parsed.child.patterns) == len(pats)
     # ground 'a' expands to rdf:type in the predicate slot
-    for (s, p, o), got in zip(pats, parsed.patterns):
+    for (s, p, o), got in zip(pats, parsed.child.patterns):
         if p == "a":
             assert got[1].startswith("<http://www.w3.org/")
 
@@ -188,6 +188,6 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_eval_matches_row_reference(expr):
     text, ref = expr
-    cond = parse(f"SELECT * WHERE {{ ?s ?p ?o . FILTER ( {text} ) }}").filters[0]
+    cond = parse(f"SELECT * WHERE {{ ?s ?p ?o . FILTER ( {text} ) }}").child.exprs[0]
     rows = [dict(zip(_ROWS, vals)) for vals in zip(*_ROWS.values())]
     assert _eval(_TABLE, cond).to_pylist() == [ref(r) for r in rows], text

@@ -1676,19 +1676,18 @@ class TestSparqlExtensions:
         assert minus["p"].tolist() == ["<urn:p2>", "<urn:p3>"]
         assert notex["p"].tolist() == minus["p"].tolist()
 
-    def test_minus_refuses_filter_on_outer_vars(self, ray_session):
-        # SPARQL 1.1 §8.3.3: inside MINUS the outer ?n is unbound, so
-        # the spec answer keeps every row; the correlated NOT EXISTS
-        # plan would drop p1 — refused instead of answered wrongly
-        from ontograph_ray.store.sparql import SparqlUnsupportedError
-
+    def test_minus_filter_sees_outer_vars_unbound(self, ray_session):
+        # SPARQL 1.1 §8.3.3: a MINUS group is evaluated on its own, so
+        # the outer ?n is unbound inside it: the FILTER is an error, the
+        # group has no solutions and MINUS removes no row. The
+        # correlated NOT EXISTS reads the outer ?n and drops p1.
         ds = self._people()
-        with pytest.raises(SparqlUnsupportedError, match="inside MINUS"):
-            self._q(
-                ds,
-                "SELECT ?p WHERE { ?p <urn:name> ?n . "
-                "MINUS { ?p <urn:email> ?e . FILTER ( ?n != ?e ) } }",
-            )
+        minus = self._q(
+            ds,
+            "SELECT ?p WHERE { ?p <urn:name> ?n . "
+            "MINUS { ?p <urn:email> ?e . FILTER ( ?n != ?e ) } } ORDER BY ?p",
+        )
+        assert minus["p"].tolist() == ["<urn:p1>", "<urn:p2>", "<urn:p3>"]
         notex = self._q(
             ds,
             "SELECT ?p WHERE { ?p <urn:name> ?n . "
