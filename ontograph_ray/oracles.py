@@ -281,13 +281,19 @@ WHERE predicate = '<{SEGMENT}>'
 SELECT subject AS cust, object AS seg FROM t
 WHERE predicate = '<{SEGMENT}>'
   AND object IN ('"BUILDING"', '"MACHINERY"')""",
-        # UNDEF wildcard rows: nation-3 any-segment OR any-nation
-        # BUILDING — each row constrains only its bound cells
+        # VALUES is a Join: one SELECT per row, each constraining only
+        # its bound cells, UNION ALL — a solution matching both rows
+        # (a nation-3 BUILDING customer) comes out twice
         "sparql_values_undef": f"""{_T}
 SELECT t1.subject AS cust, t1.object AS n, t2.object AS seg
 FROM t t1 JOIN t t2 ON t2.subject = t1.subject
 WHERE t1.predicate = '<{IN_NATION}>' AND t2.predicate = '<{SEGMENT}>'
-  AND (t1.object = '<urn:og:nation/3>' OR t2.object = '"BUILDING"')""",
+  AND t1.object = '<urn:og:nation/3>'
+UNION ALL
+SELECT t1.subject AS cust, t1.object AS n, t2.object AS seg
+FROM t t1 JOIN t t2 ON t2.subject = t1.subject
+WHERE t1.predicate = '<{IN_NATION}>' AND t2.predicate = '<{SEGMENT}>'
+  AND t2.object = '"BUILDING"'""",
         # arbitrary-length path + = recursive CTE reachability (UNION
         # dedups, matching the engine's distinct pair set)
         "sparql_path_negset_closure": f"""WITH RECURSIVE t AS ({TRIPLES_SQL}),

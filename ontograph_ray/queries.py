@@ -4223,7 +4223,7 @@ def q_sparql_order_desc(sf_dir: str):
 def q_sparql_values_inline(sf_dir: str):
     """E8 extension: INLINE VALUES — the clause inside the WHERE group
     (SPARQL 11.8.1; many clients emit this placement). Same broadcast
-    membership plan as the postfix form."""
+    join kernel as the postfix form."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
 
@@ -4242,7 +4242,7 @@ def q_sparql_values_inline(sf_dir: str):
 
 def q_sparql_values(sf_dir: str):
     """E8 extension: postfix VALUES — inline-data join over the
-    segment variable, one vectorized membership kernel per batch
+    segment variable, one vectorized hash-lookup join kernel per batch
     (broadcast, no exchange)."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
@@ -4263,9 +4263,10 @@ def q_sparql_values_undef(sf_dir: str):
     """E8 extension: UNDEF wildcards in multi-variable VALUES rows
     (SPARQL 11.8.2 solution compatibility) — an UNDEF cell drops out
     of that row's conjunction, so each row constrains only its bound
-    cells; rows OR together in the same broadcast membership kernel.
-    Here: customers in nation 3 with ANY segment, plus BUILDING
-    customers in ANY nation."""
+    cells. VALUES is a Join: each solution comes out once per
+    compatible row (one broadcast kernel, no exchange). Here: customers
+    in nation 3 with ANY segment, plus BUILDING customers in ANY
+    nation — a nation-3 BUILDING customer twice."""
     from .store.dataset import DatasetGraphStore
     from .store.sparql import sparql_select
 

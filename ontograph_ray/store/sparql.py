@@ -22,10 +22,9 @@ Grammar → node:
     WHERE { group }                      the group's translation, below
     s p o . …                            BGP; terms ?var | <uri> | pfx:x |
                                          "lit"[@lang | ^^dt] | a
-      s e1/e2/… o                        a BGP chain via hidden ?__ppN
-      ^p  (p1|^p2)  (p1/p2)  e+ e* e?    one BGP pattern each (below)
-      !p  !(p1|p2)                       a hidden predicate variable and
-                                         one != per predicate in Filter
+      s path o                           a path pattern (below); a top-level
+                                         e1/e2/… is a BGP chain via hidden
+                                         ?__ppN variables (§18.2.2.4)
     OPTIONAL { group }                   LeftJoin (the group's FILTERs
                                          are its condition)
     MINUS { group }                      Minus (§8.3.3: no outer scope)
@@ -33,8 +32,8 @@ Grammar → node:
     FILTER ( expr ) | regex(?v, "re")    Filter (this regex: RE2 over the
                                          encoded term)
     BIND ( expr AS ?v )                  Extend
-    VALUES ?v { t … } | (?a ?b) { (t t) … }   Values, inline or postfix;
-                                         UNDEF cells are wildcards
+    VALUES ?v { t … } | (?a ?b) { (t t) … }   Values (a Join), inline or
+                                         postfix; UNDEF cells are wildcards
     { group } UNION { group } …          Union
     { SELECT … }                         Join with the subquery's tree
     (AGG(…) AS ?a) … [GROUP BY ?k …]     Group: COUNT([DISTINCT] ?v | *),
@@ -49,12 +48,29 @@ Grammar → node:
     DESCRIBE <iri>… ?v… [WHERE …]                  Describe
     DELETE { tpl } INSERT { tpl } WHERE { group }  Modify (sparql_update)
 
-Path elements are ground: ``^p`` scans with subject and object swapped,
-``(p1|^p2)`` is the bag union of the scans, ``(p1/p2)`` composes the
-steps with hash joins, ``e+`` is the closure seeded at a ground
-endpoint, ``e*`` adds the zero-length path (a ground endpoint matches
-itself, two variables bind every node), ``e?`` is the edges plus it,
-and ``!(…)+`` closes one NOT-IN-filtered scan.
+Property paths (§9.1) over ground IRIs parse to one tree of path nodes,
+``path → seq ('|' seq)*``, ``seq → elt ('/' elt)*``, ``elt → '^'?
+primary ('+' | '*' | '?')?``, ``primary → iri | !iri | !(iri|…) |
+( path )``. Each node lowers through one recursive ``edges(store, s, o)``
+→ Dataset(src, dst), pruned by the pattern's ground endpoints ``s`` /
+``o`` where it can:
+
+    Link(iri)        iri         ``matches(s, iri, o)``, a predicate-pruned scan
+    Inv(p)           ^p          p's pairs with the endpoints and columns swapped
+    Alt(ps)          p1|p2|…     ``Dataset.union`` of the pairs (a bag)
+    Seq(ps)          p1/p2/…     inner ``hash_join`` chain on the middle node
+    NegSet(iris)     !(iri|…)    ``matches(s, "", o)``, predicate NOT IN iris
+    Mod(p, "+")      p+          ``transitive_closure(sources=)`` of p's pairs,
+                                 seeded at a ground endpoint (reversed for o)
+    Mod(p, "*")      p*          the same plus the zero-length pairs, then
+                                 ``distinct_on``: a ground endpoint matches
+                                 itself, two variables bind every subject
+                                 and object of the graph
+    Mod(p, "?")      p?          p's pairs plus the zero-length pairs,
+                                 ``distinct_on``
+
+The pattern's endpoint step then filters the pairs on its ground
+endpoints and projects ``?s`` / ``?o``.
 
 A group translates in one order: its triple patterns form one BGP (a
 group of only ``{…} UNION {…}`` is that Union); OPTIONAL, subqueries,
@@ -66,7 +82,8 @@ Rules (``_RULES``, one entry per refusal; a group's contents first):
 
     BGP        non-empty; no fully-bound pattern; connected (each pattern
                shares a variable with those before it) unless a pure-BGP
-               ASK; negated property sets only in a query's own group
+               ASK; a negated property set at a pattern's top only in a
+               query's own group; no ``+`` over a path holding ``*`` / ``?``
     Union      two or more branches, each a plain BGP, binding the same
                variables
     LeftJoin   shares a variable; well-designed (no join key that may be
@@ -88,9 +105,9 @@ Rules (``_RULES``, one entry per refusal; a group's contents first):
 
 Lowering (``lower``; ``explain`` prints these):
 
-    BGP        per pattern a ``matches()`` scan pinned with
-               ``materialize()``, inner ``hash_join`` on the shared
-               variables; a path closure is ``transitive_closure
+    BGP        per pattern a ``matches()`` scan or a path's ``edges``,
+               pinned with ``materialize()``, inner ``hash_join`` on the
+               shared variables; a path closure is ``transitive_closure
                (sources=)`` — one local task or the distributed fixpoint,
                chosen at run time by ``LOCAL_CLOSURE_MAX_EDGES``
     Union      ``Dataset.union``;  Join: ``hash_join(how=inner)``
@@ -99,7 +116,9 @@ Lowering (``lower``; ``explain`` prints these):
                a correlated EXISTS filters (distinct outer keys ⋈ group)
                and joins on the qualifying keys
     Extend, Filter  ``map_batches`` of ``_bind_batch`` / ``_filter_batch``
-    Values     a broadcast ``is_in`` membership filter, no exchange
+    Values     a broadcast join: each solution taken once per compatible
+               row (``index_in`` row counts for one variable, summed row
+               masks for several), no exchange
     Group      ``bucketed_group_map`` with the ``_aggregate_kernels``
                partial/final pair; without keys the final runs on the
                driver over the block partials (one row; COUNT/SUM 0 and
@@ -455,7 +474,7 @@ def _tokenize(text: str) -> list[str]:
 
 def _expand(tok: str, prefixes: dict[str, str], slot: str) -> str:
     """One pattern term → engine-encoded term string or '?var'."""
-    if tok.startswith("?"):
+    if tok.startswith("?") and tok != "?":
         return tok
     if tok == "a":
         if slot != "predicate":
@@ -1265,6 +1284,220 @@ def _bind_batch(batch: pa.Table, binds) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
+# Property paths (module doc). ``edges(store, s, o)`` → Dataset(src, dst)
+# may prune with the ground endpoints ``s`` / ``o`` ("" when free); the
+# pattern's endpoint step (_pattern_bindings) filters on them exactly.
+# ``str(node)`` is the path's SPARQL text, ``plan(s, o)`` its lowering.
+# ---------------------------------------------------------------------------
+
+
+def _as_pair(a: str, b: str, names=("src", "dst")):
+    """A batch map keeping columns ``a``, ``b`` as the pair ``names``."""
+
+    def f(batch: pa.Table) -> pa.Table:
+        return pa.table({names[0]: batch[a], names[1]: batch[b]})
+
+    return f
+
+
+def _ground(term: str) -> str:
+    """A pattern term as a scan argument: "" for a variable."""
+    return "" if term.startswith("?") else term
+
+
+def _scan_plan(s: str, p: str, o: str) -> str:
+    slots = zip(("subject", "predicate", "object"), (s, p, o))
+    return "matches(" + ", ".join(f"{c}={t}" for c, t in slots if t and t[0] != "?") + ") scan"
+
+
+def _operand(p, bare=()) -> str:
+    """A path as the operand of a modifier or of ``^`` (which passes
+    ``bare=(Mod,)``: ``^p+`` is ``^(p+)``)."""
+    return str(p) if isinstance(p, (Link, NegSet, *bare)) else f"({p})"
+
+
+@dataclass(frozen=True)
+class Link:
+    """An IRI: its predicate-pruned scan."""
+
+    iri: str
+
+    def __str__(self):
+        return self.iri
+
+    def edges(self, store, s="", o=""):
+        return store.matches(s, self.iri, o).map_batches(
+            _as_pair(tr.SUBJECT, tr.OBJECT), batch_format="pyarrow"
+        )
+
+    def plan(self, s="", o=""):
+        return _scan_plan(s, self.iri, o)
+
+
+@dataclass(frozen=True)
+class Inv:
+    """``^p``: the inner path's pairs, swapped."""
+
+    p: object
+
+    def __str__(self):
+        return "^" + _operand(self.p, (Mod,))
+
+    def edges(self, store, s="", o=""):
+        return self.p.edges(store, o, s).map_batches(_as_pair("dst", "src"), batch_format="pyarrow")
+
+    def plan(self, s="", o=""):
+        return self.p.plan(o, s) + ", swapped"
+
+
+@dataclass(frozen=True)
+class Alt:
+    """``p1 | p2 | …``: the bag union of the alternatives' pairs."""
+
+    ps: tuple
+
+    def __str__(self):
+        return "|".join(map(str, self.ps))
+
+    def edges(self, store, s="", o=""):
+        return functools.reduce(lambda a, b: a.union(b), [p.edges(store, s, o) for p in self.ps])
+
+    def plan(self, s="", o=""):
+        return "Dataset.union of [" + "; ".join(p.plan(s, o) for p in self.ps) + "]"
+
+
+@dataclass(frozen=True)
+class Seq:
+    """``p1 / p2 / …``: the steps' pairs composed by inner hash joins on
+    the middle node; the first step sees ``s``, the last ``o``."""
+
+    ps: tuple
+
+    def __str__(self):
+        return "/".join(f"({p})" if isinstance(p, Alt) else str(p) for p in self.ps)
+
+    def ends(self, s, o):
+        n = len(self.ps)
+        return [(s if k == 0 else "", o if k == n - 1 else "") for k in range(n)]
+
+    def edges(self, store, s="", o=""):
+        steps = [p.edges(store, a, b) for p, (a, b) in zip(self.ps, self.ends(s, o))]
+        out = steps[0]
+        for step in steps[1:]:
+            out = dstore.hash_join(
+                out.map_batches(_as_pair("src", "dst", ("src", "__m")), batch_format="pyarrow"),
+                step.map_batches(_as_pair("src", "dst", ("__m", "dst")), batch_format="pyarrow"),
+                on=["__m"], how="inner",
+                schemas=(_vars_schema(["src", "__m"]), _vars_schema(["__m", "dst"])),
+            ).map_batches(_as_pair("src", "dst"), batch_format="pyarrow")
+        return out
+
+    def plan(self, s="", o=""):
+        steps = [p.plan(a, b) for p, (a, b) in zip(self.ps, self.ends(s, o))]
+        return "hash_join(how=inner) chain on the middle node of [" + "; ".join(steps) + "]"
+
+
+@dataclass(frozen=True)
+class NegSet:
+    """``!iri`` / ``!(iri|…)``: every triple whose predicate is not listed,
+    one NOT-IN-filtered scan."""
+
+    iris: tuple
+
+    def __str__(self):
+        return "!" + (self.iris[0] if len(self.iris) == 1 else "(" + "|".join(self.iris) + ")")
+
+    def edges(self, store, s="", o=""):
+        excluded = pa.array(list(self.iris), pa.string())
+
+        def kept(batch: pa.Table) -> pa.Table:
+            t = batch.filter(pc.invert(pc.is_in(batch[tr.PREDICATE], value_set=excluded)))
+            return pa.table({"src": t[tr.SUBJECT], "dst": t[tr.OBJECT]})
+
+        return store.matches(s, "", o).map_batches(kept, batch_format="pyarrow")
+
+    def plan(self, s="", o=""):
+        return _scan_plan(s, "", o) + f", predicate NOT IN {_keys(self.iris)}"
+
+
+@dataclass(frozen=True)
+class Mod:
+    """``p+`` / ``p*`` / ``p?``: the distinct pairs joined by one or more /
+    zero or more / zero or one steps of ``p``. A closure is the
+    semi-naive fixpoint of pipelines/graphstats.py (one task on a small
+    edge set, distributed above it) seeded at a ground endpoint; ``*``
+    and ``?`` add the zero-length pairs (:func:`_zero_pairs`)."""
+
+    p: object
+    mod: str
+
+    def __str__(self):
+        return _operand(self.p) + self.mod
+
+    def edges(self, store, s="", o=""):
+        from ..pipelines.graphstats import transitive_closure
+
+        base, swap = self.p.edges(store), _as_pair("dst", "src")
+        if self.mod == "?":
+            pairs = base
+        elif s:
+            pairs = transitive_closure(base, sources=[s])
+        elif o:  # close the reversed pairs from o, then swap back
+            pairs = transitive_closure(
+                base.map_batches(swap, batch_format="pyarrow"), sources=[o]
+            ).map_batches(swap, batch_format="pyarrow")
+        else:
+            pairs = transitive_closure(base)
+        if self.mod == "+":
+            return pairs
+        return dstore.distinct_on(pairs.union(_zero_pairs(store, s or o)), ["src", "dst"])
+
+    def plan(self, s="", o=""):
+        inner = self.p.plan()
+        if self.mod == "?":
+            out = f"the pairs of [{inner}]"
+        else:
+            seed = s or (f"{o} (reversed edges)" if o else "none")
+            out = (
+                f"transitive_closure(seed={seed}) of [{inner}]; one local task or the "
+                "distributed fixpoint, chosen at run time by LOCAL_CLOSURE_MAX_EDGES"
+            )
+        return out if self.mod == "+" else out + ", plus zero-length pairs, distinct_on([src, dst])"
+
+
+def _zero_pairs(store, node: str) -> ray.data.Dataset:
+    """The zero-length path's pairs: ``(node, node)`` for a ground
+    endpoint (graph membership not required), else one per distinct
+    subject or object of the graph (one exchange)."""
+    if node:
+        return ray.data.from_arrow(pa.table({"src": [node], "dst": [node]}))
+
+    def ends(batch: pa.Table) -> pa.Table:
+        return pa.table({"src": pa.chunked_array([*batch[tr.SUBJECT].chunks, *batch[tr.OBJECT].chunks])})
+
+    nodes = dstore.distinct_on(store.matches().map_batches(ends, batch_format="pyarrow"), ["src"])
+    return nodes.map_batches(_as_pair("src", "src"), batch_format="pyarrow")
+
+
+def _subpaths(p):
+    """Path ``p`` and every path inside it."""
+    yield p
+    for kid in (p.p,) if isinstance(p, (Inv, Mod)) else getattr(p, "ps", ()):
+        yield from _subpaths(kid)
+
+
+def _plus_over_zero_length(p) -> bool:
+    """Is there a ``q+`` in ``p`` whose ``q`` holds a ``*`` or ``?``? Its
+    closure seeded at a ground node outside the graph would miss the
+    zero-length pair (§18.4 ALP evaluates each step from a ground node)."""
+    return any(
+        isinstance(q, Mod) and q.mod == "+"
+        and any(isinstance(z, Mod) and z.mod != "+" for z in _subpaths(q.p))
+        for q in _subpaths(p)
+    )
+
+
+# ---------------------------------------------------------------------------
 # The algebra (SPARQL 1.1 §18). Every query form parses to one tree of the
 # nodes below. A node works out its variable scope once: ``vars`` (the
 # in-scope variables, in bindings-column order) and ``maybe`` (those an
@@ -1311,6 +1544,14 @@ class _Node:
     def maybe(self) -> frozenset:
         return self.child.maybe
 
+    @functools.cached_property
+    def types(self) -> dict:
+        """Binding columns that are not term strings → their Arrow type:
+        a Group's aggregate aliases, seen by the nodes above it (a
+        subquery's by its Join)."""
+        kids = [k.types for k, kind in self.kids() if kind in (None, "WHERE")]
+        return {v: t for ts in kids for v, t in ts.items() if v in self.vars}
+
     def explain(self, depth: int = 0) -> list[str]:
         lines = ["  " * depth + self.op()]
         for kid, _ in self.kids():
@@ -1346,7 +1587,7 @@ class BGP(_Node):
         return list(dict.fromkeys(v for _, vs, _ in self.steps for v in vs))
 
     def lower(self, store):
-        return _join_patterns(store, self.patterns)[0]
+        return _join_patterns(store, self.patterns)
 
     def op(self):
         return f"BGP: {len(self.patterns)} pattern(s), each scan pinned with materialize()"
@@ -1401,7 +1642,11 @@ class Join(_Node):
 
     def lower(self, store):
         return dstore.hash_join(
-            self.child.lower(store), self.sub.lower(store), on=self.shared, how="inner"
+            self.child.lower(store), self.sub.lower(store), on=self.shared, how="inner",
+            schemas=(
+                _vars_schema(self.child.vars, self.child.types),
+                _vars_schema(self.sub.vars, self.sub.types),
+            ),
         )
 
     def op(self):
@@ -1552,43 +1797,43 @@ class Minus(Exists):
 
 @dataclass(eq=False)
 class Values(_Node):
-    """Inline data over required-bound variables: one broadcast
-    membership filter per batch (UNDEF cells are wildcards)."""
+    """Inline data over required-bound variables, joined (§18.5 Join):
+    each solution is repeated once per compatible row, an UNDEF cell
+    matching anything. One broadcast map per batch, no exchange."""
 
     child: _Node
     cols: list
     rows: list
 
     def lower(self, store):
-        joined, vvars, vrows = self.child.lower(store), self.cols, self.rows
-        if any(all(c is None for c in row) for row in vrows):
-            # a row of only UNDEF cells constrains nothing
-            return joined
-        if len(vvars) == 1:
-            allowed = pa.array([r[0] for r in vrows if r[0] is not None], pa.string())
+        cols, rows = self.cols, self.rows
+        # one variable: a hash lookup of each value's row count
+        vals = [r[0] for r in rows if r[0] is not None]
+        uniq = list(dict.fromkeys(vals))
+        value_set = pa.array(uniq, pa.string())
+        per_value = pa.array([vals.count(v) for v in uniq], pa.int64())
 
-            def apply_values(batch: pa.Table) -> pa.Table:
-                return batch.filter(pc.is_in(batch[vvars[0]], value_set=allowed))
+        def repeats(batch: pa.Table) -> np.ndarray:
+            if len(cols) == 1:
+                hit = pc.take(per_value, pc.index_in(batch[cols[0]], value_set=value_set))
+                return pc.fill_null(hit, 0).to_numpy() + (len(rows) - len(vals))
+            n = np.zeros(batch.num_rows, np.int64)
+            for row in rows:
+                eqs = [pc.equal(batch[c], v) for c, v in zip(cols, row) if v is not None]
+                # an all-UNDEF row is compatible with every solution
+                n += pc.fill_null(functools.reduce(pc.and_, eqs), False).to_numpy() if eqs else 1
+            return n
 
-        else:
-            # multi-var rows: exact per-row conjunction OR-ed across the
-            # (small, inline) row set — no composite-key encoding, so
-            # literal content can never alias a row boundary
-            def apply_values(batch: pa.Table) -> pa.Table:
-                mask = None
-                for row in vrows:
-                    m = None
-                    for c, val in zip(vvars, row):
-                        if val is not None:  # UNDEF: no constraint
-                            eq = pc.equal(batch[c], val)
-                            m = eq if m is None else pc.and_(m, eq)
-                    mask = m if mask is None else pc.or_(mask, m)
-                return batch.filter(pc.fill_null(mask, False))
+        def join(batch: pa.Table) -> pa.Table:
+            return batch.take(np.repeat(np.arange(batch.num_rows), repeats(batch)))
 
-        return joined.map_batches(apply_values, batch_format="pyarrow")
+        return self.child.lower(store).map_batches(join, batch_format="pyarrow")
 
     def op(self):
-        return f"Values {_keys(self.cols)}: broadcast is_in membership filter, {len(self.rows)} row(s), no exchange"
+        return (
+            f"Values {_keys(self.cols)}: broadcast join, each solution taken once per "
+            f"compatible row of {len(self.rows)}, no exchange"
+        )
 
 
 @dataclass(eq=False)
@@ -1604,6 +1849,11 @@ class Group(_Node):
     @functools.cached_property
     def vars(self):
         return self.keys + [a for _, _, a in self.aggs]
+
+    @functools.cached_property
+    def types(self):
+        ops = {a: op.removesuffix("_distinct") for op, _, a in self.aggs}
+        return {a: _AGG_TYPES[op] for a, op in ops.items() if op in _AGG_TYPES}
 
     def lower(self, store):
         joined, keys, aggs = self.child.lower(store), self.keys, list(self.aggs)
@@ -1903,45 +2153,13 @@ class Modify(_Node):
         return out
 
 
-def _show_path(p) -> str:
-    """A predicate slot back in SPARQL path syntax."""
-    if isinstance(p, str):
-        return p
-    if p[0] in _CLOSURES:
-        return _show_path(p[1]) + _CLOSURES[p[0]]
-    if p[0] == "negset":
-        return "!(" + "|".join(p[1]) + ")"
-    if p[0] == "seq":
-        return "(" + "/".join(("^" if inv else "") + q for q, inv in p[1]) + ")"
-    alts = [("^" if inv else "") + q for q, inv in p]
-    return alts[0] if len(alts) == 1 else "(" + "|".join(alts) + ")"
-
-
-_CLOSURES = {"closure": "+", "closure0": "*", "zeroone": "?"}
-
-
 def _pattern_op(pat, shared) -> str:
     """``explain``'s line for one BGP pattern."""
     s, p, o = pat
-    if isinstance(p, str):
-        slots = zip(("subject", "predicate", "object"), pat)
-        out = "matches(" + ", ".join(f"{c}={t}" for c, t in slots if not t.startswith("?")) + ") scan"
-    elif p[0] in _CLOSURES:
-        zero = "" if p[0] == "closure" else ", plus zero-length pairs, distinct_on([src, dst])"
-        if p[0] == "zeroone":
-            out = "the element's edges" + zero
-        else:
-            seed = o + " (reversed edges)" if s.startswith("?") and not o.startswith("?") else s
-            seed = "none" if seed.startswith("?") else seed
-            out = (
-                f"transitive_closure(seed={seed}){zero}; one local task or the distributed "
-                "fixpoint, chosen at run time by LOCAL_CLOSURE_MAX_EDGES"
-            )
-    else:
-        out = f"bag union of {len(p)} predicate scans"
+    out = _scan_plan(s, p, o) if isinstance(p, str) else p.plan(_ground(s), _ground(o))
     if shared:
         out += f"; hash_join(how=inner, on={_keys(shared)})"
-    return f"{s} {_show_path(p)} {o}: {out}"
+    return f"{s} {p} {o}: {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -2226,7 +2444,7 @@ class _Parser:
                     branches.append(self.group())
                 unions.append(Union(branches))
             else:
-                self.pattern(pats, filters)
+                self.pattern(pats)
             if cur.peek() == ".":
                 cur.take()
         cur.take()  # '}'
@@ -2309,112 +2527,91 @@ class _Parser:
 
     # -- triple patterns and property paths -----------------------------------
 
-    def path_elem(self):
-        """One path element: ``[^]pred`` → str (plain) or a 1-choice
-        tuple; ``( [^]p | [^]p … )`` → tuple of (pred, inverted);
-        ``( [^]p / [^]p … )`` → ("seq", choices); ``!p`` / ``!(p|…)`` →
-        ("negset", preds). Alternation/inverse elements are ground."""
-        cur, prefixes = self.cur, self.prefixes
-        if cur.peek() == "!":
-            cur.take()
-            preds: list[str] = []
-            multi = cur.peek() == "(" and bool(cur.take())
-            while True:
-                if cur.peek() == "^":
-                    raise SparqlUnsupportedError(
-                        "inverse members in a negated property set are not supported"
-                    )
-                np_ = _expand(cur.take(), prefixes, "predicate")
-                if np_.startswith("?"):
-                    raise SparqlSyntaxError("negated property sets need ground predicates")
-                preds.append(np_)
-                if not (multi and cur.peek() == "|"):
-                    break
-                cur.take()
-            if multi and cur.take() != ")":
-                raise SparqlSyntaxError("expected ) closing the negated property set")
-            return ("negset", tuple(preds))
+    def path(self):
+        """``seq ('|' seq)*`` (§9.1, over ground IRIs) → a path node."""
+        alts = [self.path_seq()]
+        while self.cur.peek() == "|":
+            self.cur.take()
+            alts.append(self.path_seq())
+        return alts[0] if len(alts) == 1 else Alt(_flat(alts, Alt))
+
+    def path_seq(self):
+        """``elt ('/' elt)*``"""
+        steps = [self.path_elt()]
+        while self.cur.peek() == "/":
+            self.cur.take()
+            steps.append(self.path_elt())
+        return steps[0] if len(steps) == 1 else Seq(_flat(steps, Seq))
+
+    def path_elt(self):
+        """``'^'? primary ('+' | '*' | '?')?``"""
+        cur = self.cur
+        inv = cur.peek() == "^" and bool(cur.take())
+        p = self.path_primary()
+        if cur.peek() in ("+", "*", "?"):
+            p = Mod(p, cur.take())
+        return Inv(p) if inv else p
+
+    def path_primary(self):
+        """An IRI, ``!iri`` / ``!(iri|…)`` or ``( path )``."""
+        cur = self.cur
         if cur.peek() == "(":
             cur.take()
-
-            def one():
-                inv = cur.peek() == "^" and bool(cur.take())
-                p = _expand(cur.take(), prefixes, "predicate")
-                if p.startswith("?"):
-                    raise SparqlSyntaxError(
-                        "parenthesized path elements must be ground predicates, not ?vars"
-                    )
-                return (p, inv)
-
-            choices = [one()]
-            sep = cur.peek() if cur.peek() in ("/", "|") else "|"
-            while cur.peek() == sep:
-                cur.take()
-                choices.append(one())
+            p = self.path()
             if cur.take() != ")":
-                what = "sequence" if sep == "/" else "alternative"
-                raise SparqlSyntaxError(f"expected ) closing the path {what}")
-            if sep == "/":
-                # ( e1 / e2 … ): a grouped SEQUENCE, usually under a
-                # closure modifier ((p/q)*); the step relations compose
-                # with hash joins before the fixpoint
-                return ("seq", tuple(choices))
-            if len(choices) < 2:
-                raise SparqlSyntaxError("a parenthesized path needs at least two |-alternatives")
-            return tuple(choices)
-        inv = cur.peek() == "^" and bool(cur.take())
-        p = _expand(cur.take(), prefixes, "predicate")
-        if inv:
-            if p.startswith("?"):
-                raise SparqlSyntaxError("inverse path ^ needs a ground predicate")
-            return ((p, True),)
-        return p
+                raise SparqlSyntaxError("expected ) closing a parenthesized path")
+            if isinstance(p, Link):
+                raise SparqlSyntaxError("a parenthesized path needs an operator, not one bare IRI")
+            return p
+        if cur.peek() != "!":
+            return Link(self.path_iri("property-path elements must be ground predicates, not ?vars"))
+        cur.take()
 
-    def path_step(self) -> list:
-        """One path element with its optional + * ? modifier → the chain
-        elements it stands for (a bare grouped sequence splices in as
-        its single-choice steps)."""
-        e = self.path_elem()
-        mod = self.cur.peek()
-        if mod in _MODIFIERS:
-            self.cur.take()
-            if isinstance(e, str):
-                if e.startswith("?"):
-                    raise SparqlSyntaxError(f"path modifier {mod} needs ground predicates")
-                e = ((e, False),)
-            return [(_MODIFIERS[mod], e)]
-        if isinstance(e, tuple) and e[0] == "seq":
-            return [((p, inv),) for p, inv in e[1]]
-        return [e]
+        def member() -> str:
+            if cur.peek() == "^":
+                raise SparqlUnsupportedError("inverse members in a negated property set are not supported")
+            return self.path_iri("negated property sets need ground predicates")
 
-    def pattern(self, into: list, filters: list) -> None:
-        """``s path o`` → patterns. A sequence path e1/e2/… becomes a
-        chain of patterns through hidden ?__ppN variables (excluded from
-        SELECT * and the UNION typing); a negated property set becomes a
-        hidden predicate variable plus one != FILTER per excluded
-        predicate, joining the group's FILTERs."""
+        multi = cur.peek() == "(" and bool(cur.take())
+        iris = [member()]
+        while multi and cur.peek() == "|":
+            cur.take()
+            iris.append(member())
+        if multi and cur.take() != ")":
+            raise SparqlSyntaxError("expected ) closing the negated property set")
+        return NegSet(tuple(iris))
+
+    def path_iri(self, not_ground: str) -> str:
+        iri = _expand(self.cur.take(), self.prefixes, "predicate")
+        if iri.startswith("?"):
+            raise SparqlSyntaxError(not_ground)
+        return iri
+
+    def pattern(self, into: list) -> None:
+        """``s p o`` → patterns. The predicate slot holds a term string
+        (a ?var or an IRI) or a path node; a top-level sequence becomes a
+        chain of patterns through hidden ?__ppN variables (§18.2.2.4;
+        excluded from SELECT * and the UNION typing)."""
         cur = self.cur
         s = _expand(cur.take(), self.prefixes, "subject")
-        elems = self.path_step()
-        while cur.peek() == "/":
-            cur.take()
-            elems += self.path_step()
+        if cur.peek().startswith("?"):
+            p = _expand(cur.take(), self.prefixes, "predicate")
+            if cur.peek() in ("/", "|", "+", "*", "?"):
+                raise SparqlSyntaxError("property-path elements must be ground predicates, not ?vars")
+        else:
+            p = self.path()
         o = _expand(cur.take(), self.prefixes, "object")
-        if len(elems) > 1 and any(isinstance(p, str) and p.startswith("?") for p in elems):
-            raise SparqlSyntaxError("property-path elements must be ground predicates, not ?vars")
+        steps = p.ps if isinstance(p, Seq) else [p]
         at = s
-        for k, p in enumerate(elems):
-            nxt = o if k == len(elems) - 1 else self.fresh()
-            if isinstance(p, tuple) and p[0] == "negset":
-                pv = self.fresh()
-                into.append((at, pv, nxt))
-                filters += [_Expr("!=", (_Expr("var", (pv[1:],)), _Expr("term", (q,)))) for q in p[1]]
-            else:
-                into.append((at, p, nxt))
+        for k, step in enumerate(steps):
+            nxt = o if k == len(steps) - 1 else self.fresh()
+            into.append((at, step.iri if isinstance(step, Link) else step, nxt))
             at = nxt
 
 
-_MODIFIERS = {"+": "closure", "*": "closure0", "?": "zeroone"}
+def _flat(ps: list, kind) -> tuple:
+    """Operands of an associative path operator, nested ones spliced in."""
+    return tuple(q for p in ps for q in (p.ps if isinstance(p, kind) else (p,)))
 
 
 def parse(text: str) -> _Node:
@@ -2432,6 +2629,7 @@ def parse(text: str) -> _Node:
 # ---------------------------------------------------------------------------
 
 _AGG_OPS = ("count", "min", "max", "sum", "avg", "group_concat")
+_AGG_TYPES = {"count": pa.int64(), "sum": pa.int64(), "avg": pa.float64()}  # others: terms
 _EMPTY = {
     "WHERE": "empty graph pattern",
     "ASK": "empty ASK pattern",
@@ -2545,8 +2743,11 @@ def _having_refusal(n: Having, where: str):
 _RULES = [
     (BGP, SparqlSyntaxError, lambda n, w: not n.patterns and _EMPTY.get(w, f"empty {w} group")),
     (BGP, SparqlUnsupportedError, lambda n, w: w not in ("WHERE", "ASK") and any(
-        isinstance(p, str) and p.startswith("?__pp") for _, p, _ in n.patterns
+        isinstance(p, NegSet) for _, p, _ in n.patterns
     ) and "negated property sets are only supported in the top-level pattern"),
+    (BGP, SparqlUnsupportedError, lambda n, w: any(
+        _plus_over_zero_length(p) for _, p, _ in n.patterns if not isinstance(p, str)
+    ) and "a + modifier over a path with a * or ? step, as in (p*)+, is not supported"),
     (BGP, SparqlUnsupportedError, _bgp_refusal),
     (Union, SparqlSyntaxError, lambda n, w: len(n.branches) < 2 and "UNION needs at least two branches"),
     (Union, SparqlUnsupportedError, _union_refusal),
@@ -2649,266 +2850,53 @@ def _validate(node: _Node, where: str = "WHERE") -> _Node:
     return node
 
 
-def _pattern_bindings(
-    store: "dstore.DatasetGraphStore", pat: tuple[str, str, str]
-) -> tuple[ray.data.Dataset, list[str]]:
-    """One triple pattern → Dataset of variable bindings.
-
-    The predicate slot may be a tuple of ``(pred, inverted)``
-    alternatives (from ``^p`` / ``(p1|p2)`` path elements): each choice
-    is its own predicate-pruned streaming scan — an inverted choice
-    scans with subject/object swapped — and the choices are bag-unioned
-    (SPARQL path alternation is defined as a union, duplicates kept)."""
+def _pattern_bindings(store: "dstore.DatasetGraphStore", pat) -> ray.data.Dataset:
+    """One triple pattern → its bindings, one column per variable in
+    :func:`_pattern_vars` order. A plain pattern is one ``matches()``
+    scan with its ground terms pushed down; a path pattern is its path's
+    ``edges`` given the ground endpoints, then the endpoint step: ground
+    endpoints filter exactly, variable ones project. A variable repeated
+    within the pattern (``?x ?p ?x``, ``?x p+ ?x``) is an equality."""
     s, p, o = pat
-    if (
-        not isinstance(p, str)
-        and len(p) == 2
-        and p[0] in ("closure", "closure0", "zeroone")
-    ):
-        # property-path modifiers over a ground element:
-        #   e+ (closure)   — the base relation is the union of the
-        #     element's predicate-pruned scans (inverse choices swap
-        #     slots); its transitive closure is the semi-naive fixpoint
-        #     of pipelines/graphstats.py (one task on a small edge set,
-        #     distributed above it), seeded at a ground endpoint
-        #   e* (closure0)  — the closure UNION the zero-length path
-        #   e? (zeroone)   — the base relation UNION the zero-length path
-        # The zero-length path follows the SPARQL ZeroLengthPath
-        # evaluation: a ground endpoint reflexively matches itself
-        # (graph membership not required), while two variable endpoints
-        # bind to EVERY node of the active graph (all subjects and
-        # objects, not just the element's endpoints) — that global
-        # node set is one distinct exchange. The pattern's
-        # subject/object terms apply AFTER the pair set is built —
-        # ground endpoints become vectorized filters.
-
-        from ..pipelines.graphstats import transitive_closure
-
-        kind = p[0]
-
-        def edge_proj(inv: bool):
-            src_col = tr.OBJECT if inv else tr.SUBJECT
-            dst_col = tr.SUBJECT if inv else tr.OBJECT
-
-            def f(batch: pa.Table) -> pa.Table:
-                return pa.table(
-                    {"src": batch[src_col], "dst": batch[dst_col]}
-                )
-
-            return f
-
-        if p[1] and p[1][0] == "negset":
-            # !(p1|p2)+ — the base relation is every triple whose
-            # predicate is NOT excluded: one streaming scan with a
-            # vectorized NOT-IN filter (no hidden-var/filter rewrite
-            # needed; the closure machinery below is element-agnostic)
-            excluded = pa.array(list(p[1][1]), pa.string())
-
-            def neg_edges(batch: pa.Table) -> pa.Table:
-                keep = pc.invert(
-                    pc.is_in(batch[tr.PREDICATE], value_set=excluded)
-                )
-                t = batch.filter(keep)
-                return pa.table({"src": t[tr.SUBJECT], "dst": t[tr.OBJECT]})
-
-            base = store.matches().map_batches(
-                neg_edges, batch_format="pyarrow"
-            )
-        elif p[1] and p[1][0] == "seq":
-            # grouped sequence under a modifier — (p/q)* — the base
-            # relation is the COMPOSITION of the step relations: one
-            # hash join per step on the chaining node, before the
-            # closure fixpoint. Inverse steps swap slots in their scan.
-            edge_schema = pa.schema([("src", pa.string()), ("dst", pa.string())])
-
-            def _rename(a: str, b: str):
-                def f(batch: pa.Table) -> pa.Table:
-                    return batch.rename_columns([a, b])
-
-                return f
-
-            base = None
-            for pred, inv in p[1][1]:
-                step = store.matches("", pred, "").map_batches(
-                    edge_proj(inv), batch_format="pyarrow"
-                )
-                if base is None:
-                    base = step
-                    continue
-                base = dstore.hash_join(
-                    base.map_batches(
-                        _rename("src", "__m"), batch_format="pyarrow"
-                    ),
-                    step.map_batches(
-                        _rename("__m", "dst"), batch_format="pyarrow"
-                    ),
-                    on=["__m"],
-                    how="inner",
-                    schemas=(
-                        pa.schema(
-                            [("src", pa.string()), ("__m", pa.string())]
-                        ),
-                        pa.schema(
-                            [("__m", pa.string()), ("dst", pa.string())]
-                        ),
-                    ),
-                ).map_batches(
-                    lambda b: b.select(["src", "dst"]),
-                    batch_format="pyarrow",
-                )
-        else:
-            parts = [
-                store.matches("", pred, "").map_batches(
-                    edge_proj(inv), batch_format="pyarrow"
-                )
-                for pred, inv in p[1]
-            ]
-            base = parts[0]
-            for extra in parts[1:]:
-                base = base.union(extra)
-        out_vars: list[str] = []
-        if s.startswith("?"):
-            out_vars.append(s[1:])
-        if o.startswith("?") and o != s:
-            out_vars.append(o[1:])
-
-        def swapped(batch: pa.Table) -> pa.Table:
-            return pa.table({"src": batch["dst"], "dst": batch["src"]})
-
-        if kind == "zeroone":
-            closure = base
-        elif not s.startswith("?"):
-            closure = transitive_closure(base, sources=[s])
-        elif not o.startswith("?"):
-            # seed at the ground object: close the reversed relation
-            # from o, then swap the pairs back
-            closure = transitive_closure(
-                base.map_batches(swapped, batch_format="pyarrow"),
-                sources=[o],
-            ).map_batches(swapped, batch_format="pyarrow")
-        else:
-            closure = transitive_closure(base)
-
-        if kind in ("closure0", "zeroone"):
-            if not s.startswith("?"):
-                zero = ray.data.from_arrow(
-                    pa.table({"src": [s], "dst": [s]})
-                )
-            elif not o.startswith("?"):
-                zero = ray.data.from_arrow(
-                    pa.table({"src": [o], "dst": [o]})
-                )
-            else:
-
-                def node_proj(batch: pa.Table) -> pa.Table:
-                    n = pa.chunked_array(
-                        [
-                            *batch[tr.SUBJECT].chunks,
-                            *batch[tr.OBJECT].chunks,
-                        ]
-                    )
-                    return pa.table({"src": n})
-
-                nodes = dstore.distinct_on(
-                    store.matches("", "", "").map_batches(
-                        node_proj, batch_format="pyarrow"
-                    ),
-                    ["src"],
-                )
-
-                def reflexive(batch: pa.Table) -> pa.Table:
-                    return pa.table(
-                        {"src": batch["src"], "dst": batch["src"]}
-                    )
-
-                zero = nodes.map_batches(reflexive, batch_format="pyarrow")
-            # the zero-length pair can coincide with a cycle in the
-            # closure (or a self-loop edge), and alternative choices
-            # can emit one pair twice — path modifiers are defined on
-            # DISTINCT node pairs, so dedup the union
-            closure = dstore.distinct_on(
-                closure.union(zero), ["src", "dst"]
-            )
-
-        def finish(batch: pa.Table) -> pa.Table:
-            t = batch
-            if not s.startswith("?"):
-                t = t.filter(pc.equal(t["src"], s))
-            if not o.startswith("?"):
-                t = t.filter(pc.equal(t["dst"], o))
-            elif o == s:
-                t = t.filter(pc.equal(t["src"], t["dst"]))
-            cols = {}
-            if s.startswith("?"):
-                cols[s[1:]] = t["src"]
-            if o.startswith("?") and o != s:
-                cols[o[1:]] = t["dst"]
-            return pa.table(cols)
-
-        return closure.map_batches(finish, batch_format="pyarrow"), out_vars
-    if not isinstance(p, str):
-        # canonical column order: subject-position var first, then the
-        # object var — identical for every choice, so the union is
-        # well-typed
-        ordered = []
-        for t in (s, o):
-            if t.startswith("?") and t[1:] not in ordered:
-                ordered.append(t[1:])
-        parts = []
-        for pred, inv in p:
-            sub = (o, pred, s) if inv else (s, pred, o)
-            ds_c, _ = _pattern_bindings(store, sub)
-            parts.append(ds_c.select_columns(ordered))
-        ds = parts[0]
-        for extra in parts[1:]:
-            ds = ds.union(extra)
-        return ds, ordered
-    slots = list(zip(tr.COLUMNS, pat))
-    fixed = {col: term for col, term in slots if not term.startswith("?")}
-    ds = store.matches(
-        fixed.get(tr.SUBJECT, ""),
-        fixed.get(tr.PREDICATE, ""),
-        fixed.get(tr.OBJECT, ""),
-    )
+    if isinstance(p, str):
+        ds, slots, ground = store.matches(*map(_ground, pat)), zip(tr.COLUMNS, pat), []
+    else:
+        ds, slots = p.edges(store, _ground(s), _ground(o)), list(zip(("src", "dst"), (s, o)))
+        ground = [(col, t) for col, t in slots if _ground(t)]
     var_cols: dict[str, list[str]] = {}
     for col, term in slots:
         if term.startswith("?"):
             var_cols.setdefault(term[1:], []).append(col)
 
-
     def project(batch: pa.Table) -> pa.Table:
-        # repeated variable within one pattern (?x ?p ?x) → equality
-        mask = None
-        for cols in var_cols.values():
-            for extra in cols[1:]:
-                eq = pc.equal(batch[cols[0]], batch[extra])
-                mask = eq if mask is None else pc.and_(mask, eq)
-        if mask is not None:
-            batch = batch.filter(mask)
+        masks = [pc.equal(batch[col], term) for col, term in ground] + [
+            pc.equal(batch[cols[0]], batch[extra]) for cols in var_cols.values() for extra in cols[1:]
+        ]
+        if masks:
+            batch = batch.filter(functools.reduce(pc.and_, masks))
         return pa.table({v: batch[cols[0]] for v, cols in var_cols.items()})
 
-    return ds.map_batches(project, batch_format="pyarrow"), list(var_cols)
+    return ds.map_batches(project, batch_format="pyarrow")
 
 
-def _vars_schema(vars_: list[str]) -> "pa.Schema":
+def _vars_schema(vars_: list[str], types=None) -> "pa.Schema":
     """Every binding column is a term STRING by construction (the
-    engine's NTriples encoding), so join schemas are statically known —
-    passing them to hash_join skips its Dataset.schema() probes, each
-    of which would EXECUTE the accumulated lazy join plan once just to
-    re-learn this schema (one extra full execution per BGP pattern)."""
-    return pa.schema([(v, pa.string()) for v in vars_])
+    engine's NTriples encoding) except an aggregate alias (a node's
+    ``types``), so join schemas are statically known — passing them to
+    hash_join skips its Dataset.schema() probes, each of which would
+    EXECUTE the accumulated lazy join plan once just to re-learn this
+    schema (one extra full execution per BGP pattern)."""
+    return pa.schema([(v, (types or {}).get(v, pa.string())) for v in vars_])
 
 
-def _join_patterns(
-    store: "dstore.DatasetGraphStore", patterns
-) -> tuple[ray.data.Dataset, list[str]]:
+def _join_patterns(store: "dstore.DatasetGraphStore", patterns) -> ray.data.Dataset:
     """Compile a connected pattern group into one bindings Dataset:
     each pattern scans, then inner hash joins on the shared variables
     (the BGP rules guarantee every pattern after the first shares one)."""
     joined: ray.data.Dataset | None = None
     bound: list[str] = []
     for pat in patterns:
-        ds, vars_ = _pattern_bindings(store, pat)
+        ds, vars_ = _pattern_bindings(store, pat), _pattern_vars(pat)
         # Pin each pattern's bindings: a BGP join plan that embeds N
         # copies of the store's (possibly union-shaped) build DAG under
         # one streaming executor starves the hot branch (the repo's
@@ -2928,7 +2916,7 @@ def _join_patterns(
             schemas=(_vars_schema(bound), _vars_schema(vars_)),
         )
         bound += [v for v in vars_ if v not in bound]
-    return joined, bound
+    return joined
 
 
 def _plain(t: pa.Table) -> pa.Table:
@@ -3104,11 +3092,11 @@ def _exists(store: "dstore.DatasetGraphStore", node: _Node) -> bool:
             comps[k0] += comps.pop(k)
             compvars[k0] |= compvars.pop(k)
     for comp in comps:
+        # a single pattern streams under limit(1): no join, no materialize
         if len(comp) == 1:
-            # single pattern: no join, no materialize — stream + limit(1)
-            bindings, _ = _pattern_bindings(store, comp[0])
+            bindings = _pattern_bindings(store, comp[0])
         else:
-            bindings, _ = _join_patterns(store, comp)
+            bindings = _join_patterns(store, comp)
         if bindings.limit(1).count() == 0:
             return False
     return True

@@ -3,9 +3,10 @@
 
 It reads a MemoryGraphStore's triples and evaluates the tree one
 solution at a time, each operator by its SPARQL 1.1 definition (§18.5,
-§8.3.3 for MINUS, §18.6 for EXISTS): a solution is a dict var → encoded
-term, a multiset is a list. It covers the grammar the whole-query
-differential test generates and raises NotImplementedError elsewhere.
+§8.3.3 for MINUS, §18.6 for EXISTS, §18.4 for property paths): a
+solution is a dict var → encoded term, a multiset is a list. It covers
+the grammar the whole-query differential test generates and raises
+NotImplementedError elsewhere.
 """
 
 from __future__ import annotations
@@ -34,6 +35,45 @@ def _match(pat, sol: dict, triples):
                 break
         else:
             yield new
+
+
+def _path(path, x, y, triples) -> list[tuple[str, str]]:
+    """The (start, end) pairs of ``Path(x, path, y)`` by §18.4, as a bag;
+    ``x`` / ``y`` are ground terms or None for a variable. A link matches
+    triples, an inverse swaps, an alternation is a bag union, a sequence
+    joins its steps on a fresh middle variable, a negated set is NOT-IN,
+    and a modifier is the distinct pairs of ALP reachability, each step
+    evaluated from a ground node."""
+    ends = lambda a, b: x in (None, a) and y in (None, b)  # noqa: E731
+    if isinstance(path, S.Link):
+        return [(s, o) for s, p, o in triples if p == path.iri and ends(s, o)]
+    if isinstance(path, S.NegSet):
+        return [(s, o) for s, p, o in triples if p not in path.iris and ends(s, o)]
+    if isinstance(path, S.Inv):
+        return [(a, b) for b, a in _path(path.p, y, x, triples)]
+    if isinstance(path, S.Alt):
+        return [pair for p in path.ps for pair in _path(p, x, y, triples)]
+    if isinstance(path, S.Seq):
+        pairs, last = _path(path.ps[0], x, None, triples), len(path.ps) - 1
+        for k, p in enumerate(path.ps[1:], 1):
+            step = _path(p, None, y if k == last else None, triples)
+            pairs = [(a, d) for a, b in pairs for c, d in step if b == c]
+        return pairs
+    if x is None and y is not None:  # evaluated from the ground end
+        return [(a, b) for b, a in _path(S.Mod(S.Inv(path.p), path.mod), y, None, triples)]
+    starts = [x] if x is not None else sorted({t for s, _, o in triples for t in (s, o)})
+    out = []
+    for n in starts:
+        seen, todo = set(), [n]
+        while todo:
+            for _, b in _path(path.p, todo.pop(), None, triples):
+                if b not in seen:
+                    seen.add(b)
+                    todo += [b] if path.mod != "?" else []
+        if path.mod != "+":
+            seen.add(n)
+        out += [(n, b) for b in sorted(seen) if y in (None, b)]
+    return out
 
 
 def _lexical(term: str) -> str:
@@ -92,9 +132,14 @@ def evaluate(node, triples) -> list[dict]:
     if isinstance(node, S.BGP):
         sols = [{}]
         for pat in node.patterns:
-            if not isinstance(pat[1], str):
-                raise NotImplementedError("property paths")
-            sols = [new for sol in sols for new in _match(pat, sol, triples)]
+            if isinstance(pat[1], str):
+                sols = [new for sol in sols for new in _match(pat, sol, triples)]
+                continue
+            # the path's own solutions, joined with the others (§18.3)
+            s, _, o = pat
+            ground = [None if t.startswith("?") else t for t in (s, o)]
+            pairs = _path(pat[1], *ground, triples)
+            sols = [new for sol in sols for new in _match((s, o), sol, pairs)]
         return sols
     if isinstance(node, S.Union):
         return [

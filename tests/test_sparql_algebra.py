@@ -58,6 +58,17 @@ _graphs = st.lists(
 )
 
 
+def _paths(draw) -> str:
+    """A predicate or a property path over the two predicates: each
+    path operator, and one nesting level."""
+    p, q = draw(st.permutations(_PREDS))
+    return draw(st.sampled_from([
+        p, f"^{p}", f"{p}|{q}", f"{p}/{q}", f"{p}+", f"{p}*", f"{p}?", f"!{p}",
+        f"({p}/{q})+", f"({p}|^{q})*", f"({p}/^{q})?", f"({p}/{q})|{q}", f"^({p}/{q})",
+        f"(({p}|{q})/{q})+",
+    ]))
+
+
 @st.composite
 def _queries(draw) -> str:
     pred = lambda: draw(st.sampled_from(_PREDS))  # noqa: E731
@@ -65,9 +76,12 @@ def _queries(draw) -> str:
     if draw(st.booleans()):
         where = [f"{{ ?a {pred()} ?b }} UNION {{ ?a {pred()} ?b }}"]
     else:
-        where = [f"?a {pred()} ?b ."]
+        where = [f"?a {_paths(draw)} ?b ."]
         if draw(st.booleans()):
-            where.append(f"?b {pred()} ?c .")
+            where.append(f"?b {_paths(draw)} ?c .")
+        if draw(st.booleans()):  # a ground endpoint: seeded closures, ground zero-length pairs
+            iri, path = draw(st.sampled_from(_IRIS)), _paths(draw)
+            where.append(draw(st.sampled_from([f"{iri} {path} ?b .", f"?b {path} {iri} ."])))
     optional = draw(st.booleans())
     if optional:
         cond = draw(st.sampled_from(["", f"FILTER ( ?d != {term()} )"]))
@@ -86,9 +100,14 @@ def _queries(draw) -> str:
         where.append(f"FILTER ( {draw(st.sampled_from(conds))} )")
     if draw(st.booleans()):
         where.append("BIND ( STR(?a) AS ?s )")
-    if draw(st.booleans()):
-        vals = draw(st.lists(st.sampled_from(_IRIS), min_size=1, max_size=2, unique=True))
-        where.append(f"VALUES ?a {{ {' '.join(vals)} }}")
+    if draw(st.booleans()):  # VALUES is a Join: duplicate and UNDEF rows repeat solutions
+        cell = lambda terms: draw(st.sampled_from(terms + ["UNDEF"]))  # noqa: E731
+        if draw(st.booleans()):
+            vals = [cell(_IRIS) for _ in range(draw(st.integers(1, 3)))]
+            where.append(f"VALUES ?a {{ {' '.join(vals)} }}")
+        else:
+            rows = [f"({cell(_IRIS)} {cell(_IRIS + _LITS)})" for _ in range(draw(st.integers(1, 3)))]
+            where.append(f"VALUES (?a ?b) {{ {' '.join(rows)} }}")
     body = "WHERE { " + " ".join(where) + " }"
     shape = draw(st.sampled_from(["star", "distinct", "group", "top"]))
     if shape == "star":
@@ -148,6 +167,26 @@ _ANCHOR_GRAPH = [
             "SELECT ?a WHERE { ?a <urn:a> ?b . BIND ( STR(?b) AS ?s ) "
             'VALUES ?a { <urn:a> <urn:d> } } ORDER BY ?a LIMIT 1',
             [(("a", "<urn:a>"),)],
+        ),
+        # nested paths: a sequence inside an alternation, ...
+        (
+            "SELECT ?s ?o WHERE { ?s (<urn:a>/<urn:b>)|<urn:b> ?o }",
+            [(("o", '"y"'), ("s", "<urn:a>")), (("o", '"x"'), ("s", "<urn:b>")),
+             (("o", '"x"'), ("s", "<urn:c>")), (("o", '"y"'), ("s", "<urn:d>"))],
+        ),
+        # ... under an inverse, with free and with ground endpoints, ...
+        (
+            "SELECT ?s ?o WHERE { ?s ^(<urn:a>/<urn:a>) ?o }",
+            [(("o", "<urn:a>"), ("s", "<urn:c>")), (("o", "<urn:d>"), ("s", "<urn:b>"))],
+        ),
+        (
+            "SELECT ?o WHERE { <urn:c> ^(<urn:a>/<urn:a>) ?o }",
+            [(("o", "<urn:a>"),)],
+        ),
+        # ... and an alternation inside a sequence under a closure
+        (
+            "SELECT ?o WHERE { <urn:d> ((<urn:a>|<urn:b>)/<urn:a>)+ ?o }",
+            [(("o", "<urn:b>"),)],
         ),
     ],
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontograph_ray.store.sparql import (
@@ -105,6 +106,12 @@ def test_valid_bgps_parse_and_keep_patterns(pats):
     for (s, p, o), got in zip(pats, parsed.child.patterns):
         if p == "a":
             assert got[1].startswith("<http://www.w3.org/")
+
+
+def test_lone_question_mark_is_not_a_variable():
+    for q in ("SELECT * WHERE { ?s ? ?o }", "SELECT * WHERE { ? <urn:p> ?o }"):
+        with pytest.raises(SparqlSyntaxError, match="unexpected term"):
+            parse(q)
 
 
 # --- the expression evaluator against a row-at-a-time reference ---------

@@ -2208,6 +2208,48 @@ class TestSparqlExtensions:
         )
         base = self._q(ds, "SELECT ?p ?n WHERE { ?p <urn:name> ?n . }")
         assert len(allrows) == len(base)
+        # VALUES is a §18.5 Join: a solution is kept once per compatible row
+        both = self._q(
+            ds,
+            "SELECT ?p ?n WHERE { ?p <urn:name> ?n . } "
+            'VALUES (?p ?n) { (<urn:p1> UNDEF) (UNDEF "alice") }',
+        )
+        assert both.values.tolist() == [["<urn:p1>", '"alice"']] * 2
+        dup = self._q(
+            ds, "SELECT ?p WHERE { ?p <urn:name> ?n . } VALUES ?p { <urn:p1> <urn:p1> }"
+        )
+        assert dup["p"].tolist() == ["<urn:p1>"] * 2
+        # an all-UNDEF row beside a bound one: every solution, plus p2 again
+        out = self._q(
+            ds,
+            "SELECT ?p WHERE { ?p <urn:name> ?n . } VALUES ?p { UNDEF <urn:p2> } ORDER BY ?p",
+        )
+        assert out["p"].tolist() == ["<urn:p1>", "<urn:p2>", "<urn:p2>", "<urn:p3>"]
+
+    def test_subquery_join_plans_without_schema_probes(self, ray_session, monkeypatch):
+        import ray.data
+
+        from ontograph_ray.store.sparql import sparql_select
+
+        # Ray's own groupby validation reads schema(fetch_if_missing=False),
+        # which never executes; a fetching probe would run the plans again
+        fetching = []
+        orig = ray.data.Dataset.schema
+
+        def counting(self, fetch_if_missing=True):
+            fetching.append(fetch_if_missing)
+            return orig(self, fetch_if_missing)
+
+        monkeypatch.setattr(ray.data.Dataset, "schema", counting)
+        ds = self._people()
+        sub = "{{ SELECT ?c (COUNT(?k) AS ?{0}) WHERE {{ ?c <urn:knows> ?k }} GROUP BY ?c }}"
+        q = f"SELECT ?c ?n ?m WHERE {{ ?c <urn:name> ?x . {sub.format('n')} {sub.format('m')} }} ORDER BY ?c"
+        planned = sparql_select(ds, q)
+        assert not any(fetching)
+        monkeypatch.undo()
+        out = planned.to_pandas()
+        assert out.values.tolist() == [["<urn:p1>", 1, 1], ["<urn:p2>", 1, 1]]
+        assert str(out["n"].dtype) == "int64" and str(out["m"].dtype) == "int64"
 
     def test_offset(self, ray_session):
         ds = self._people()
