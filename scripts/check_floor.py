@@ -9,8 +9,8 @@ to the pytest node id ``tests/test_x.py::TestY::test_z``; a line that is
 not collected exactly matches every collected id it prefixes.
 The script lists each line that matches nothing, then runs the matched
 ids in one pytest session. The exit code is non-zero when a line is
-missing or a matched test fails. The default floor file is
-``TESTS_AT_FLOOR.txt`` in the parent of the repository root.
+missing or a matched test fails. Without a floor_file argument the
+script reads the path in the ``FLOOR_FILE`` environment variable.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ def collected() -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    default = os.path.join(os.path.dirname(ROOT), "TESTS_AT_FLOOR.txt")
+    default = os.environ.get("FLOOR_FILE", "")
     floor = argv.pop(0) if argv and not argv[0].startswith("-") else default
-    if not os.path.exists(floor):
+    if not floor or not os.path.exists(floor):
         print(f"no floor list at {floor}")
         return 0
     with open(floor) as f:
