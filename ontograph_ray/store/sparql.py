@@ -33,7 +33,8 @@ Grammar → node:
                                          encoded term)
     BIND ( expr AS ?v )                  Extend
     VALUES ?v { t … } | (?a ?b) { (t t) … }   Values (a Join), inline or
-                                         postfix; UNDEF cells are wildcards
+                                         postfix (over Group, §18.2.4.3);
+                                         UNDEF cells are wildcards
     { group } UNION { group } …          Union
     { SELECT … }                         Join with the subquery's tree
     (AGG(…) AS ?a) … [GROUP BY ?k …]     Group: COUNT([DISTINCT] ?v | *),
@@ -95,7 +96,8 @@ Rules (``_RULES``, one entry per refusal; a group's contents first):
     Join       with a { SELECT } subquery only, sharing a variable
     Extend     a fresh alias over bound arguments
     Filter     bound variables (in a query's own group)
-    Values     one per query, over required-bound variables, ground cells
+    Values     one per query, over required-bound variables, ground cells;
+               not on numeric aggregate results; after grouping, only keys
     Group      algebraic aggregates; a DISTINCT aggregate or GROUP_CONCAT
                as the sole aggregate, GROUP_CONCAT with GROUP BY
     Having     the aggregate also in SELECT
@@ -216,6 +218,7 @@ Bindings are the engine's NTriples-encoded term strings (``<uri>`` /
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import re
@@ -1552,6 +1555,11 @@ class _Node:
         kids = [k.types for k, kind in self.kids() if kind in (None, "WHERE")]
         return {v: t for ts in kids for v, t in ts.items() if v in self.vars}
 
+    @property
+    def schema(self) -> "pa.Schema":
+        """The Arrow schema of the node's bindings, for ``hash_join``."""
+        return _vars_schema(self.vars, self.types)
+
     def explain(self, depth: int = 0) -> list[str]:
         lines = ["  " * depth + self.op()]
         for kid, _ in self.kids():
@@ -1643,10 +1651,7 @@ class Join(_Node):
     def lower(self, store):
         return dstore.hash_join(
             self.child.lower(store), self.sub.lower(store), on=self.shared, how="inner",
-            schemas=(
-                _vars_schema(self.child.vars, self.child.types),
-                _vars_schema(self.sub.vars, self.sub.types),
-            ),
+            schemas=(self.child.schema, self.sub.schema),
         )
 
     def op(self):
@@ -1683,7 +1688,7 @@ class LeftJoin(_Node):
             right = _apply_filters_ds(right, list(self.exprs))
         return dstore.hash_join(
             left, right, on=self.shared, how="left",
-            schemas=(_vars_schema(self.child.vars), _vars_schema(self.opt.vars)),
+            schemas=(self.child.schema, self.opt.schema),
         )
 
     def op(self):
@@ -1768,13 +1773,13 @@ class Exists(_Node):
             outer_keys = dstore.distinct_on(joined.select_columns(on), on)
             probe = dstore.hash_join(
                 outer_keys, bgp.lower(store), on=self.shared, how="inner",
-                schemas=(_vars_schema(on), _vars_schema(bgp.vars)),
+                schemas=(_vars_schema(on, self.child.types), bgp.schema),
             )
             qualified = _apply_filters_ds(probe, list(self.group.exprs))
             keys = dstore.distinct_on(qualified.select_columns(on), on)
         return dstore.hash_join(
             joined, keys, on=on, how=how,
-            schemas=(_vars_schema(self.child.vars), _vars_schema(on)),
+            schemas=(self.child.schema, _vars_schema(on, self.child.types)),
         )
 
     def op(self):
@@ -1808,15 +1813,14 @@ class Values(_Node):
     def lower(self, store):
         cols, rows = self.cols, self.rows
         # one variable: a hash lookup of each value's row count
-        vals = [r[0] for r in rows if r[0] is not None]
-        uniq = list(dict.fromkeys(vals))
-        value_set = pa.array(uniq, pa.string())
-        per_value = pa.array([vals.count(v) for v in uniq], pa.int64())
+        counts = collections.Counter(r[0] for r in rows if r[0] is not None)
+        value_set = pa.array(list(counts), pa.string())
+        per_value = pa.array(list(counts.values()), pa.int64())
 
         def repeats(batch: pa.Table) -> np.ndarray:
             if len(cols) == 1:
                 hit = pc.take(per_value, pc.index_in(batch[cols[0]], value_set=value_set))
-                return pc.fill_null(hit, 0).to_numpy() + (len(rows) - len(vals))
+                return pc.fill_null(hit, 0).to_numpy() + (len(rows) - counts.total())
             n = np.zeros(batch.num_rows, np.int64)
             for row in rows:
                 eqs = [pc.equal(batch[c], v) for c, v in zip(cols, row) if v is not None]
@@ -2141,12 +2145,8 @@ class Modify(_Node):
 
         out_ds = store.matches()
         if self.delete:
-            out_ds = dstore.hash_join(
-                out_ds,
-                dstore.distinct_on(instantiate(self.delete), tr.COLUMNS),
-                on=tr.COLUMNS,
-                how="anti",
-            )
+            deletes = dstore.distinct_on(instantiate(self.delete), tr.COLUMNS)
+            out_ds = dstore.hash_join(out_ds, deletes, on=tr.COLUMNS, how="anti")
         out = dstore.DatasetGraphStore(store.get_uri(), out_ds)
         if self.insert:
             out = out.add_triples_unchecked(instantiate(self.insert))
@@ -2267,12 +2267,12 @@ class _Parser:
         if cur.take().upper() != "WHERE" or cur.peek() != "{":
             raise SparqlSyntaxError("expected WHERE {")
         node = self.group()
-        keys, having, order = [], [], []
+        keys, having, order, values = [], [], [], []
         limit = offset = None
         while cur.peek() not in ("", "}"):
             kw = cur.take().upper()
             if kw == "VALUES":
-                node = Values(node, *self.values())
+                values.append(self.values())
             elif kw == "GROUP":
                 if cur.take().upper() != "BY":
                     raise SparqlSyntaxError("expected GROUP BY")
@@ -2297,6 +2297,9 @@ class _Parser:
             node = Group(node, keys, list(aggs), dict(seps or {}))
         if having:
             node = Having(node, having)
+        # §18.2.4.3: a trailing VALUES joins after grouping and HAVING
+        for cols, rows in values:
+            node = Values(node, cols, rows)
         node = Project(node, select)
         if distinct:
             node = Distinct(node)
@@ -2807,6 +2810,15 @@ _RULES = [
     (Values, SparqlUnsupportedError, lambda n, w: (bad := [
         v for v in n.cols if v in n.child.maybe
     ]) and f"VALUES on OPTIONAL-only variables is not supported: {bad}"),
+    # a trailing VALUES joins before the aliases are bound (§18.2.4.4)
+    (Values, SparqlUnsupportedError, lambda n, w: isinstance(
+        g := n.child.child if isinstance(n.child, Having) else n.child, Group
+    ) and (bad := [v for v in n.cols if v not in g.keys])
+        and f"VALUES after grouping may name only GROUP BY keys: {bad}"),
+    # VALUES cells are term strings; a subquery's COUNT/SUM/AVG is not
+    (Values, SparqlUnsupportedError, lambda n, w: (bad := [
+        v for v in n.cols if v in n.child.types
+    ]) and f"VALUES on numeric aggregate results is not supported: {bad}"),
     (Group, SparqlUnsupportedError, _aggregate_refusal),
     (Group, SparqlSyntaxError, lambda n, w: (bad := [v for v in n.keys if v not in n.child.vars] + [
         v for _, v, _ in n.aggs if v != "*" and v not in n.child.vars
@@ -2907,12 +2919,8 @@ def _join_patterns(store: "dstore.DatasetGraphStore", patterns) -> ray.data.Data
         if joined is None:
             joined, bound = ds, vars_
             continue
-        shared = [v for v in vars_ if v in bound]
         joined = dstore.hash_join(
-            joined,
-            ds,
-            on=shared,
-            how="inner",
+            joined, ds, on=[v for v in vars_ if v in bound], how="inner",
             schemas=(_vars_schema(bound), _vars_schema(vars_)),
         )
         bound += [v for v in vars_ if v not in bound]

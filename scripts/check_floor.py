@@ -9,8 +9,9 @@ to the pytest node id ``tests/test_x.py::TestY::test_z``; a line that is
 not collected exactly matches every collected id it prefixes.
 The script lists each line that matches nothing, then runs the matched
 ids in one pytest session. The exit code is non-zero when a line is
-missing or a matched test fails. Without a floor_file argument the
-script reads the path in the ``FLOOR_FILE`` environment variable.
+missing, a matched test fails, or the floor file does not exist. The
+default floor file is ``TESTS_AT_FLOOR.txt`` in the parent of the
+repository root.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ def collected() -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    default = os.environ.get("FLOOR_FILE", "")
+    default = os.path.join(os.path.dirname(ROOT), "TESTS_AT_FLOOR.txt")
     floor = argv.pop(0) if argv and not argv[0].startswith("-") else default
-    if not floor or not os.path.exists(floor):
-        print(f"no floor list at {floor}")
-        return 0
+    if not os.path.exists(floor):
+        print(f"NO FLOOR LIST at {floor}: nothing checked")
+        return 2
     with open(floor) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     ids = collected()

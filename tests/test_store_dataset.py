@@ -2226,6 +2226,25 @@ class TestSparqlExtensions:
         )
         assert out["p"].tolist() == ["<urn:p1>", "<urn:p2>", "<urn:p2>", "<urn:p3>"]
 
+    def test_trailing_values_joins_after_grouping(self, ray_session):
+        from ontograph_ray.store.sparql import SparqlUnsupportedError
+
+        ds = self._people()
+        # §18.2.4.3: a duplicated row repeats the group, not its count
+        grouped = "SELECT ?c (COUNT(?k) AS ?n) WHERE { ?c <urn:knows> ?k } GROUP BY ?c "
+        out = self._q(ds, grouped + "VALUES ?c { <urn:p1> <urn:p1> }")
+        assert out.values.tolist() == [["<urn:p1>", 1]] * 2
+        out = self._q(
+            ds, grouped + "HAVING (COUNT(?k) > 0) VALUES ?c { <urn:p1> UNDEF } ORDER BY ?c"
+        )
+        assert out.values.tolist() == [["<urn:p1>", 1], ["<urn:p1>", 1], ["<urn:p2>", 1]]
+        # the aliases are bound after the trailing VALUES join
+        with pytest.raises(SparqlUnsupportedError, match="only GROUP BY keys"):
+            self._q(ds, grouped + 'VALUES ?n { "1" }')
+        sub = "{ SELECT ?c (COUNT(?k) AS ?n) WHERE { ?c <urn:knows> ?k } GROUP BY ?c }"
+        with pytest.raises(SparqlUnsupportedError, match="numeric aggregate"):
+            self._q(ds, f'SELECT ?c WHERE {{ ?c <urn:name> ?x . {sub} VALUES ?n {{ "1" }} }}')
+
     def test_subquery_join_plans_without_schema_probes(self, ray_session, monkeypatch):
         import ray.data
 
