@@ -100,12 +100,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "length_outliers": q.q_length_outliers,
         "source_mix": q.q_source_mix,
         "semdedup": q.q_semdedup,
-        "multimodal_features": q.q_multimodal_features,
-        "audio_features": q.q_audio_features,
-        "video_frame_features": q.q_video_frame_features,
-        "image_features_pgm": q.q_image_features_pgm,
-        "audio_features_wav": q.q_audio_features_wav,
-        "video_frames_y4m": q.q_video_frames_y4m,
         "gopher_quality": q.q_gopher_quality,
         "dsir_scores": q.q_dsir_scores,
         "url_dedup": q.q_url_dedup,
@@ -231,34 +225,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sparql_filter_decimal": q.q_sparql_filter_decimal,
         "sparql_subquery_star": q.q_sparql_subquery_star,
         "sparql_sum_distinct": q.q_sparql_sum_distinct,
-        "image_features_jpeg": q.q_image_features_jpeg,
         "sparql_bind_round": q.q_sparql_bind_round,
         "sparql_bind_strfns": q.q_sparql_bind_strfns,
         "sparql_filter_abs": q.q_sparql_filter_abs,
-        "image_features_jpeg_color": q.q_image_features_jpeg_color,
-        "image_features_jpeg420": q.q_image_features_jpeg420,
-        "image_features_png": q.q_image_features_png,
-        "image_features_png_color": q.q_image_features_png_color,
-        "audio_features_adpcm": q.q_audio_features_adpcm,
         "sparql_group_keys": q.q_sparql_group_keys,
         "sparql_distinct_agg": q.q_sparql_distinct_agg,
         "sparql_values_undef": q.q_sparql_values_undef,
-        "image_features_gif": q.q_image_features_gif,
         "ngram_lm_perplexity": q.q_ngram_lm_perplexity,
-        "image_features_jpeg_prog": q.q_image_features_jpeg_prog,
-        "image_features_jpeg_prog_color": q.q_image_features_jpeg_prog_color,
-        "image_features_jpeg_prog420": q.q_image_features_jpeg_prog420,
         "ann_topk_hnsw": q.q_ann_topk_hnsw,
         "jsonl_gz_roundtrip": q.q_jsonl_gz_roundtrip,
         "sparql_filter_negvar": q.q_sparql_filter_negvar,
         "sparql_coalesce_cmp": q.q_sparql_coalesce_cmp,
-        "image_features_tiff": q.q_image_features_tiff,
-        "audio_features_g711": q.q_audio_features_g711,
-        "image_features_jpeg_dri": q.q_image_features_jpeg_dri,
-        "image_features_jpeg_dri420": q.q_image_features_jpeg_dri420,
-        "image_features_jpeg411": q.q_image_features_jpeg411,
-        "audio_features_flac": q.q_audio_features_flac,
-        "video_frames_mjpeg": q.q_video_frames_mjpeg,
         "sparql_optional_filter": q.q_sparql_optional_filter,
         "sparql_exists_filter": q.q_sparql_exists_filter,
         "sparql_exists_correlated": q.q_sparql_exists_correlated,

@@ -118,20 +118,6 @@ BENCH_QUERIES = [
     "docs_sorted_neighborhood",
     "ann_topk_ivfpq",
     "ann_topk_hnsw",
-    "image_features_pgm",
-    "image_features_jpeg",
-    "image_features_png",
-    "image_features_gif",
-    "image_features_tiff",
-    "image_features_jpeg_prog",
-    "image_features_jpeg_prog420",
-    "audio_features_adpcm",
-    "audio_features_g711",
-    "audio_features_flac",
-    "image_features_jpeg_dri420",
-    "image_features_jpeg411",
-    "video_frames_y4m",
-    "video_frames_mjpeg",
     "gopher_quality",
     "c4_line_filter",
     "dsir_scores",

@@ -61,13 +61,15 @@ def _sql_dec_term(r: str) -> str:
 # recall 1.0 at hamming<=3 by pigeonhole — and is only valid at the
 # driver's correctness scale (sf=0.01); regenerate with the script if
 # the test data changes.
-_FIXTURES = "/root/repo/fixtures"
+_FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures"
+)
 
 # --- splitmix64 in ANSI-ish SQL -------------------------------------------
 # DuckDB's HUGEINT is a signed 128-bit integer, so (uint64 × uint64)
 # overflows; each modular multiply is split into 32-bit halves:
 # (a·b) mod 2^64 = ((a mod 2^32)·b + ((⌊a/2^32⌋·b) mod 2^32)·2^32) mod 2^64,
-# every intermediate ≤ 2^97. Bit-compatible with stages/export.splitmix64
+# every intermediate ≤ 2^97. Bit-compatible with store/dataset.splitmix64
 # (validated against the numpy kernel for ids 0..9 and the sf0.01 table).
 _M64 = 1 << 64
 _M32 = 1 << 32
@@ -992,77 +994,6 @@ SELECT l_orderkey, l_linenumber, 'l_discount',
         "entity_sssp": _fx("entity_sssp"),
         "perceptron_filter": _fx("perceptron_filter"),
         "distinct_users_by_type": _fx("hll_grouped"),
-        "multimodal_features": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/multimodal_features_n200.parquet')"
-        ),
-        "audio_features": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/audio_features_n200.parquet')"
-        ),
-        "video_frame_features": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/video_frame_features_n150.parquet')"
-        ),
-        # REAL-codec multimodal twins (PGM / RIFF-WAV / YUV4MPEG2) —
-        # independent byte-wise parsers in scripts/gen_fixtures.py
-        "image_features_jpeg": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_n200.parquet')"
-        ),
-        "image_features_jpeg_color": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_color_n200.parquet')"
-        ),
-        "image_features_jpeg411": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg411_n200.parquet')"
-        ),
-        "image_features_jpeg_dri": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_dri_n200.parquet')"
-        ),
-        "image_features_jpeg_dri420": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_dri420_n200.parquet')"
-        ),
-        "image_features_jpeg420": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg420_n200.parquet')"
-        ),
-        "image_features_png": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_png_n200.parquet')"
-        ),
-        "image_features_gif": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_gif_n200.parquet')"
-        ),
-        "image_features_tiff": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_tiff_n200.parquet')"
-        ),
-        "image_features_jpeg_prog": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_prog_n200.parquet')"
-        ),
-        "image_features_jpeg_prog_color": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_prog_color_n200.parquet')"
-        ),
-        "image_features_jpeg_prog420": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_jpeg_prog420_n200.parquet')"
-        ),
-        "image_features_png_color": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_png_color_n200.parquet')"
-        ),
-        "image_features_pgm": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/image_features_pgm_n200.parquet')"
-        ),
-        "audio_features_wav": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/audio_features_wav_n200.parquet')"
-        ),
-        "audio_features_adpcm": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/audio_features_adpcm_n200.parquet')"
-        ),
-        "video_frames_mjpeg": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/video_frames_mjpeg_n150.parquet')"
-        ),
-        "audio_features_flac": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/audio_features_flac_n200.parquet')"
-        ),
-        "audio_features_g711": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/audio_features_g711_n200.parquet')"
-        ),
-        "video_frames_y4m": (
-            f"SELECT * FROM read_parquet('{_FIXTURES}/video_frames_y4m_n150.parquet')"
-        ),
         # C4 line filter — plain-Python twin over the shared synthetic
         # webpage corpus
         "c4_line_filter": (

@@ -63,6 +63,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from ..store.dataset import splitmix64
+
 _log = logging.getLogger("ontograph_ray")
 
 
@@ -138,8 +140,6 @@ def _home(h, num_buckets: int):
     """Unsalted (phase-2 / message-destination) bucket of a node hash."""
     import numpy as np
 
-    from ..stages.export import splitmix64
-
     return (splitmix64(h) % np.uint64(num_buckets)).astype(np.int64)
 
 
@@ -147,8 +147,6 @@ def _salted(h, s: int, num_buckets: int):
     """Phase-1 bucket of (node hash, salt value); _salted(h, 0, B) ==
     _home(h, B) so the salt=1 plan needs no label replication."""
     import numpy as np
-
-    from ..stages.export import splitmix64
 
     return (splitmix64(h + np.uint64(s)) % np.uint64(num_buckets)).astype(np.int64)
 
@@ -206,8 +204,6 @@ def connected_components(
         out = pd.concat([fwd, rev], ignore_index=True).drop_duplicates()
         h_key = pd.util.hash_pandas_object(out["key"], index=False).to_numpy()
         h_nbr = pd.util.hash_pandas_object(out["nbr"], index=False).to_numpy()
-        from ..stages.export import splitmix64
-
         s = (h_nbr % np.uint64(salt)).astype(np.uint64)  # all-zero when salt=1
         out["kind"] = np.int8(0)
         out["node"] = None

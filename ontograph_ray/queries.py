@@ -1712,426 +1712,6 @@ def q_embedding_near_dup(sf_dir: str):
     )
 
 
-def q_audio_features(sf_dir: str):
-    """Audio featurization plumbing (fake codec — see
-    stages/multimodal.py stub discipline): duration/RMS/ZCR per clip,
-    rounded to 9 dp so the value-hash gate tolerates summation-order
-    ulps vs the independent plain-Python oracle
-    (scripts/gen_fixtures.py → fixtures/audio_features_n200.parquet)."""
-    from .stages.multimodal import featurize_audio, synthesize_audio
-
-    ds = ray.data.from_arrow(synthesize_audio(200))
-
-    def rounded(batch: pa.Table) -> pa.Table:
-        for col in ("duration_sec", "rms", "zero_crossing_rate"):
-            batch = batch.set_column(
-                batch.schema.get_field_index(col),
-                col,
-                pc.round(batch[col], ndigits=9),
-            )
-        return batch
-
-    return featurize_audio(ds).map_batches(rounded, batch_format="pyarrow")
-
-
-def q_video_frame_features(sf_dir: str):
-    """Video frame-sampling plumbing (fake codec — stages/multimodal.py
-    stub discipline): decode each payload, keep every 2nd frame, ONE
-    ROW PER SAMPLED FRAME with integer features (pixel_sum, frame
-    phash) — exactly pinned by the independent byte-wise plain-Python
-    twin (scripts/gen_fixtures.py::gen_video_frame_features)."""
-    from .stages.multimodal import sample_video_frames, synthesize_videos
-
-    ds = ray.data.from_arrow(synthesize_videos(150))
-    return sample_video_frames(ds, every_n=2)
-
-
-def q_multimodal_features(sf_dir: str):
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(synthesize_media(200))
-    out = decode_images(ds)
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_pgm(sf_dir: str):
-    """REAL-codec image decode: binary PGM (Netpbm P5) payloads parsed
-    by the in-module pure-numpy parser (stages/multimodal.py::decode_pgm
-    — full header grammar incl. comments), features per image. Oracle
-    is an independent byte-wise twin that re-parses the header with its
-    own reader (scripts/gen_fixtures.py::gen_image_features_pgm)."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(synthesize_media(200, seed=1042, codec="pgm"))
-    out = decode_images(ds, codec="pgm")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg(sf_dir: str):
-    """REAL compressed-codec image decode: baseline sequential
-    GRAYSCALE JPEG (ITU-T T.81 — Annex-K tables, canonical Huffman,
-    byte stuffing, integer IDCT contract) decoded by the in-module
-    entropy decoder (stages/multimodal.py::decode_jpeg_gray), features
-    per image. Oracle is an independent plain-Python decoder using the
-    T.81 F.2.2.3 MINCODE/MAXCODE/VALPTR procedure and plain-int IDCT
-    (scripts/gen_fixtures.py::gen_image_features_jpeg); phash pins the
-    decoded pixels byte-wise."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(synthesize_media(200, seed=2042, codec="jpeg"))
-    out = decode_images(ds, codec="jpeg")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg_color(sf_dir: str):
-    """REAL compressed-codec COLOR image decode: baseline sequential
-    YCbCr 4:4:4 JPEG (three components, Annex-K chrominance quant +
-    Huffman tables, interleaved MCUs, separate DC predictors, integer
-    inverse color transform) decoded by
-    stages/multimodal.py::decode_jpeg_color. Oracle is the independent
-    plain-Python decoder + plain-int color transform
-    (scripts/gen_fixtures.py::gen_image_features_jpeg_color); phash
-    pins the interleaved RGB bytes byte-wise."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=3042, codec="jpeg_color")
-    )
-    out = decode_images(ds, codec="jpeg_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg420(sf_dir: str):
-    """REAL compressed-codec decode of the camera-default JPEG layout:
-    baseline 4:2:0 (Y at 2x2, one chroma block per 16x16 MCU) — the
-    general Hc×Vc interleaved decoder in
-    stages/multimodal.py::_decode_jpeg_planes with box-replication
-    chroma upsampling. Oracle: the independent plain-Python decoder
-    (gen_fixtures.gen_image_features_jpeg420), byte-wise RGB pin."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=4042, codec="jpeg_420")
-    )
-    out = decode_images(ds, codec="jpeg_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg411(sf_dir: str):
-    """REAL compressed-codec decode of the 4:1:1 layout (DV /
-    NTSC-lineage cameras): baseline JPEG with Y at sampling factor
-    4x1 — the general Hc×Vc interleaved decoder with 4× horizontal
-    chroma box-replication. Closes the former 'sampling factors >2'
-    refusal for baseline scans. Oracle: the independent plain-Python
-    decoder + plain-int color transform
-    (gen_fixtures.gen_image_features_jpeg411), byte-wise RGB pin."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=13042, codec="jpeg_411")
-    )
-    out = decode_images(ds, codec="jpeg_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg_dri(sf_dir: str):
-    """REAL compressed-codec decode with DRI RESTART INTERVALS — the
-    error-resilience layer virtually every camera JPEG carries (T.81
-    B.2.4.4/E.2.4): baseline grayscale with an RSTn marker every
-    1+(seed%5) MCUs (cyclic sequence verified, byte-aligned segment
-    jump, DC predictor reset). Oracle: the independent plain-Python
-    twin, which consumes RSTn inline in its raw-payload bit reader
-    (the engine pre-splits segments instead); byte-wise phash pin
-    (gen_fixtures.gen_image_features_jpeg_dri)."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=11042, codec="jpeg_dri")
-    )
-    out = decode_images(ds, codec="jpeg")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg_dri420(sf_dir: str):
-    """REAL compressed-codec decode: DRI restarts over the
-    camera-default 4:2:0 layout — interleaved 6-block MCUs, all three
-    DC predictors reset at each RSTn, interval 1+(seed%3). Oracle: the
-    independent plain-Python twin + plain-int color transform,
-    byte-wise RGB pin (gen_fixtures.gen_image_features_jpeg_dri420)."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=12042, codec="jpeg_dri420")
-    )
-    out = decode_images(ds, codec="jpeg_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_png(sf_dir: str):
-    """REAL compressed-codec LOSSLESS image decode: 8-bit grayscale
-    PNG (RFC 2083 — CRC-verified chunk walk, stdlib-zlib inflate, the
-    full five-filter unfilter grammar; the encoder cycles filter types
-    per scanline so None/Sub/Up/Average/Paeth are all on the decode
-    path) via stages/multimodal.py::decode_png_gray. Oracle is an
-    independent plain-Python unfilter
-    (scripts/gen_fixtures.py::_plain_png_decode); phash pins the
-    reconstructed pixels byte-wise — and PNG being lossless, equals
-    the hash of the synthesized content."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(synthesize_media(200, seed=5042, codec="png"))
-    out = decode_images(ds, codec="png")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_png_color(sf_dir: str):
-    """REAL compressed-codec LOSSLESS truecolor decode: 8-bit RGB PNG
-    (color type 2, 3-byte pixels — the unfilter recurrences step by
-    bpp=3) via stages/multimodal.py::decode_png_color. Oracle:
-    independent plain-Python unfilter twin, byte-wise interleaved-RGB
-    pin (gen_fixtures.gen_image_features_png_color)."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=6042, codec="png_color")
-    )
-    out = decode_images(ds, codec="png_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg_prog(sf_dir: str):
-    """REAL compressed-codec PROGRESSIVE image decode: SOF2 grayscale
-    JPEG with the full progressive semantics — spectral selection
-    (per-band AC scans), successive approximation (DC+AC first and
-    refinement scans, correction bits, EOB runs) — via
-    stages/multimodal.py::decode_jpeg_prog. Pinned TWO ways: an
-    independent plain-Python progressive twin
-    (scripts/gen_fixtures.py::_plain_jpeg_prog_decode), and — because
-    the progressive encoder writes the same quantized coefficients as
-    the baseline one — byte-equality with the baseline decode of the
-    same content (asserted in tests)."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=8042, codec="jpeg_prog")
-    )
-    out = decode_images(ds, codec="jpeg_prog")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg_prog_color(sf_dir: str):
-    """REAL compressed-codec PROGRESSIVE COLOR decode: SOF2 YCbCr
-    4:4:4 with libjpeg's default 10-scan script (interleaved DC first/
-    refinement, per-component spectral-selection AC scans, successive
-    approximation) via stages/multimodal.py::decode_jpeg_prog_color.
-    Oracle: independent plain-Python progressive twin + plain-int
-    color transform (gen_fixtures.gen_image_features_jpeg_prog_color),
-    byte-wise RGB pin."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=9042, codec="jpeg_prog_color")
-    )
-    out = decode_images(ds, codec="jpeg_prog_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_jpeg_prog420(sf_dir: str):
-    """REAL compressed-codec decode of the PROGRESSIVE camera-default
-    layout: SOF2 4:2:0 — interleaved DC scans over 2x2-sampled MCUs,
-    non-interleaved AC scans over each component's own (unpadded)
-    block grid, chroma box-replication upsample. Oracle: the
-    generalized plain-Python progressive twin, byte-wise RGB pin."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(
-        synthesize_media(200, seed=9542, codec="jpeg_prog_420")
-    )
-    out = decode_images(ds, codec="jpeg_prog_color")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_tiff(sf_dir: str):
-    """REAL compressed-codec LOSSLESS image decode: TIFF 6.0 §13 LZW —
-    the OTHER LZW dialect from GIF's (MSB-first code packing,
-    EARLY-CHANGE width bumps, same CLEAR/EOI/KwKwK machinery) inside
-    the classic little-endian IFD container, via
-    stages/multimodal.py::decode_tiff_gray. Oracle: independent
-    plain-Python MSB-first LZW twin
-    (scripts/gen_fixtures.py::_plain_tiff_decode); lossless, so phash
-    also equals the synthesized-content hash."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(synthesize_media(200, seed=10042, codec="tiff"))
-    out = decode_images(ds, codec="tiff")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_image_features_gif(sf_dir: str):
-    """REAL compressed-codec LOSSLESS image decode: GIF87a with LZW
-    dictionary coding (variable 9→12-bit codes, LSB-first packing,
-    CLEAR/EOI, KwKwK case, pre-full dictionary reset) and a gray-ramp
-    palette, via stages/multimodal.py::decode_gif_gray. Oracle is an
-    independent plain-Python LZW decoder with its own bit cursor and
-    string table (scripts/gen_fixtures.py::_plain_gif_decode);
-    lossless, so phash also equals the synthesized-content hash."""
-    from .stages.multimodal import decode_images, synthesize_media
-
-    ds = ray.data.from_arrow(synthesize_media(200, seed=7042, codec="gif"))
-    out = decode_images(ds, codec="gif")
-    return out.select_columns(["media_id", "width", "height", "phash"])
-
-
-def q_audio_features_wav(sf_dir: str):
-    """REAL-codec audio decode: RIFF/WAVE mono PCM16 payloads parsed
-    via stdlib ``wave`` (stages/multimodal.py::decode_wav); duration/
-    RMS/ZCR per clip, rounded to 9 dp (summation-order ulps vs the
-    plain-Python twin, same discipline as q_audio_features). Oracle
-    twin walks the RIFF chunks with its own struct-based reader
-    (scripts/gen_fixtures.py::gen_audio_features_wav)."""
-    from .stages.multimodal import featurize_audio, synthesize_audio
-
-    ds = ray.data.from_arrow(synthesize_audio(200, seed=1007, codec="wav"))
-
-    def rounded(batch: pa.Table) -> pa.Table:
-        for col in ("duration_sec", "rms", "zero_crossing_rate"):
-            batch = batch.set_column(
-                batch.schema.get_field_index(col),
-                col,
-                pc.round(batch[col], ndigits=9),
-            )
-        return batch
-
-    return featurize_audio(ds, codec="wav").map_batches(
-        rounded, batch_format="pyarrow"
-    )
-
-
-def q_audio_features_adpcm(sf_dir: str):
-    """REAL COMPRESSED-codec audio decode: mono IMA ADPCM (WAVE format
-    tag 0x0011, 4 bits/sample, 4:1 vs PCM16 — what `ffmpeg -c:a
-    adpcm_ima_wav` emits) decoded by the in-module block-vectorized
-    integer recurrence (stages/multimodal.py::decode_adpcm); duration/
-    RMS/ZCR per clip rounded to 9 dp. Oracle twin decodes the same
-    bytes with a plain-Python per-nibble recurrence
-    (scripts/gen_fixtures.py::_plain_adpcm_decode) — the lossy codec's
-    output is pinned byte-identical, then features compared."""
-    from .stages.multimodal import featurize_audio, synthesize_audio
-
-    ds = ray.data.from_arrow(synthesize_audio(200, seed=2007, codec="adpcm"))
-
-    def rounded(batch: pa.Table) -> pa.Table:
-        for col in ("duration_sec", "rms", "zero_crossing_rate"):
-            batch = batch.set_column(
-                batch.schema.get_field_index(col),
-                col,
-                pc.round(batch[col], ndigits=9),
-            )
-        return batch
-
-    return featurize_audio(ds, codec="adpcm").map_batches(
-        rounded, batch_format="pyarrow"
-    )
-
-
-def q_audio_features_flac(sf_dir: str):
-    """REAL COMPRESSED lossless-codec audio decode: mono 16-bit FLAC
-    (the shipping form of open speech corpora — LibriSpeech, MLS):
-    fixed predictors 0-2, Rice partitions + raw escape, UTF-8 frame
-    numbers, CRC-8/CRC-16, STREAMINFO MD5 verified on every decode —
-    stages/multimodal.py::decode_flac (vectorized cumsum
-    reconstruction, amortized unary scan). Duration/RMS/ZCR rounded
-    9 dp. Oracle twin is a bit-serial plain-Python decoder with
-    table-free CRCs (scripts/gen_fixtures.py::_plain_flac_decode);
-    losslessness makes the features exact over the source PCM."""
-    from .stages.multimodal import featurize_audio, synthesize_audio
-
-    ds = ray.data.from_arrow(synthesize_audio(200, seed=4007, codec="flac"))
-
-    def rounded(batch: pa.Table) -> pa.Table:
-        for col in ("duration_sec", "rms", "zero_crossing_rate"):
-            batch = batch.set_column(
-                batch.schema.get_field_index(col),
-                col,
-                pc.round(batch[col], ndigits=9),
-            )
-        return batch
-
-    return featurize_audio(ds, codec="flac").map_batches(
-        rounded, batch_format="pyarrow"
-    )
-
-
-def q_audio_features_g711(sf_dir: str):
-    """REAL COMPRESSED-codec telephony audio decode: ITU-T G.711
-    µ-law AND A-law companding (WAVE tags 7/6, 8 bits/sample — the
-    storage form of telephone-speech corpora), clips alternating law
-    by id; ONE featurize pass handles both (the decoder dispatches on
-    the fmt tag). Duration/RMS/ZCR rounded to 9 dp. Oracle twin
-    expands every byte with plain-int ITU bit algorithms
-    (scripts/gen_fixtures.py::_plain_g711_decode) — byte-identical
-    PCM."""
-    from .stages.multimodal import (
-        MEDIA_SCHEMA,
-        encode_g711_audio,
-        featurize_audio,
-    )
-
-    rows = {k: [] for k in MEDIA_SCHEMA.names}
-    for i in range(200):
-        sr = 8000
-        samples = sr * (1 + i % 3)
-        law = "mulaw" if i % 2 == 0 else "alaw"
-        rows["media_id"].append(i)
-        rows["kind"].append("audio")
-        rows["payload"].append(encode_g711_audio(samples, sr, 3007 + i, law=law))
-        rows["width"].append(0)
-        rows["height"].append(0)
-        rows["sample_rate"].append(sr)
-        rows["n_frames"].append(0)
-    ds = ray.data.from_arrow(pa.table(rows, schema=MEDIA_SCHEMA))
-
-    def rounded(batch: pa.Table) -> pa.Table:
-        for col in ("duration_sec", "rms", "zero_crossing_rate"):
-            batch = batch.set_column(
-                batch.schema.get_field_index(col),
-                col,
-                pc.round(batch[col], ndigits=9),
-            )
-        return batch
-
-    return featurize_audio(ds, codec="mulaw").map_batches(
-        rounded, batch_format="pyarrow"
-    )
-
-
-def q_video_frames_y4m(sf_dir: str):
-    """REAL-codec video frame sampling: YUV4MPEG2 mono streams parsed
-    by the in-module parser (stages/multimodal.py::decode_y4m), every
-    3rd frame kept, ONE ROW PER SAMPLED FRAME with integer features —
-    exactly pinned by the independent FRAME-marker-splitting twin
-    (scripts/gen_fixtures.py::gen_video_frames_y4m)."""
-    from .stages.multimodal import sample_video_frames, synthesize_videos
-
-    ds = ray.data.from_arrow(synthesize_videos(150, seed=1009, codec="y4m"))
-    return sample_video_frames(ds, every_n=3, codec="y4m")
-
-
-def q_video_frames_mjpeg(sf_dir: str):
-    """REAL COMPRESSED-codec video frame sampling: Motion JPEG in the
-    classic AVI/RIFF container (fccHandler 'MJPG', one baseline JPEG
-    per '00dc' chunk — what webcams and older cameras record), parsed
-    and entropy-decoded in-module (stages/multimodal.py::decode_mjpeg),
-    every 2nd frame kept, ONE ROW PER SAMPLED FRAME with integer
-    features. Oracle: an independent RIFF walk + the plain-Python
-    baseline-JPEG twin per frame
-    (scripts/gen_fixtures.py::gen_video_frames_mjpeg), byte-wise pin."""
-    from .stages.multimodal import sample_video_frames, synthesize_videos
-
-    ds = ray.data.from_arrow(synthesize_videos(150, seed=2009, codec="mjpeg"))
-    return sample_video_frames(ds, every_n=2, codec="mjpeg")
-
-
 # ---------------------------------------------------------------------------
 # Relational breadth (aggregate / join / window / sort+limit)
 # ---------------------------------------------------------------------------
@@ -4749,8 +4329,8 @@ def q_gopher_quality(sf_dir: str):
 
 def q_c4_line_filter(sf_dir: str):
     """C4 cleaning rules (Raffel et al. 2020 §2.2) over a deterministic
-    webpage-like corpus (stages/text.py::synthesize_webpages — a data
-    source, same discipline as the multimodal encoders): line-level
+    webpage-like corpus (stages/text.py::synthesize_webpages, a
+    deterministic in-process data source): line-level
     terminal-punctuation / min-words / javascript filters plus the
     lorem-ipsum / curly-brace / min-kept-lines document drops. Oracle
     is an independent plain-Python twin

@@ -10,5 +10,4 @@ from .dedup import (  # noqa: F401
     simhash_near_dup_pairs,
     simhash_signatures,
 )
-from .multimodal import decode_images, frame_sample, synthesize_media  # noqa: F401
 from .text import fingerprint, lang_id, quality_score, token_stats  # noqa: F401

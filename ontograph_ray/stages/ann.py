@@ -732,9 +732,9 @@ def hard_negatives(
 def _hnsw_level(vid: int, m_l: float) -> int:
     import math
 
-    from .export import splitmix64 as _smix
+    from ..store.dataset import splitmix64
 
-    h = int(_smix(np.asarray([vid], dtype=np.uint64))[0])
+    h = int(splitmix64(np.asarray([vid], dtype=np.uint64))[0])
     u = (h + 1) / 2.0**64  # (0, 1]
     return int(-math.log(u) * m_l)
 

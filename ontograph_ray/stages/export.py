@@ -29,21 +29,7 @@ import pyarrow as pa
 
 import ray.data
 
-_M = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 (the same mixer as
-    stages/sketch.py; kept bit-compatible with the SQL oracle's
-    32-bit-split modular-multiply formulation)."""
-    h = x.astype(np.uint64)
-    h = (h + np.uint64(0x9E3779B97F4A7C15)) & _M
-    h ^= h >> np.uint64(30)
-    h = (h * np.uint64(0xBF58476D1CE4E5B9)) & _M
-    h ^= h >> np.uint64(27)
-    h = (h * np.uint64(0x94D049BB133111EB)) & _M
-    h ^= h >> np.uint64(31)
-    return h
+from ..store.dataset import bucketed_group_map, splitmix64
 
 
 def _assign_batch(batch: pa.Table, num_shards: int, seed: int) -> pa.Table:
@@ -216,8 +202,6 @@ def group_concentration(
         out["n_items"] = out["n_items"].astype("int64")
         out["hhi"] = out["hhi"].astype("int64")
         return out
-
-    from ..store.dataset import bucketed_group_map
 
     return bucketed_group_map(
         ds.select_columns(cols), [group_col], per_group,

@@ -47,6 +47,7 @@ import ray
 import ray.data
 
 from ..bcast import cached_get
+from ..store.dataset import bucketed_group_map, splitmix64
 
 
 def _hash_series(s: pd.Series) -> np.ndarray:
@@ -56,17 +57,11 @@ def _hash_series(s: pd.Series) -> np.ndarray:
     undercount on a 500-doc corpus of same-vocabulary texts) — so the
     crc is passed through a splitmix64 finalizer, which is uniform and
     stays deterministic across processes (no PYTHONHASHSEED issues)."""
-    h = np.fromiter(
-        (zlib.crc32(str(v).encode()) for v in s), dtype=np.uint64, count=len(s)
+    return splitmix64(
+        np.fromiter(
+            (zlib.crc32(str(v).encode()) for v in s), dtype=np.uint64, count=len(s)
+        )
     )
-    # splitmix64 finalizer
-    h = (h + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    h ^= h >> np.uint64(30)
-    h = (h * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    h ^= h >> np.uint64(27)
-    h = (h * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    h ^= h >> np.uint64(31)
-    return h
 
 
 def kmv_partials(ds: ray.data.Dataset, col: str, k: int = 1024) -> ray.data.Dataset:
@@ -185,7 +180,6 @@ def quantile_sample(
     result stays deterministic and matches the SQL twin's
     ``ORDER BY h, v``. If the input has ≤ k rows the sample is the
     whole column and the quantiles are exact."""
-    from .export import splitmix64
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -260,8 +254,6 @@ def bloom_build(
     length m_bits/64. Per-block combiner emits only NONZERO words
     (word_idx, word); the bucketed exchange ORs duplicates per word so
     the driver gather is ≤ m/64 rows regardless of corpus size."""
-    from .export import splitmix64
-    from ..store.dataset import bucketed_group_map
 
     if m_bits % 64:
         raise ValueError("m_bits must be a multiple of 64")
@@ -313,7 +305,6 @@ def bloom_probe(
     """(key, maybe_seen) for every row — the filter words are
     ``ray.put`` once and fetched once per worker; each batch is one
     vectorized position-compute + gather + bit test per seed."""
-    from .export import splitmix64
 
     ref = ray.put(np.asarray(bits, dtype=np.int64))
 
@@ -337,16 +328,6 @@ def bloom_probe(
     )
 
 
-def _smix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over uint64 keys (bit-compatible with the
-    SQL oracle's 32-bit-split formulation — same kernel as
-    stages/export.splitmix64, inlined to keep this module's hash
-    discipline in one place)."""
-    from .export import splitmix64
-
-    return splitmix64(x)
-
-
 def cms_partials(
     ds: ray.data.Dataset,
     col: str,
@@ -368,7 +349,7 @@ def cms_partials(
         if len(df):
             x = df[col].to_numpy().astype(np.uint64)
             for r in range(depth):
-                h = _smix(x ^ np.uint64(seed + r))
+                h = splitmix64(x ^ np.uint64(seed + r))
                 cols = (h % np.uint64(width)).astype(np.int64)
                 cnt = np.bincount(cols, minlength=width)
                 live = np.flatnonzero(cnt)
@@ -405,7 +386,7 @@ def cms_estimate(
     keys = np.asarray(probe_keys, dtype=np.uint64)
     ests = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
     for r in range(depth):
-        cols = (_smix(keys ^ np.uint64(seed + r)) % np.uint64(width)).astype(
+        cols = (splitmix64(keys ^ np.uint64(seed + r)) % np.uint64(width)).astype(
             np.int64
         )
         ests = np.minimum(ests, merged[r, cols])
@@ -460,8 +441,6 @@ def hll_grouped(
         return pd.DataFrame(
             {group_col: out_g, "est": pd.Series(out_e, dtype="int64")}
         )
-
-    from ..store.dataset import bucketed_group_map
 
     return bucketed_group_map(
         ds.select_columns([group_col, col]).map_batches(

@@ -917,8 +917,8 @@ def synthesize_webpages(n: int, seed: int = 17) -> "pa.Table":
     of newline-separated lines where line length, terminal punctuation,
     'javascript' boilerplate, 'lorem ipsum' stubs and curly-brace
     template residue all vary with the seeded stream. A data SOURCE
-    (like the multimodal encoders) — the filter twin reimplements the
-    rules independently."""
+    (the in-process equivalent of an input parquet) — the filter twin
+    reimplements the rules independently."""
     import pyarrow as pa
 
     rng = np.random.RandomState(seed)
@@ -1027,7 +1027,7 @@ def dsir_scores(
     then scoring is a single streaming map over the corpus. The
     explicit-vocabulary weight table is bounded by ``max_vocab``
     (guarded); at open-web scale hash the words into a fixed bucket
-    count first (stages/export.splitmix64) so the broadcast side is
+    count first (store/dataset.splitmix64) so the broadcast side is
     O(buckets) regardless of vocabulary — same plan shape.
     """
     from ..store.dataset import bucketed_group_map
@@ -1063,7 +1063,7 @@ def dsir_scores(
         raise ValueError(
             f"dsir_scores explicit vocabulary ({n_vocab}) exceeds max_vocab="
             f"{max_vocab}; hash words into fixed buckets first "
-            "(stages/export.splitmix64) so the broadcast weight table is "
+            "(store/dataset.splitmix64) so the broadcast weight table is "
             "bounded"
         )
     wdf = counts.to_pandas()
@@ -1132,7 +1132,7 @@ def ngram_lm_scores(
     reference slice builds the count table; costs are broadcast once
     (``ray.put``), scoring is a single streaming map. The explicit
     table is bounded by ``max_vocab`` (guarded); at open-web scale
-    hash bigrams into fixed buckets first (stages/export.splitmix64)
+    hash bigrams into fixed buckets first (store/dataset.splitmix64)
     so the broadcast side is O(buckets).
     """
     import math
@@ -1179,7 +1179,7 @@ def ngram_lm_scores(
         raise ValueError(
             f"ngram_lm_scores explicit bigram vocabulary ({n_bigram_vocab}) "
             f"exceeds max_vocab={max_vocab}; hash bigrams into fixed "
-            "buckets first (stages/export.splitmix64) so the broadcast "
+            "buckets first (store/dataset.splitmix64) so the broadcast "
             "cost table is bounded"
         )
     cdf = counts.to_pandas()

@@ -410,6 +410,24 @@ def bucket_ids(t: pa.Table, key_cols: list[str], num_buckets: int) -> pa.Array:
     return pa.array((h.to_numpy() % num_buckets).astype("int64"))
 
 
+_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer over uint64: the package's other
+    routing hash (canonicalize's salted buckets) and the seeded mixer of
+    the sampling and sketch stages. Bit-compatible with the SQL
+    oracle's 32-bit-split modular-multiply formulation."""
+    h = x.astype(np.uint64)
+    h = (h + np.uint64(0x9E3779B97F4A7C15)) & _M64
+    h ^= h >> np.uint64(30)
+    h = (h * np.uint64(0xBF58476D1CE4E5B9)) & _M64
+    h ^= h >> np.uint64(27)
+    h = (h * np.uint64(0x94D049BB133111EB)) & _M64
+    h ^= h >> np.uint64(31)
+    return h
+
+
 def distinct_on(
     ds: ray.data.Dataset, cols: list[str], num_buckets: int = DEDUP_BUCKETS_DEFAULT
 ) -> ray.data.Dataset:

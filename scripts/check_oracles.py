@@ -5,17 +5,22 @@ order-insensitive values (columns sorted by name, rows sorted).
 Usage: python scripts/check_oracles.py [sf_dir] [pattern ...]
 
 Each pattern is a query name or a shell-style pattern (``fnmatch``):
-``'sparql_*'`` runs every SPARQL key.
+``'sparql_*'`` runs every SPARQL key. A pattern that matches no key is
+an error (exit 2), so a scoped run cannot pass by checking nothing; the
+summary line says how many keys were checked.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
@@ -50,6 +55,15 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = sys.argv[2:]
 
+    sys.path.insert(0, ROOT)
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    unmatched = [p for p in only if not any(fnmatch.fnmatchcase(k, p) for k in qs)]
+    if unmatched:
+        print(f"NO KEY matches {unmatched}: nothing checked for them")
+        return 2
+
     import ray
 
     if not ray.is_initialized():
@@ -64,8 +78,6 @@ def main() -> int:
     # union-widened map DAGs (build_kg) starve under per-op reservation
     ctx.op_resource_reservation_enabled = False
 
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as entrymod
     import gen_fixtures
 
     # fixture oracles are sf-keyed; generate any missing for THIS sf so
@@ -74,7 +86,6 @@ def main() -> int:
     if made:
         print(f"generated {len(made)} missing fixtures for {sf_dir}: {made}")
 
-    qs = entrymod.queries()
     sqls = entrymod.oracle_sql(sf_dir)
 
     con = duckdb.connect()
@@ -84,9 +95,11 @@ def main() -> int:
         )
 
     failures = []
+    checked = 0
     for name, fn in qs.items():
         if only and not any(fnmatch.fnmatchcase(name, pat) for pat in only):
             continue
+        checked += 1
         t0 = time.time()
         try:
             got = canon(to_pandas(fn(sf_dir)))
@@ -118,7 +131,10 @@ def main() -> int:
         else:
             print(f"ok   {name}: rows={len(got)} values match [{wall:.1f}s]")
 
-    print(f"\n{len(failures)} failures" + (f": {failures}" if failures else ""))
+    print(
+        f"\n{checked} keys checked, {len(failures)} failures"
+        + (f": {failures}" if failures else "")
+    )
     return 1 if failures else 0
 
 

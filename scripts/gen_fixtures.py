@@ -5,18 +5,17 @@ fixtures give those queries a real value-hash comparison there instead
 of a rows-only check.
 
 INDEPENDENCE: every fixture is computed by a plain-Python
-reimplementation in THIS file — struct/zlib/hashlib/math, no numpy, no
+reimplementation in THIS file — struct/zlib/math, no numpy, no
 imports from ontograph_ray.stages — so a bug in the vectorized engine
 kernels cannot cancel out of the comparison. Only the deterministic
-*encoders* (the data source, equivalent to reading an input parquet)
-are shared.
+corpus generator (stages/text.py::synthesize_webpages, a data source
+equivalent to reading an input parquet) is shared.
 
 Usage: python scripts/gen_fixtures.py   (writes fixtures/*.parquet)
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -101,43 +100,6 @@ def gen_simhash_pairs(sf_dir: str = DEFAULT_SF, max_hamming: int = 2) -> str:
     return f"{path}: {len(srcs)} pairs"
 
 
-# -- independent fake-image features ----------------------------------------
-
-
-def gen_multimodal_features(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    from ontograph_ray.stages.multimodal import encode_fake_image  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4  # synthesize_media's shape
-        payload = encode_fake_image(w, h, 42 + i)
-        pw, ph = struct.unpack("<II", payload[8:16])
-        assert (pw, ph) == (w, h)
-        body = payload[16 : 16 + w * h]
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        # the decoder's reshape(h, w).tobytes() is byte-identical to
-        # the body (C order), so the phash is sha1 over the raw body
-        phashes.append(int.from_bytes(hashlib.sha1(body).digest()[:8], "big"))
-    path = os.path.join(FIXTURES_DIR, "multimodal_features_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-# -- independent fake-audio features ----------------------------------------
-
-
 def gen_winnow_fingerprints(sf_dir: str = DEFAULT_SF, k: int = 7, w: int = 8) -> str:
     """Independent plain-Python winnowing twin (Schleimer et al. 2003):
     Horner-form byte k-gram hashes mod 2^64, rightmost-min selection
@@ -178,1847 +140,6 @@ def gen_winnow_fingerprints(sf_dir: str = DEFAULT_SF, k: int = 7, w: int = 8) ->
                 "doc_id": pa.array(ids, pa.int64()),
                 "pos": pa.array(poss, pa.int64()),
                 "fp": pa.array(fps, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {len(ids)} rows"
-
-
-def gen_video_frame_features(sf_dir: str = DEFAULT_SF, n: int = 150) -> str:
-    """Independent plain-Python twin of VideoFrameSampler (every_n=2):
-    parses the fake-video header/body byte-wise — no numpy reshape —
-    so it cross-checks the engine's vectorized frame slicing."""
-    from ontograph_ray.stages.multimodal import encode_fake_video  # encoder only
-
-    ids, idxs, sums, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 8 + (i % 4) * 4, 8 + (i % 3) * 4  # synthesize_videos' shape
-        nf = 4 + i % 7
-        payload = encode_fake_video(w, h, nf, 9 + i)
-        pw, ph, pnf = struct.unpack("<III", payload[8:20])
-        assert (pw, ph, pnf) == (w, h, nf)
-        body = payload[20 : 20 + nf * w * h]
-        plane = w * h
-        for fi in range(0, nf, 2):
-            frame = body[fi * plane : (fi + 1) * plane]
-            ids.append(i)
-            idxs.append(fi)
-            sums.append(sum(frame))
-            phashes.append(
-                int.from_bytes(hashlib.sha1(frame).digest()[:8], "big")
-            )
-    path = os.path.join(FIXTURES_DIR, "video_frame_features_n150.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(idxs, pa.int64()),
-                "pixel_sum": pa.array(sums, pa.int64()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {len(ids)} rows"
-
-
-def gen_audio_features(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    from ontograph_ray.stages.multimodal import encode_fake_audio  # encoder only
-
-    media_ids, durs, rmss, zcrs = [], [], [], []
-    for i in range(n):
-        sr = 8000
-        samples = sr * (1 + i % 3)  # synthesize_audio's shape
-        payload = encode_fake_audio(samples, sr, 7 + i)
-        pn, psr = struct.unpack("<II", payload[8:16])
-        assert (pn, psr) == (samples, sr)
-        pcm = struct.unpack(f"<{pn}h", payload[16 : 16 + 2 * pn])
-        x = [s / 32768.0 for s in pcm]
-        media_ids.append(i)
-        durs.append(round(pn / sr, 9))
-        rmss.append(round(math.sqrt(math.fsum(v * v for v in x) / len(x)), 9))
-        flips = sum(1 for a, b in zip(x[1:], x[:-1]) if (a < 0) != (b < 0))
-        zcrs.append(round(flips / (len(x) - 1), 9))
-    path = os.path.join(FIXTURES_DIR, "audio_features_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "duration_sec": pa.array(durs, pa.float64()),
-                "rms": pa.array(rmss, pa.float64()),
-                "zero_crossing_rate": pa.array(zcrs, pa.float64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_pgm(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL-codec PGM decode: re-parses the
-    binary-PGM (Netpbm P5) header with its own regex reader and hashes
-    the trailing w*h body bytes — no shared parsing code with
-    stages/multimodal.py::decode_pgm."""
-    import re
-
-    from ontograph_ray.stages.multimodal import encode_pgm_image  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4  # synthesize_media's shape
-        payload = encode_pgm_image(w, h, 1042 + i)
-        m = re.match(rb"P5\s+(?:#[^\n]*\n)*\s*(\d+)\s+(\d+)\s+(\d+)\s", payload)
-        pw, ph, maxval = (int(g) for g in m.groups())
-        assert (pw, ph, maxval) == (w, h, 255)
-        body = payload[-(w * h) :]  # raw plane = trailing w*h bytes
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(int.from_bytes(hashlib.sha1(body).digest()[:8], "big"))
-    path = os.path.join(FIXTURES_DIR, "image_features_pgm_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def _plain_jpeg_decode(payload: bytes):
-    """Complete plain-Python baseline-JPEG decoder — the independent
-    twin of stages/multimodal.py::_decode_jpeg_planes, sharing NO
-    decode code with it: its own marker walk and bit reader, the T.81
-    F.2.2.3 MINCODE/MAXCODE/VALPTR Huffman decode procedure (the
-    engine uses a (length, code)→value dict instead), and the
-    documented integer IDCT contract evaluated with plain Python ints
-    (the engine uses numpy int64 einsums). Handles 1 or 3 components
-    at 1x1 sampling. Returns (w, h, [plane rows-of-ints, ...])."""
-    import math
-    import struct as _struct
-
-    ZZ = [  # T.81 zigzag: natural index at each zigzag position
-        0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
-        12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
-        35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-        58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
-    ]
-    T = [
-        [
-            round(math.cos((2 * x + 1) * u * math.pi / 16) * 16384)
-            for x in range(8)
-        ]
-        for u in range(8)
-    ]
-    CU = [11585] + [16384] * 7
-
-    def rsr(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    def build_decode_tables(bits, vals):
-        # T.81 C.2 code assignment folded into the F.15 decoder tables
-        mincode, maxcode, valptr = [0] * 17, [-1] * 17, [0] * 17
-        code, k = 0, 0
-        for ln in range(1, 17):
-            if bits[ln - 1]:
-                valptr[ln] = k
-                mincode[ln] = code
-                code += bits[ln - 1]
-                k += bits[ln - 1]
-                maxcode[ln] = code - 1
-            else:
-                maxcode[ln] = -1
-            code <<= 1
-        return mincode, maxcode, valptr, vals
-
-    assert payload[:2] == b"\xff\xd8", "SOI"
-    i = 2
-    qts, tabs = {}, {}
-    w = h = None
-    dri = 0
-    cids, ctq, chv, ctabs = [], [], [], {}
-    scan_at = None
-    while i < len(payload):
-        assert payload[i] == 0xFF
-        marker = payload[i + 1]
-        i += 2
-        if marker == 0xD9:
-            break
-        (seglen,) = _struct.unpack(">H", payload[i : i + 2])
-        body = payload[i + 2 : i + seglen]
-        if marker == 0xDB:
-            j = 0
-            while j < len(body):
-                assert body[j] >> 4 == 0
-                nat = [0] * 64
-                for z in range(64):
-                    nat[ZZ[z]] = body[j + 1 + z]
-                qts[body[j] & 0xF] = nat
-                j += 65
-        elif marker == 0xC0:
-            _, h, w, nc = _struct.unpack(">BHHB", body[:6])
-            assert nc in (1, 3)
-            for c in range(nc):
-                cid, samp, tq_ = body[6 + 3 * c : 9 + 3 * c]
-                assert samp >> 4 in (1, 2, 4) and samp & 0xF in (1, 2, 4)
-                cids.append(cid)
-                ctq.append(tq_)
-                chv.append((samp >> 4, samp & 0xF))
-        elif marker == 0xC4:
-            j = 0
-            while j < len(body):
-                tc, th = body[j] >> 4, body[j] & 0xF
-                bits = list(body[j + 1 : j + 17])
-                nv = sum(bits)
-                vals = list(body[j + 17 : j + 17 + nv])
-                tabs[(tc, th)] = build_decode_tables(bits, vals)
-                j += 17 + nv
-        elif marker == 0xDD:
-            (dri,) = _struct.unpack(">H", body[:2])
-        elif marker == 0xDA:
-            ns = body[0]
-            assert ns == len(cids)
-            for c in range(ns):
-                cs, tt = body[1 + 2 * c], body[2 + 2 * c]
-                ctabs[cs] = (tt >> 4, tt & 0xF)
-            scan_at = i + seglen
-            break
-        i += seglen
-
-    # inline raw-payload bit reader (the engine pre-splits the scan
-    # into unstuffed segments instead — structurally independent):
-    # un-stuffing happens byte-by-byte as bits are requested, and DRI
-    # restarts consume the RSTn marker in place
-    rdpos = [scan_at]
-    bitbuf = [0, 0]  # current byte value, bits remaining
-
-    def nextbit() -> int:
-        if bitbuf[1] == 0:
-            b = payload[rdpos[0]]
-            if b == 0xFF:
-                assert payload[rdpos[0] + 1] == 0x00, "marker in entropy data"
-                rdpos[0] += 2
-            else:
-                rdpos[0] += 1
-            bitbuf[0] = b
-            bitbuf[1] = 8
-        bitbuf[1] -= 1
-        return (bitbuf[0] >> bitbuf[1]) & 1
-
-    def decode(tab) -> int:
-        mincode, maxcode, valptr, vals = tab
-        code, ln = nextbit(), 1
-        while maxcode[ln] == -1 or code > maxcode[ln]:
-            code = (code << 1) | nextbit()
-            ln += 1
-            assert ln <= 16, "bad code"
-        return vals[valptr[ln] + code - mincode[ln]]
-
-    def receive_extend(size: int) -> int:
-        v = 0
-        for _ in range(size):
-            v = (v << 1) | nextbit()
-        if size and v < (1 << (size - 1)):
-            v -= (1 << size) - 1
-        return v
-
-    ncomp = len(cids)
-    if ncomp == 1:
-        chv = [(1, 1)]  # non-interleaved single-component scan
-    hmax = max(hc for hc, _ in chv)
-    vmax = max(vc for _, vc in chv)
-    mcus_x = -(-w // (8 * hmax))
-    mcus_y = -(-h // (8 * vmax))
-    grids = [(mcus_y * vc, mcus_x * hc) for hc, vc in chv]
-    planes = [
-        [[0] * (gc * 8) for _ in range(gr * 8)] for gr, gc in grids
-    ]
-    preds = [0] * ncomp
-    comp_decode = [
-        (tabs[(0, ctabs[cid][0])], tabs[(1, ctabs[cid][1])], qts[ctq[c]])
-        for c, cid in enumerate(cids)
-    ]
-
-    def decode_block(c, by, bx):
-        dc_tab, ac_tab, q = comp_decode[c]
-        zz = [0] * 64
-        preds[c] += receive_extend(decode(dc_tab))
-        zz[0] = preds[c]
-        k = 1
-        while k < 64:
-            rs_ = decode(ac_tab)
-            if rs_ == 0:
-                break
-            run, size = rs_ >> 4, rs_ & 0xF
-            if size == 0:
-                assert run == 15
-                k += 16
-                continue
-            k += run
-            zz[k] = receive_extend(size)
-            k += 1
-        # natural-order dequantized block r[v][u]
-        nat = [0] * 64
-        for z in range(64):
-            nat[ZZ[z]] = zz[z]
-        r = [
-            [nat[v * 8 + u] * q[v * 8 + u] for u in range(8)]
-            for v in range(8)
-        ]
-        rs2 = [
-            [rsr(r[v][u] * CU[v] * CU[u], 16) for u in range(8)]
-            for v in range(8)
-        ]
-        m = [
-            [
-                rsr(sum(rs2[v][u] * T[u][x] for u in range(8)), 14)
-                for x in range(8)
-            ]
-            for v in range(8)
-        ]
-        px = planes[c]
-        for y in range(8):
-            for x in range(8):
-                pv = 128 + rsr(sum(m[v][x] * T[v][y] for v in range(8)), 28)
-                px[by * 8 + y][bx * 8 + x] = min(255, max(0, pv))
-
-    nrst = [0]
-    for my in range(mcus_y):
-        for mx in range(mcus_x):
-            mcu = my * mcus_x + mx
-            if dri and mcu and mcu % dri == 0:
-                # restart: drop the 1-padding bits, consume the cyclic
-                # RSTn marker in place, reset every DC predictor
-                bitbuf[1] = 0
-                assert payload[rdpos[0]] == 0xFF, "expected RST marker"
-                assert payload[rdpos[0] + 1] == 0xD0 + (nrst[0] & 7), (
-                    "RST marker out of sequence"
-                )
-                rdpos[0] += 2
-                nrst[0] += 1
-                for c in range(ncomp):
-                    preds[c] = 0
-            for c in range(ncomp):  # Hc×Vc data units, raster order
-                hc, vc = chv[c]
-                for vy in range(vc):
-                    for vx in range(hc):
-                        decode_block(c, my * vc + vy, mx * hc + vx)
-
-    # crop each plane to component resolution and box-replicate
-    # subsampled planes back to full resolution
-    out_planes = []
-    for c in range(ncomp):
-        hc, vc = chv[c]
-        cw = -(-(w * hc) // hmax)
-        ch = -(-(h * vc) // vmax)
-        fy, fx = vmax // vc, hmax // hc
-        rows = []
-        for y in range(h):
-            src = planes[c][min(y // fy, ch - 1)]
-            rows.append([src[min(x // fx, cw - 1)] for x in range(w)])
-        out_planes.append(rows)
-    return w, h, out_planes
-
-
-def _plain_jpeg_prog_decode(payload: bytes):
-    """Independent plain-Python PROGRESSIVE-JPEG decoder (twin of
-    stages/multimodal.py::_decode_jpeg_prog_planes, sharing NO decode
-    code): own marker walk, the T.81 F.15 MINCODE/MAXCODE/VALPTR
-    Huffman procedure, per-scan G.2 coefficient accumulation —
-    interleaved DC scans in MCU order, non-interleaved AC scans over
-    each component's own block grid, EOBn runs, refinement correction
-    bits inside skipped blocks — then the integer IDCT contract in
-    plain ints. 1 or 3 components, sampling factors in {1,2}.
-    Returns (w, h, [plane rows, ...]) at full resolution."""
-    import math
-    import struct as _struct
-
-    ZZ = [
-        0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
-        12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
-        35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-        58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
-    ]
-    T = [
-        [round(math.cos((2 * x + 1) * u * math.pi / 16) * 16384) for x in range(8)]
-        for u in range(8)
-    ]
-    CU = [11585] + [16384] * 7
-
-    def rsr(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    def build_tables(bits, vals):
-        mincode, maxcode, valptr = [0] * 17, [-1] * 17, [0] * 17
-        code, k = 0, 0
-        for ln in range(1, 17):
-            if bits[ln - 1]:
-                valptr[ln] = k
-                mincode[ln] = code
-                code += bits[ln - 1]
-                k += bits[ln - 1]
-                maxcode[ln] = code - 1
-            else:
-                maxcode[ln] = -1
-            code <<= 1
-        return mincode, maxcode, valptr, vals
-
-    assert payload[:2] == b"\xff\xd8"
-    i = 2
-    qts, tabs = {}, {}
-    w = h = None
-    cids, ctq, chv = [], [], []
-    stores = []  # per component: list of per-block zigzag lists
-    gcols = []
-    hmax = vmax = 1
-    mcus_x = mcus_y = 0
-    while i < len(payload):
-        assert payload[i] == 0xFF
-        marker = payload[i + 1]
-        i += 2
-        if marker == 0xD9:
-            break
-        (seglen,) = _struct.unpack(">H", payload[i : i + 2])
-        body = payload[i + 2 : i + seglen]
-        if marker == 0xDB:
-            j = 0
-            while j < len(body):
-                assert body[j] >> 4 == 0
-                nat = [0] * 64
-                for z in range(64):
-                    nat[ZZ[z]] = body[j + 1 + z]
-                qts[body[j] & 0xF] = nat
-                j += 65
-        elif marker == 0xC2:
-            _, h, w, nc = _struct.unpack(">BHHB", body[:6])
-            assert nc in (1, 3)
-            for c in range(nc):
-                cid, samp, tq_ = body[6 + 3 * c : 9 + 3 * c]
-                assert samp >> 4 in (1, 2) and samp & 0xF in (1, 2)
-                cids.append(cid)
-                ctq.append(tq_)
-                chv.append((samp >> 4, samp & 0xF))
-            if nc == 1:
-                chv = [(1, 1)]
-            hmax = max(hc for hc, _ in chv)
-            vmax = max(vc for _, vc in chv)
-            mcus_x = -(-w // (8 * hmax))
-            mcus_y = -(-h // (8 * vmax))
-            for hc, vc in chv:
-                gcols.append(mcus_x * hc)
-                stores.append(
-                    [[0] * 64 for _ in range((mcus_y * vc) * (mcus_x * hc))]
-                )
-        elif marker == 0xC4:
-            j = 0
-            while j < len(body):
-                tc, th = body[j] >> 4, body[j] & 0xF
-                bits = list(body[j + 1 : j + 17])
-                nv = sum(bits)
-                tabs[(tc, th)] = build_tables(bits, list(body[j + 17 : j + 17 + nv]))
-                j += 17 + nv
-        elif marker == 0xDA:
-            assert stores
-            ns = body[0]
-            scan_cidx, scan_tt = [], []
-            for c in range(ns):
-                cs, tt = body[1 + 2 * c], body[2 + 2 * c]
-                scan_cidx.append(cids.index(cs))
-                scan_tt.append(tt)
-            off = 1 + 2 * ns
-            ss, se = body[off], body[off + 1]
-            ah, al = body[off + 2] >> 4, body[off + 2] & 0xF
-            data = bytearray()
-            p = i + seglen
-            while p < len(payload):
-                bb = payload[p]
-                if bb == 0xFF:
-                    if payload[p + 1] == 0x00:
-                        data.append(0xFF)
-                        p += 2
-                        continue
-                    break
-                data.append(bb)
-                p += 1
-
-            pos = [0]
-
-            def nextbit() -> int:
-                byte = data[pos[0] >> 3]
-                bit = (byte >> (7 - (pos[0] & 7))) & 1
-                pos[0] += 1
-                return bit
-
-            def readn(n: int) -> int:
-                v = 0
-                for _ in range(n):
-                    v = (v << 1) | nextbit()
-                return v
-
-            def decode(tab) -> int:
-                mincode, maxcode, valptr, vals = tab
-                code, ln = nextbit(), 1
-                while maxcode[ln] == -1 or code > maxcode[ln]:
-                    code = (code << 1) | nextbit()
-                    ln += 1
-                    assert ln <= 16
-                return vals[valptr[ln] + code - mincode[ln]]
-
-            def extend(v: int, size: int) -> int:
-                if size and v < (1 << (size - 1)):
-                    v -= (1 << size) - 1
-                return v
-
-            def nonint_blocks(ci: int):
-                hc, vc = chv[ci]
-                cw = -(-w * hc // hmax)
-                ch = -(-h * vc // vmax)
-                return [
-                    by * gcols[ci] + bx
-                    for by in range(-(-ch // 8))
-                    for bx in range(-(-cw // 8))
-                ]
-
-            if ss == 0:
-                assert se == 0
-                if ns > 1:  # interleaved DC in MCU order
-                    visit = []
-                    for my in range(mcus_y):
-                        for mx in range(mcus_x):
-                            for ci in scan_cidx:
-                                hc, vc = chv[ci]
-                                for vy in range(vc):
-                                    for vx in range(hc):
-                                        visit.append(
-                                            (ci, (my * vc + vy) * gcols[ci] + (mx * hc + vx))
-                                        )
-                else:
-                    ci = scan_cidx[0]
-                    visit = [(ci, b) for b in nonint_blocks(ci)]
-                if ah == 0:
-                    preds = {ci: 0 for ci in scan_cidx}
-                    dtabs = {
-                        ci: tabs[(0, scan_tt[j] >> 4)]
-                        for j, ci in enumerate(scan_cidx)
-                    }
-                    for ci, b in visit:
-                        cat = decode(dtabs[ci])
-                        preds[ci] += extend(readn(cat), cat)
-                        stores[ci][b][0] = preds[ci] << al
-                else:
-                    for ci, b in visit:
-                        if nextbit():
-                            stores[ci][b][0] |= 1 << al
-            else:
-                assert ns == 1
-                ci = scan_cidx[0]
-                atab = tabs[(1, scan_tt[0] & 0xF)]
-                blks = nonint_blocks(ci)
-                if ah == 0:  # AC first
-                    eobrun = 0
-                    for b in blks:
-                        blk = stores[ci][b]
-                        if eobrun > 0:
-                            eobrun -= 1
-                            continue
-                        k = ss
-                        while k <= se:
-                            rs = decode(atab)
-                            r, s = rs >> 4, rs & 0xF
-                            if s == 0:
-                                if r != 15:
-                                    eobrun = (1 << r) - 1 + (readn(r) if r else 0)
-                                    break
-                                k += 16
-                                continue
-                            k += r
-                            assert k <= se
-                            blk[k] = extend(readn(s), s) << al
-                            k += 1
-                else:  # AC refinement
-                    p1, m1 = 1 << al, -(1 << al)
-                    eobrun = 0
-                    for b in blks:
-                        blk = stores[ci][b]
-                        k = ss
-                        if eobrun == 0:
-                            while k <= se:
-                                rs = decode(atab)
-                                r, s = rs >> 4, rs & 0xF
-                                newval = 0
-                                if s == 0:
-                                    if r != 15:
-                                        eobrun = (1 << r) + (readn(r) if r else 0)
-                                        break
-                                else:
-                                    assert s == 1
-                                    newval = p1 if nextbit() else m1
-                                while k <= se:
-                                    c = blk[k]
-                                    if c != 0:
-                                        if nextbit() and (c & p1) == 0:
-                                            blk[k] = c + (p1 if c >= 0 else m1)
-                                    else:
-                                        if r == 0:
-                                            if newval:
-                                                blk[k] = newval
-                                            k += 1
-                                            break
-                                        r -= 1
-                                    k += 1
-                        if eobrun > 0:
-                            while k <= se:
-                                c = blk[k]
-                                if c != 0:
-                                    if nextbit() and (c & p1) == 0:
-                                        blk[k] = c + (p1 if c >= 0 else m1)
-                                k += 1
-                            eobrun -= 1
-            i = p
-            continue
-        i += seglen
-
-    assert stores and w is not None
-    out_planes = []
-    for ci in range(len(stores)):
-        hc, vc = chv[ci]
-        q = qts[ctq[ci]]
-        nbx = gcols[ci]
-        gr = mcus_y * vc
-        plane = [[0] * (nbx * 8) for _ in range(gr * 8)]
-        for bidx, blk in enumerate(stores[ci]):
-            by, bx = divmod(bidx, nbx)
-            nat = [0] * 64
-            for z in range(64):
-                nat[ZZ[z]] = blk[z]
-            r_ = [
-                [nat[v * 8 + u] * q[v * 8 + u] for u in range(8)]
-                for v in range(8)
-            ]
-            rs2 = [
-                [rsr(r_[v][u] * CU[v] * CU[u], 16) for u in range(8)]
-                for v in range(8)
-            ]
-            m = [
-                [rsr(sum(rs2[v][u] * T[u][x] for u in range(8)), 14) for x in range(8)]
-                for v in range(8)
-            ]
-            for y in range(8):
-                for x in range(8):
-                    pv = 128 + rsr(sum(m[v][x] * T[v][y] for v in range(8)), 28)
-                    plane[by * 8 + y][bx * 8 + x] = min(255, max(0, pv))
-        cw = -(-w * hc // hmax)
-        ch = -(-h * vc // vmax)
-        fy, fx = vmax // vc, hmax // hc
-        rows = []
-        for y in range(h):
-            src_row = plane[min(y // fy, ch - 1)]
-            rows.append([src_row[min(x // fx, cw - 1)] for x in range(w)])
-        out_planes.append(rows)
-    return w, h, out_planes
-
-
-def gen_image_features_jpeg_prog(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL progressive-JPEG decode; phash
-    pins the decoded pixels byte-wise. Because the progressive encoder
-    writes the same quantized coefficients as the baseline one, these
-    hashes ALSO equal the baseline decode of the same (dims, seed)
-    content — a second, scan-structure-independent anchor."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_prog  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_jpeg_prog(w, h, 8042 + i)
-        pw, ph, planes = _plain_jpeg_prog_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 1
-        body = bytearray()
-        for row in planes[0]:
-            body.extend(row)
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg_prog_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def _gen_image_features_jpeg_prog_color_variant(
-    sub: str, seed0: int, fname: str, n: int
-) -> str:
-    from ontograph_ray.stages.multimodal import (
-        encode_jpeg_prog_color,  # encoder only
-    )
-
-    def rsr_(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_jpeg_prog_color(w, h, seed0 + i, subsampling=sub)
-        pw, ph, planes = _plain_jpeg_prog_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 3
-        body = bytearray()
-        for y in range(h):
-            for x in range(w):
-                Y = planes[0][y][x]
-                Cb = planes[1][y][x] - 128
-                Cr = planes[2][y][x] - 128
-                r_ = min(255, max(0, Y + rsr_(91881 * Cr, 16)))
-                g_ = min(255, max(0, Y - rsr_(22554 * Cb + 46802 * Cr, 16)))
-                b_ = min(255, max(0, Y + rsr_(116130 * Cb, 16)))
-                body.extend((r_, g_, b_))
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, fname)
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_jpeg_prog_color(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL progressive COLOR (4:4:4) JPEG
-    decode — libjpeg's default 10-scan script through the plain-Python
-    progressive twin + plain-int inverse color transform; byte-wise
-    interleaved-RGB pin (also equals the baseline color decode of the
-    same content)."""
-    return _gen_image_features_jpeg_prog_color_variant(
-        "444", 9042, "image_features_jpeg_prog_color_n200.parquet", n
-    )
-
-
-def gen_image_features_jpeg_prog420(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL progressive 4:2:0 JPEG decode
-    (interleaved DC scans over 2x2-sampled MCUs + per-component
-    non-interleaved AC scans over each component's own block grid)."""
-    return _gen_image_features_jpeg_prog_color_variant(
-        "420", 9542, "image_features_jpeg_prog420_n200.parquet", n
-    )
-
-
-def gen_image_features_jpeg(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL baseline-JPEG grayscale decode
-    (see ``_plain_jpeg_decode``); ``phash`` pins the decoded pixel
-    bytes byte-wise."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_gray  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4  # synthesize_media's shape
-        payload = encode_jpeg_gray(w, h, 2042 + i)
-        pw, ph, planes = _plain_jpeg_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 1
-        body_bytes = bytearray()
-        for y in range(h):
-            body_bytes.extend(planes[0][y][:w])
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_jpeg_color(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL baseline YCbCr 4:4:4 color-JPEG
-    decode: ``_plain_jpeg_decode`` for the three planes, then the
-    module-documented integer inverse color transform evaluated with
-    plain Python ints; ``phash`` pins the interleaved RGB bytes
-    byte-wise (the engine's np.stack(...).tobytes() layout)."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_color  # encoder only
-
-    def rsr(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_jpeg_color(w, h, 3042 + i)
-        pw, ph, planes = _plain_jpeg_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 3
-        body_bytes = bytearray()
-        for y in range(h):
-            for x in range(w):
-                Y = planes[0][y][x]
-                Cb = planes[1][y][x] - 128
-                Cr = planes[2][y][x] - 128
-                r_ = min(255, max(0, Y + rsr(91881 * Cr, 16)))
-                g_ = min(255, max(0, Y - rsr(22554 * Cb + 46802 * Cr, 16)))
-                b_ = min(255, max(0, Y + rsr(116130 * Cb, 16)))
-                body_bytes += bytes((r_, g_, b_))
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg_color_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_jpeg420(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the baseline 4:2:0 color-JPEG decode: the
-    general `_plain_jpeg_decode` (Hc×Vc interleave + box-replication
-    upsample in plain Python) + the plain-int inverse color transform.
-    The camera-default chroma layout, byte-wise pinned."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_color  # encoder only
-
-    def rsr(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_jpeg_color(w, h, 4042 + i, subsampling="420")
-        pw, ph, planes = _plain_jpeg_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 3
-        body_bytes = bytearray()
-        for y in range(h):
-            for x in range(w):
-                Y = planes[0][y][x]
-                Cb = planes[1][y][x] - 128
-                Cr = planes[2][y][x] - 128
-                r_ = min(255, max(0, Y + rsr(91881 * Cr, 16)))
-                g_ = min(255, max(0, Y - rsr(22554 * Cb + 46802 * Cr, 16)))
-                b_ = min(255, max(0, Y + rsr(116130 * Cb, 16)))
-                body_bytes += bytes((r_, g_, b_))
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg420_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_jpeg411(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the baseline 4:1:1 color JPEG decode (the
-    DV / NTSC-lineage layout: Y at 4x1, chroma averaged over 4×1
-    horizontal boxes, 32×8-pixel MCUs = 4 Y + Cb + Cr) — the general
-    Hc×Vc plain-Python decoder + plain-int inverse color transform,
-    byte-wise interleaved-RGB phash pin."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_color  # encoder only
-
-    def rsr(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_jpeg_color(w, h, 13042 + i, subsampling="411")
-        pw, ph, planes = _plain_jpeg_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 3
-        body_bytes = bytearray()
-        for y in range(h):
-            for x in range(w):
-                Y = planes[0][y][x]
-                Cb = planes[1][y][x] - 128
-                Cr = planes[2][y][x] - 128
-                r_ = min(255, max(0, Y + rsr(91881 * Cr, 16)))
-                g_ = min(255, max(0, Y - rsr(22554 * Cb + 46802 * Cr, 16)))
-                b_ = min(255, max(0, Y + rsr(116130 * Cb, 16)))
-                body_bytes += bytes((r_, g_, b_))
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg411_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_jpeg_dri(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the baseline grayscale JPEG decode WITH DRI
-    restart intervals (T.81 E.2.4): the twin consumes RSTn markers
-    inline in its raw-payload bit reader (the engine pre-splits the
-    scan into segments — structurally independent), verifying the
-    cyclic sequence and resetting the DC predictor. The per-clip
-    interval 1+(seed%5) covers ri=1, intervals that do and don't
-    divide the MCU count, and >8 restarts (RSTn wrap). Byte-wise
-    phash pin."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_gray  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        s = 11042 + i
-        payload = encode_jpeg_gray(w, h, s, restart_interval=1 + (s % 5))
-        pw, ph, planes = _plain_jpeg_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 1
-        body_bytes = bytearray()
-        for y in range(h):
-            body_bytes.extend(planes[0][y][:w])
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg_dri_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_jpeg_dri420(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the baseline 4:2:0 color JPEG decode WITH
-    DRI restarts — interleaved 6-block MCUs with all three DC
-    predictors reset at each RSTn (interval 1+(seed%3)); plain-int
-    inverse color transform, byte-wise interleaved-RGB phash pin."""
-    from ontograph_ray.stages.multimodal import encode_jpeg_color  # encoder only
-
-    def rsr(v: int, s: int) -> int:
-        return (v + (1 << (s - 1))) >> s
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        s = 12042 + i
-        payload = encode_jpeg_color(
-            w, h, s, subsampling="420", restart_interval=1 + (s % 3)
-        )
-        pw, ph, planes = _plain_jpeg_decode(payload)
-        assert (pw, ph) == (w, h) and len(planes) == 3
-        body_bytes = bytearray()
-        for y in range(h):
-            for x in range(w):
-                Y = planes[0][y][x]
-                Cb = planes[1][y][x] - 128
-                Cr = planes[2][y][x] - 128
-                r_ = min(255, max(0, Y + rsr(91881 * Cr, 16)))
-                g_ = min(255, max(0, Y - rsr(22554 * Cb + 46802 * Cr, 16)))
-                b_ = min(255, max(0, Y + rsr(116130 * Cb, 16)))
-                body_bytes += bytes((r_, g_, b_))
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_jpeg_dri420_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def _plain_png_decode(payload: bytes) -> tuple[int, int, int, list[list[int]]]:
-    """Independent plain-Python PNG decoder (twin of
-    stages/multimodal.py::_decode_png_pixels — no shared code, no
-    numpy): chunk walk with CRC verification, one zlib inflate, then
-    the five-filter unfilter written as the RFC 2083 recurrences over
-    plain ints. Returns (width, height, channels, rows) with each row
-    a flat list of reconstructed bytes."""
-    assert payload[:8] == b"\x89PNG\r\n\x1a\n"
-    pos, ihdr, idat = 8, b"", bytearray()
-    while pos + 12 <= len(payload):
-        (length,) = struct.unpack(">I", payload[pos : pos + 4])
-        ctype = payload[pos + 4 : pos + 8]
-        data = payload[pos + 8 : pos + 8 + length]
-        (crc,) = struct.unpack(">I", payload[pos + 8 + length : pos + 12 + length])
-        assert zlib.crc32(ctype + data) & 0xFFFFFFFF == crc
-        if ctype == b"IHDR":
-            ihdr = data
-        elif ctype == b"IDAT":
-            idat.extend(data)
-        elif ctype == b"IEND":
-            break
-        pos += 12 + length
-    w, h, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", ihdr)
-    assert depth == 8 and color_type in (0, 2)
-    assert comp == 0 and filt == 0 and interlace == 0
-    c = 1 if color_type == 0 else 3
-    stride = w * c
-    raw = zlib.decompress(bytes(idat))
-    assert len(raw) == h * (1 + stride)
-
-    def paeth(a: int, b: int, cc: int) -> int:
-        p = a + b - cc
-        pa_, pb_, pc_ = abs(p - a), abs(p - b), abs(p - cc)
-        if pa_ <= pb_ and pa_ <= pc_:
-            return a
-        return b if pb_ <= pc_ else cc
-
-    rows: list[list[int]] = []
-    prior = [0] * stride
-    for y in range(h):
-        off = y * (1 + stride)
-        ft = raw[off]
-        line = list(raw[off + 1 : off + 1 + stride])
-        recon = [0] * stride
-        for x in range(stride):
-            a = recon[x - c] if x >= c else 0
-            b = prior[x]
-            cc = prior[x - c] if x >= c else 0
-            if ft == 0:
-                v = line[x]
-            elif ft == 1:
-                v = line[x] + a
-            elif ft == 2:
-                v = line[x] + b
-            elif ft == 3:
-                v = line[x] + (a + b) // 2
-            elif ft == 4:
-                v = line[x] + paeth(a, b, cc)
-            else:
-                raise AssertionError(f"bad filter {ft}")
-            recon[x] = v & 0xFF
-        rows.append(recon)
-        prior = recon
-    return w, h, c, rows
-
-
-def _gen_image_features_png_variant(codec: str, seed0: int, fname: str, n: int) -> str:
-    from ontograph_ray.stages import multimodal as mm  # encoders only
-
-    enc = mm.encode_png_gray if codec == "png" else mm.encode_png_color
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4  # synthesize_media's shape
-        payload = enc(w, h, seed0 + i)
-        pw, ph, c, rows = _plain_png_decode(payload)
-        assert (pw, ph) == (w, h) and c == (1 if codec == "png" else 3)
-        body = bytearray()
-        for row in rows:
-            body.extend(row)
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(body)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, fname)
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_image_features_png(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL lossless-PNG grayscale decode;
-    ``phash`` pins the reconstructed pixel bytes byte-wise (and,
-    because PNG is lossless, equals the hash of the synthesized
-    content — a second, codec-independent anchor)."""
-    return _gen_image_features_png_variant(
-        "png", 5042, "image_features_png_n200.parquet", n
-    )
-
-
-def gen_image_features_png_color(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL lossless-PNG truecolor decode;
-    ``phash`` pins the interleaved RGB bytes byte-wise."""
-    return _gen_image_features_png_variant(
-        "png_color", 6042, "image_features_png_color_n200.parquet", n
-    )
-
-
-def _plain_gif_decode(payload: bytes) -> tuple[int, int, list[int]]:
-    """Independent plain-Python GIF87a decoder (twin of
-    stages/multimodal.py::decode_gif_gray — no shared code): header +
-    descriptor walk, sub-block reassembly, then LZW with its own
-    bit-cursor reader and list-backed string table. Returns
-    (width, height, flat pixel list)."""
-    assert payload[:6] in (b"GIF87a", b"GIF89a")
-    flags = payload[10]
-    assert flags & 0x80
-    gct = 2 << (flags & 0x07)
-    pos = 13
-    pal = payload[pos : pos + 3 * gct]
-    assert gct == 256 and all(
-        pal[3 * i] == i and pal[3 * i + 1] == i and pal[3 * i + 2] == i
-        for i in range(256)
-    )
-    pos += 3 * gct
-    while payload[pos] == 0x21:  # extensions
-        pos += 2
-        while payload[pos]:
-            pos += 1 + payload[pos]
-        pos += 1
-    assert payload[pos] == 0x2C
-    w, h = struct.unpack("<HH", payload[pos + 5 : pos + 9])
-    assert payload[pos + 9] & 0xC0 == 0
-    pos += 10
-    min_code = payload[pos]
-    pos += 1
-    data = bytearray()
-    while payload[pos]:
-        k = payload[pos]
-        data += payload[pos + 1 : pos + 1 + k]
-        pos += 1 + k
-
-    clear, eoi = 1 << min_code, (1 << min_code) + 1
-    bitpos = 0
-
-    def read(size: int) -> int:
-        nonlocal bitpos
-        v = 0
-        for i in range(size):
-            v |= ((data[bitpos >> 3] >> (bitpos & 7)) & 1) << i
-            bitpos += 1
-        return v
-
-    out: list[int] = []
-    strings: list[list[int]] = [[i] for i in range(1 << min_code)] + [[], []]
-    size = min_code + 1
-    prev: list[int] | None = None
-    while True:
-        code = read(size)
-        if code == clear:
-            strings = strings[: (1 << min_code) + 2]
-            size = min_code + 1
-            prev = None
-            continue
-        if code == eoi:
-            break
-        if code < len(strings) and code not in (clear, eoi):
-            entry = strings[code]
-        else:
-            assert code == len(strings) and prev is not None
-            entry = prev + prev[:1]
-        out.extend(entry)
-        if prev is not None:
-            strings.append(prev + entry[:1])
-            if len(strings) == (1 << size) - 1 and size < 12:
-                size += 1
-        prev = entry
-    assert len(out) == w * h
-    return w, h, out
-
-
-def gen_image_features_gif(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL GIF87a/LZW decode; gray-ramp
-    palette makes the codec lossless, so ``phash`` pins the decoded
-    pixels byte-wise AND equals the synthesized-content hash."""
-    from ontograph_ray.stages.multimodal import encode_gif_gray  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_gif_gray(w, h, 7042 + i)
-        pw, ph, px = _plain_gif_decode(payload)
-        assert (pw, ph) == (w, h)
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(px)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_gif_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def _plain_tiff_decode(payload: bytes) -> tuple[int, int, list[int]]:
-    """Independent plain-Python TIFF-LZW decoder (twin of
-    stages/multimodal.py::decode_tiff_gray — no shared code): IFD walk
-    with struct, then MSB-first LZW with the early-change width
-    convention written over its own list-backed string table. Returns
-    (width, height, flat pixel list)."""
-    assert payload[:4] == b"II*\x00"
-    (ifd_off,) = struct.unpack("<I", payload[4:8])
-    (ntags,) = struct.unpack("<H", payload[ifd_off : ifd_off + 2])
-    tags = {}
-    for i in range(ntags):
-        off = ifd_off + 2 + 12 * i
-        tag, typ, cnt = struct.unpack("<HHI", payload[off : off + 8])
-        tags[tag] = (typ, cnt, payload[off + 8 : off + 12])
-
-    def one(tag):
-        typ, cnt, raw = tags[tag]
-        assert cnt == 1
-        return struct.unpack("<H" if typ == 3 else "<I", raw[: 2 if typ == 3 else 4])[0]
-
-    w, h = one(256), one(257)
-    assert one(258) == 8 and one(259) == 5 and one(262) == 1
-    strip_off, strip_len = one(273), one(279)
-    data = payload[strip_off : strip_off + strip_len]
-
-    out: list[int] = []
-    bitpos = 0
-
-    def read(size: int) -> int:
-        nonlocal bitpos
-        v = 0
-        for _ in range(size):
-            v = (v << 1) | ((data[bitpos >> 3] >> (7 - (bitpos & 7))) & 1)
-            bitpos += 1
-        return v
-
-    strings: list[list[int]] = [[i] for i in range(256)] + [[], []]
-    size = 9
-    prev: list[int] | None = None
-    while True:
-        code = read(size)
-        if code == 256:  # Clear
-            strings = strings[:258]
-            size = 9
-            prev = None
-            continue
-        if code == 257:  # EOI
-            break
-        if code < len(strings):
-            entry = strings[code]
-        else:
-            assert code == len(strings) and prev is not None
-            entry = prev + prev[:1]
-        out.extend(entry)
-        if prev is not None:
-            strings.append(prev + entry[:1])
-            # early change: one below the GIF twin's threshold
-            if len(strings) == (1 << size) - 2 and size < 12:
-                size += 1
-        prev = entry
-    assert len(out) >= w * h
-    return w, h, out[: w * h]
-
-
-def gen_image_features_tiff(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL TIFF-LZW decode (MSB-first packing,
-    early-change widening — the opposite LZW dialect from GIF's);
-    lossless, so ``phash`` pins the pixels byte-wise AND equals the
-    synthesized-content hash."""
-    from ontograph_ray.stages.multimodal import encode_tiff_gray  # encoder only
-
-    media_ids, widths, heights, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-        payload = encode_tiff_gray(w, h, 10042 + i)
-        pw, ph, px = _plain_tiff_decode(payload)
-        assert (pw, ph) == (w, h)
-        media_ids.append(i)
-        widths.append(w)
-        heights.append(h)
-        phashes.append(
-            int.from_bytes(hashlib.sha1(bytes(px)).digest()[:8], "big")
-        )
-    path = os.path.join(FIXTURES_DIR, "image_features_tiff_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "width": pa.array(widths, pa.int32()),
-                "height": pa.array(heights, pa.int32()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_audio_features_wav(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL-codec WAV decode: walks the RIFF
-    chunk list with its own struct-based reader (no stdlib ``wave``, no
-    shared code with stages/multimodal.py::decode_wav), then computes
-    duration/RMS/ZCR in plain Python."""
-    from ontograph_ray.stages.multimodal import encode_wav_audio  # encoder only
-
-    media_ids, durs, rmss, zcrs = [], [], [], []
-    for i in range(n):
-        sr = 8000
-        samples = sr * (1 + i % 3)  # synthesize_audio's shape
-        payload = encode_wav_audio(samples, sr, 1007 + i)
-        assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-        pos, psr, data = 12, None, None
-        while pos + 8 <= len(payload):
-            cid = payload[pos : pos + 4]
-            (size,) = struct.unpack("<I", payload[pos + 4 : pos + 8])
-            if cid == b"fmt ":
-                fmt_tag, nch = struct.unpack("<HH", payload[pos + 8 : pos + 12])
-                (psr,) = struct.unpack("<I", payload[pos + 12 : pos + 16])
-                (bits,) = struct.unpack("<H", payload[pos + 22 : pos + 24])
-                assert (fmt_tag, nch, bits) == (1, 1, 16)  # mono PCM16
-            elif cid == b"data":
-                data = payload[pos + 8 : pos + 8 + size]
-            pos += 8 + size + (size & 1)  # chunks are word-aligned
-        assert psr == sr and data is not None
-        pcm = struct.unpack(f"<{len(data) // 2}h", data)
-        assert len(pcm) == samples
-        x = [s / 32768.0 for s in pcm]
-        media_ids.append(i)
-        durs.append(round(len(pcm) / psr, 9))
-        rmss.append(round(math.sqrt(math.fsum(v * v for v in x) / len(x)), 9))
-        flips = sum(1 for a, b in zip(x[1:], x[:-1]) if (a < 0) != (b < 0))
-        zcrs.append(round(flips / (len(x) - 1), 9))
-    path = os.path.join(FIXTURES_DIR, "audio_features_wav_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "duration_sec": pa.array(durs, pa.float64()),
-                "rms": pa.array(rmss, pa.float64()),
-                "zero_crossing_rate": pa.array(zcrs, pa.float64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-_PLAIN_ADPCM_STEPS = [
-    7, 8, 9, 10, 11, 12, 13, 14, 16, 17,
-    19, 21, 23, 25, 28, 31, 34, 37, 41, 45,
-    50, 55, 60, 66, 73, 80, 88, 97, 107, 118,
-    130, 143, 157, 173, 190, 209, 230, 253, 279, 307,
-    337, 371, 408, 449, 494, 544, 598, 658, 724, 796,
-    876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066,
-    2272, 2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358,
-    5894, 6484, 7132, 7845, 8630, 9493, 10442, 11487, 12635, 13899,
-    15289, 16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767,
-]
-_PLAIN_ADPCM_INDEX = [-1, -1, -1, -1, 2, 4, 6, 8]
-
-
-def _plain_adpcm_decode(payload: bytes) -> tuple[list[int], int]:
-    """Independent plain-Python IMA ADPCM decoder (twin of
-    stages/multimodal.py::decode_adpcm — no shared code, no numpy):
-    struct-based RIFF walk, then the per-sample IMA recurrence over
-    plain ints, block by block, nibble by nibble."""
-    assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-    pos, fmt, fact_n, data = 12, None, None, None
-    while pos + 8 <= len(payload):
-        cid = payload[pos : pos + 4]
-        (size,) = struct.unpack("<I", payload[pos + 4 : pos + 8])
-        body = payload[pos + 8 : pos + 8 + size]
-        if cid == b"fmt ":
-            fmt = body
-        elif cid == b"fact":
-            (fact_n,) = struct.unpack("<I", body[:4])
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)
-    tag, nch, sr, _rate, align, bits = struct.unpack("<HHIIHH", fmt[:16])
-    assert (tag, nch, bits) == (0x0011, 1, 4)
-    pcm: list[int] = []
-    for boff in range(0, len(data) - align + 1, align):
-        block = data[boff : boff + align]
-        (pred,) = struct.unpack("<h", block[0:2])
-        index = min(88, max(0, block[2]))
-        pcm.append(pred)
-        for byte in block[4:]:
-            for code in (byte & 0x0F, byte >> 4):
-                step = _PLAIN_ADPCM_STEPS[index]
-                diffq = step >> 3
-                if code & 4:
-                    diffq += step
-                if code & 2:
-                    diffq += step >> 1
-                if code & 1:
-                    diffq += step >> 2
-                pred = pred - diffq if code & 8 else pred + diffq
-                pred = min(32767, max(-32768, pred))
-                index = min(88, max(0, index + _PLAIN_ADPCM_INDEX[code & 7]))
-                pcm.append(pred)
-    if fact_n is not None:
-        pcm = pcm[:fact_n]
-    return pcm, sr
-
-
-def gen_audio_features_adpcm(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL COMPRESSED-codec IMA ADPCM decode:
-    plain-Python per-nibble recurrence vs the engine's block-vectorized
-    numpy loop — byte-identical PCM required, then duration/RMS/ZCR in
-    plain Python (rounded 9 dp, same discipline as the WAV twin)."""
-    from ontograph_ray.stages.multimodal import encode_adpcm_audio  # encoder only
-
-    media_ids, durs, rmss, zcrs = [], [], [], []
-    for i in range(n):
-        sr = 8000
-        samples = sr * (1 + i % 3)  # synthesize_audio's shape
-        payload = encode_adpcm_audio(samples, sr, 2007 + i)
-        pcm, psr = _plain_adpcm_decode(payload)
-        assert psr == sr and len(pcm) == samples
-        x = [s / 32768.0 for s in pcm]
-        media_ids.append(i)
-        durs.append(round(len(pcm) / psr, 9))
-        rmss.append(round(math.sqrt(math.fsum(v * v for v in x) / len(x)), 9))
-        flips = sum(1 for a, b in zip(x[1:], x[:-1]) if (a < 0) != (b < 0))
-        zcrs.append(round(flips / (len(x) - 1), 9))
-    path = os.path.join(FIXTURES_DIR, "audio_features_adpcm_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "duration_sec": pa.array(durs, pa.float64()),
-                "rms": pa.array(rmss, pa.float64()),
-                "zero_crossing_rate": pa.array(zcrs, pa.float64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def _plain_flac_decode(payload: bytes) -> tuple[list[int], int]:
-    """Independent plain-Python FLAC decoder (twin of
-    stages/multimodal.py::decode_flac — no shared code, no numpy):
-    bitwise (table-free) CRC-8/CRC-16, a sequential bit reader, Rice
-    decoding one bit at a time, and the fixed predictors written as
-    the per-sample binomial recurrences (the engine uses successive
-    vectorized cumsums instead). Verifies every CRC and the
-    STREAMINFO MD5."""
-    import hashlib as _hashlib
-
-    def crc8(data):
-        c = 0
-        for byte in data:
-            c ^= byte
-            for _ in range(8):
-                c = ((c << 1) ^ 0x07) & 0xFF if c & 0x80 else (c << 1) & 0xFF
-        return c
-
-    def crc16(data):
-        c = 0
-        for byte in data:
-            c ^= byte << 8
-            for _ in range(8):
-                c = ((c << 1) ^ 0x8005) & 0xFFFF if c & 0x8000 else (c << 1) & 0xFFFF
-        return c
-
-    assert payload[:4] == b"fLaC"
-    pos = 4
-    streaminfo = None
-    while True:
-        bh = payload[pos]
-        bl = int.from_bytes(payload[pos + 1 : pos + 4], "big")
-        if bh & 0x7F == 0:
-            streaminfo = payload[pos + 4 : pos + 4 + bl]
-        pos += 4 + bl
-        if bh & 0x80:
-            break
-    packed = int.from_bytes(streaminfo[10:18], "big")
-    sr = packed >> 44
-    assert ((packed >> 41) & 0x7) + 1 == 1 and ((packed >> 36) & 0x1F) + 1 == 16
-    total = packed & ((1 << 36) - 1)
-    md5_want = streaminfo[18:34]
-
-    out: list[int] = []
-    while len(out) < total:
-        fstart = pos
-        assert payload[pos] == 0xFF and (payload[pos + 1] & 0xFE) == 0xF8
-        bs_code = payload[pos + 2] >> 4
-        assert payload[pos + 2] & 0xF == 0  # sample rate from STREAMINFO
-        assert payload[pos + 3] >> 4 == 0 and ((payload[pos + 3] >> 1) & 7) == 4
-        pos += 4
-        b0 = payload[pos]
-        pos += 1 + (0 if b0 < 0x80 else (1 if b0 < 0xE0 else 2))
-        if bs_code == 7:
-            bs = (payload[pos] << 8 | payload[pos + 1]) + 1
-            pos += 2
-        elif bs_code == 6:
-            bs = payload[pos] + 1
-            pos += 1
-        elif bs_code >= 8:
-            bs = 256 << (bs_code - 8)
-        else:
-            bs = 576 << (bs_code - 2)
-        assert crc8(payload[fstart:pos]) == payload[pos], "header CRC-8"
-        pos += 1
-
-        bitpos = [pos * 8]
-
-        def rbit():
-            byte = payload[bitpos[0] >> 3]
-            bit = (byte >> (7 - (bitpos[0] & 7))) & 1
-            bitpos[0] += 1
-            return bit
-
-        def rbits(n):
-            v = 0
-            for _ in range(n):
-                v = (v << 1) | rbit()
-            return v
-
-        def rsigned(n):
-            v = rbits(n)
-            return v - (1 << n) if v >= (1 << (n - 1)) else v
-
-        assert rbit() == 0
-        stype = rbits(6)
-        assert rbit() == 0  # no wasted bits
-        if stype == 0:
-            block = [rsigned(16)] * bs
-        elif stype == 1:
-            block = [rsigned(16) for _ in range(bs)]
-        else:
-            assert 8 <= stype <= 12
-            order = stype - 8
-            block = [rsigned(16) for _ in range(order)]
-            method = rbits(2)
-            assert method in (0, 1)
-            pw, esc = (4, 15) if method == 0 else (5, 31)
-            po = rbits(4)
-            res = []
-            for pi in range(1 << po):
-                m = (bs >> po) - (order if pi == 0 else 0)
-                k = rbits(pw)
-                if k == esc:
-                    width = rbits(5)
-                    for _ in range(m):
-                        res.append(rsigned(width))
-                else:
-                    for _ in range(m):
-                        q = 0
-                        while rbit() == 0:
-                            q += 1
-                        u = (q << k) | rbits(k)
-                        res.append(-((u + 1) >> 1) if u & 1 else u >> 1)
-            for i, r in enumerate(res):
-                t = i + order
-                if order == 0:
-                    block.append(r)
-                elif order == 1:
-                    block.append(block[t - 1] + r)
-                elif order == 2:
-                    block.append(2 * block[t - 1] - block[t - 2] + r)
-                elif order == 3:
-                    block.append(
-                        3 * block[t - 1] - 3 * block[t - 2] + block[t - 3] + r
-                    )
-                else:
-                    block.append(
-                        4 * block[t - 1]
-                        - 6 * block[t - 2]
-                        + 4 * block[t - 3]
-                        - block[t - 4]
-                        + r
-                    )
-        while bitpos[0] % 8:
-            assert rbit() == 0, "nonzero padding"
-        pos = bitpos[0] >> 3
-        want = payload[pos] << 8 | payload[pos + 1]
-        assert crc16(payload[fstart:pos]) == want, "frame CRC-16"
-        pos += 2
-        out.extend(block)
-
-    body = bytearray()
-    for v in out:
-        body += (v & 0xFFFF).to_bytes(2, "little")
-    assert _hashlib.md5(bytes(body)).digest() == md5_want, "MD5"
-    return out, sr
-
-
-def _plain_g711_decode(payload: bytes) -> tuple[list[int], int]:
-    """Independent plain-Python G.711 decoder (twin of
-    stages/multimodal.py::decode_g711 — no shared code, no numpy):
-    struct RIFF walk, then per-byte µ-law/A-law expansion written as
-    the ITU-T bit algorithms over plain ints."""
-    assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-    pos, fmt, data = 12, None, None
-    while pos + 8 <= len(payload):
-        cid = payload[pos : pos + 4]
-        (size,) = struct.unpack("<I", payload[pos + 4 : pos + 8])
-        body = payload[pos + 8 : pos + 8 + size]
-        if cid == b"fmt ":
-            fmt = body
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)
-    tag, nch, sr, _rate, _align, bits = struct.unpack("<HHIIHH", fmt[:16])
-    assert tag in (6, 7) and nch == 1 and bits == 8
-    pcm: list[int] = []
-    if tag == 7:  # µ-law
-        for b in data:
-            c = (~b) & 0xFF
-            sign, exp, mant = c & 0x80, (c >> 4) & 0x07, c & 0x0F
-            mag = (((mant << 3) + 0x84) << exp) - 0x84
-            pcm.append(-mag if sign else mag)
-    else:  # A-law
-        for b in data:
-            c = b ^ 0x55
-            sign, exp, mant = c & 0x80, (c >> 4) & 0x07, c & 0x0F
-            mag = (mant << 1) + 1 if exp == 0 else ((mant << 1) + 33) << (exp - 1)
-            mag <<= 3
-            pcm.append(mag if sign else -mag)
-    return pcm, sr
-
-
-def gen_audio_features_flac(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL COMPRESSED lossless-codec FLAC
-    decode: plain-Python bit-serial Rice/fixed-predictor decoder with
-    table-free CRCs (see ``_plain_flac_decode``) vs the engine's
-    vectorized cumsum reconstruction. FLAC being lossless (and MD5-
-    pinned in STREAMINFO), the features are computed over the exact
-    source PCM; duration/RMS/ZCR rounded 9 dp like the other audio
-    twins."""
-    from ontograph_ray.stages.multimodal import encode_flac_audio  # encoder only
-
-    media_ids, durs, rmss, zcrs = [], [], [], []
-    for i in range(n):
-        sr = 8000
-        samples = (sr // 4) * (1 + i % 3)  # synthesize_audio's flac shape
-        payload = encode_flac_audio(samples, sr, 4007 + i)
-        pcm, psr = _plain_flac_decode(payload)
-        assert psr == sr and len(pcm) == samples
-        x = [s / 32768.0 for s in pcm]
-        media_ids.append(i)
-        durs.append(round(len(pcm) / psr, 9))
-        rmss.append(round(math.sqrt(math.fsum(v * v for v in x) / len(x)), 9))
-        flips = sum(1 for a, b in zip(x[1:], x[:-1]) if (a < 0) != (b < 0))
-        zcrs.append(round(flips / (len(x) - 1), 9))
-    path = os.path.join(FIXTURES_DIR, "audio_features_flac_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "duration_sec": pa.array(durs, pa.float64()),
-                "rms": pa.array(rmss, pa.float64()),
-                "zero_crossing_rate": pa.array(zcrs, pa.float64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_audio_features_g711(sf_dir: str = DEFAULT_SF, n: int = 200) -> str:
-    """Independent twin of the REAL G.711 decode: clips alternate
-    µ-law/A-law by media_id parity; byte-identical PCM required, then
-    duration/RMS/ZCR in plain Python (9 dp, the WAV-twin discipline)."""
-    from ontograph_ray.stages.multimodal import encode_g711_audio  # encoder only
-
-    media_ids, durs, rmss, zcrs = [], [], [], []
-    for i in range(n):
-        sr = 8000
-        samples = sr * (1 + i % 3)
-        law = "mulaw" if i % 2 == 0 else "alaw"
-        payload = encode_g711_audio(samples, sr, 3007 + i, law=law)
-        pcm, psr = _plain_g711_decode(payload)
-        assert psr == sr and len(pcm) == samples
-        x = [s / 32768.0 for s in pcm]
-        media_ids.append(i)
-        durs.append(round(len(pcm) / psr, 9))
-        rmss.append(round(math.sqrt(math.fsum(v * v for v in x) / len(x)), 9))
-        flips = sum(1 for a, b in zip(x[1:], x[:-1]) if (a < 0) != (b < 0))
-        zcrs.append(round(flips / (len(x) - 1), 9))
-    path = os.path.join(FIXTURES_DIR, "audio_features_g711_n200.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(media_ids, pa.int64()),
-                "duration_sec": pa.array(durs, pa.float64()),
-                "rms": pa.array(rmss, pa.float64()),
-                "zero_crossing_rate": pa.array(zcrs, pa.float64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {n} rows"
-
-
-def gen_video_frames_y4m(sf_dir: str = DEFAULT_SF, n: int = 150) -> str:
-    """Independent twin of the REAL-codec y4m frame sampling
-    (every_n=3): splits the stream on the FRAME markers and regex-
-    parses the header — no shared code with
-    stages/multimodal.py::decode_y4m. Plane-length asserts guard the
-    (astronomically unlikely, deterministic-seed) case of a marker
-    byte-sequence occurring inside a plane."""
-    import re
-
-    from ontograph_ray.stages.multimodal import encode_y4m_video  # encoder only
-
-    ids, idxs, sums, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 8 + (i % 4) * 4, 8 + (i % 3) * 4  # synthesize_videos' shape
-        nf = 4 + i % 7
-        payload = encode_y4m_video(w, h, nf, 1009 + i)
-        header, *frames = payload.split(b"FRAME\n")
-        m = re.search(rb"W(\d+) H(\d+)", header)
-        assert (int(m.group(1)), int(m.group(2))) == (w, h)
-        assert b"Cmono" in header and len(frames) == nf
-        for fi in range(0, nf, 3):
-            frame = frames[fi]
-            assert len(frame) == w * h
-            ids.append(i)
-            idxs.append(fi)
-            sums.append(sum(frame))
-            phashes.append(int.from_bytes(hashlib.sha1(frame).digest()[:8], "big"))
-    path = os.path.join(FIXTURES_DIR, "video_frames_y4m_n150.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(idxs, pa.int64()),
-                "pixel_sum": pa.array(sums, pa.int64()),
-                "phash": pa.array(phashes, pa.uint64()),
-            }
-        ),
-        path,
-    )
-    return f"{path}: {len(ids)} rows"
-
-
-def gen_video_frames_mjpeg(sf_dir: str = DEFAULT_SF, n: int = 150) -> str:
-    """Independent twin of the REAL COMPRESSED-codec MJPEG/AVI frame
-    sampling (every_n=2): its own struct-based RIFF/LIST walk (no
-    shared code with stages/multimodal.py::decode_mjpeg), each '00dc'
-    chunk decoded with the independent plain-Python baseline-JPEG
-    decoder (``_plain_jpeg_decode``) — per-frame pixel bytes pinned
-    byte-wise via the phash."""
-    from ontograph_ray.stages.multimodal import encode_mjpeg_avi  # encoder only
-
-    ids, idxs, sums, phashes = [], [], [], []
-    for i in range(n):
-        w, h = 8 + (i % 4) * 4, 8 + (i % 3) * 4  # synthesize_videos' shape
-        nf = 4 + i % 7
-        payload = encode_mjpeg_avi(w, h, nf, 2009 + i)
-        assert payload[:4] == b"RIFF" and payload[8:12] == b"AVI "
-        pos, frames, avih_frames = 12, [], None
-        while pos + 8 <= len(payload):
-            cid = payload[pos : pos + 4]
-            (size,) = struct.unpack("<I", payload[pos + 4 : pos + 8])
-            body = payload[pos + 8 : pos + 8 + size]
-            if cid == b"LIST" and body[:4] == b"hdrl":
-                assert body[4:8] == b"avih"
-                avih_frames = struct.unpack("<I", body[12 + 16 : 12 + 20])[0]
-            elif cid == b"LIST" and body[:4] == b"movi":
-                mp = 4
-                while mp + 8 <= len(body):
-                    fid = body[mp : mp + 4]
-                    (fsz,) = struct.unpack("<I", body[mp + 4 : mp + 8])
-                    if fid == b"00dc":
-                        pw, ph, planes = _plain_jpeg_decode(
-                            bytes(body[mp + 8 : mp + 8 + fsz])
-                        )
-                        assert (pw, ph) == (w, h) and len(planes) == 1
-                        frames.append(planes[0])
-                    mp += 8 + fsz + (fsz & 1)
-            pos += 8 + size + (size & 1)
-        assert avih_frames == nf and len(frames) == nf
-        for fi in range(0, nf, 2):
-            body_bytes = bytearray()
-            for y in range(h):
-                body_bytes.extend(frames[fi][y][:w])
-            ids.append(i)
-            idxs.append(fi)
-            sums.append(sum(body_bytes))
-            phashes.append(
-                int.from_bytes(hashlib.sha1(bytes(body_bytes)).digest()[:8], "big")
-            )
-    path = os.path.join(FIXTURES_DIR, "video_frames_mjpeg_n150.parquet")
-    pq.write_table(
-        pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(idxs, pa.int64()),
-                "pixel_sum": pa.array(sums, pa.int64()),
-                "phash": pa.array(phashes, pa.uint64()),
             }
         ),
         path,
@@ -3147,9 +1268,6 @@ def gen_c4_line_filter(sf_dir: str = DEFAULT_SF, n: int = 400) -> str:
     return f"{path}: {len(ids)} rows (of {n} docs)"
 
 
-# fixture base name (as used by oracles.fixture_path) → generator.
-# multimodal/audio are keyed by n, not sf — their generator ignores
-# sf_dir and always (re)writes the n-keyed file.
 def gen_byte_entropy(sf_dir: str = DEFAULT_SF) -> str:
     """Independent twin of the byte-entropy quality scorer
     (stages/text.py::byte_entropy_stats): plain-Python Counter over
@@ -3421,6 +1539,7 @@ def gen_ann_hnsw(
     return f"{path}: {len(out_q)} rows"
 
 
+# fixture base name (as used by oracles.oracle_sql's _fx) → generator.
 GENERATORS = {
     "entity_pagerank": gen_entity_pagerank,
     "ngram_lm_scores": gen_ngram_lm_scores,
@@ -3448,78 +1567,9 @@ GENERATORS = {
     "ann_lsh": gen_ann_lsh,
 }
 
+# Keyed by n, not sf: the generator ignores sf_dir and always
+# (re)writes the n-keyed file.
 _SF_INDEPENDENT = {
-    "multimodal_features": (gen_multimodal_features, "multimodal_features_n200.parquet"),
-    "audio_features": (gen_audio_features, "audio_features_n200.parquet"),
-    "video_frame_features": (
-        gen_video_frame_features,
-        "video_frame_features_n150.parquet",
-    ),
-    "image_features_pgm": (gen_image_features_pgm, "image_features_pgm_n200.parquet"),
-    "image_features_jpeg": (
-        gen_image_features_jpeg,
-        "image_features_jpeg_n200.parquet",
-    ),
-    "image_features_jpeg_color": (
-        gen_image_features_jpeg_color,
-        "image_features_jpeg_color_n200.parquet",
-    ),
-    "image_features_jpeg420": (
-        gen_image_features_jpeg420,
-        "image_features_jpeg420_n200.parquet",
-    ),
-    "image_features_jpeg411": (
-        gen_image_features_jpeg411,
-        "image_features_jpeg411_n200.parquet",
-    ),
-    "image_features_jpeg_dri": (
-        gen_image_features_jpeg_dri,
-        "image_features_jpeg_dri_n200.parquet",
-    ),
-    "image_features_jpeg_dri420": (
-        gen_image_features_jpeg_dri420,
-        "image_features_jpeg_dri420_n200.parquet",
-    ),
-    "image_features_png": (gen_image_features_png, "image_features_png_n200.parquet"),
-    "image_features_gif": (gen_image_features_gif, "image_features_gif_n200.parquet"),
-    "image_features_tiff": (
-        gen_image_features_tiff,
-        "image_features_tiff_n200.parquet",
-    ),
-    "image_features_jpeg_prog": (
-        gen_image_features_jpeg_prog,
-        "image_features_jpeg_prog_n200.parquet",
-    ),
-    "image_features_jpeg_prog_color": (
-        gen_image_features_jpeg_prog_color,
-        "image_features_jpeg_prog_color_n200.parquet",
-    ),
-    "image_features_jpeg_prog420": (
-        gen_image_features_jpeg_prog420,
-        "image_features_jpeg_prog420_n200.parquet",
-    ),
-    "image_features_png_color": (
-        gen_image_features_png_color,
-        "image_features_png_color_n200.parquet",
-    ),
-    "audio_features_wav": (gen_audio_features_wav, "audio_features_wav_n200.parquet"),
-    "audio_features_adpcm": (
-        gen_audio_features_adpcm,
-        "audio_features_adpcm_n200.parquet",
-    ),
-    "audio_features_g711": (
-        gen_audio_features_g711,
-        "audio_features_g711_n200.parquet",
-    ),
-    "audio_features_flac": (
-        gen_audio_features_flac,
-        "audio_features_flac_n200.parquet",
-    ),
-    "video_frames_y4m": (gen_video_frames_y4m, "video_frames_y4m_n150.parquet"),
-    "video_frames_mjpeg": (
-        gen_video_frames_mjpeg,
-        "video_frames_mjpeg_n150.parquet",
-    ),
     "c4_line_filter": (gen_c4_line_filter, "c4_line_filter_n400.parquet"),
 }
 

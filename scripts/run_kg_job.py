@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -47,7 +48,7 @@ def main() -> int:
     # union-widened map DAGs (build_kg) starve under per-op reservation
     ctx.op_resource_reservation_enabled = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from ontograph_ray.pipelines.kg import build_kg
 
     t0 = time.time()

@@ -74,7 +74,7 @@ def _splitmix64_scalar(x: int) -> int:
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=32))
 def test_splitmix64_vector_matches_scalar(xs):
-    from ontograph_ray.stages.export import splitmix64
+    from ontograph_ray.store.dataset import splitmix64
 
     got = splitmix64(np.asarray(xs, dtype=np.uint64))
     assert got.tolist() == [_splitmix64_scalar(x) for x in xs]

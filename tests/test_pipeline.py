@@ -567,3 +567,31 @@ class TestUniqueUrlsContract:
         want_s = want.sort_values(key).reset_index(drop=True)
         assert not got_s.duplicated().any()
         assert got_s.equals(want_s)
+
+
+def test_kg_path_imports_no_stage_module():
+    """build_kg, the stores, SPARQL and the ontology layer, including
+    canonicalize's distributed bucket routing, load no
+    ``ontograph_ray.stages`` module (a fresh interpreter, so nothing
+    else in the test session has imported one first)."""
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import ontograph_ray.pipelines, ontograph_ray.store.sparql\n"
+        "import ontograph_ray.ontology.query\n"
+        "from ontograph_ray.pipelines import canonicalize\n"
+        "h = np.arange(8, dtype=np.uint64)\n"
+        "canonicalize._home(h, 4)\n"
+        "canonicalize._salted(h, 1, 4)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('ontograph_ray.stages')))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=root, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]", out.stdout

@@ -1,5 +1,5 @@
-"""Training-data stage tests: text analysis, dedup family, ANN,
-multimodal plumbing."""
+"""Training-data stage tests: text analysis, the dedup family, ANN,
+sketches, windows, corpus export and the lossless image codecs."""
 
 import numpy as np
 import pandas as pd
@@ -9,7 +9,7 @@ import pytest
 import ray
 import ray.data
 
-from ontograph_ray.stages import ann, dedup, multimodal, text
+from ontograph_ray.stages import ann, dedup, image_codecs, text
 
 SF = "/root/testdata/sf0.001"
 
@@ -373,712 +373,29 @@ class TestANN:
         assert bounded == unbounded
 
 
-class TestMultimodal:
-    def test_decode_features(self, ray_session):
-        tbl = multimodal.synthesize_media(20)
-        ds = ray.data.from_arrow(tbl)
-        out = multimodal.decode_images(ds).take_all()
-        assert len(out) == 20
-        for r in out:
-            assert 0 <= r["mean_intensity"] <= 255
-            assert "payload" not in r  # binary column dropped
-        # determinism
-        out2 = multimodal.decode_images(ray.data.from_arrow(tbl)).take_all()
-        assert {r["media_id"]: r["phash"] for r in out} == {
-            r["media_id"]: r["phash"] for r in out2
-        }
-
-    def test_real_codec_is_stubbed(self):
-        with pytest.raises(NotImplementedError):
-            multimodal.ImageDecoder(codec="pillow")
-
-    def test_frame_sample(self, ray_session):
-        ds = ray.data.from_arrow(multimodal.synthesize_media(10))
-        out = multimodal.frame_sample(ds, every_n=2)
-        assert sorted(r["media_id"] for r in out.take_all()) == [0, 2, 4, 6, 8]
-
-    def test_video_frame_sampling_matches_bruteforce(self, ray_session):
-        tbl = multimodal.synthesize_videos(12)
-        out = multimodal.sample_video_frames(
-            ray.data.from_arrow(tbl), every_n=3
-        ).take_all()
-        # brute-force recompute per video from the raw payload
-        import struct as _struct
-
-        want = {}
-        for mid, payload in zip(
-            tbl["media_id"].to_pylist(), tbl["payload"].to_pylist()
-        ):
-            w, h, nf = _struct.unpack("<III", payload[8:20])
-            plane = w * h
-            for fi in range(0, nf, 3):
-                frame = payload[20 + fi * plane : 20 + (fi + 1) * plane]
-                want[(mid, fi)] = sum(frame)
-        got = {(r["media_id"], r["frame_idx"]): r["pixel_sum"] for r in out}
-        assert got == want
-        assert all("payload" not in r for r in out)
-
-    def test_video_every_frame_and_codec_stub(self, ray_session):
-        tbl = multimodal.synthesize_videos(3)
-        out = multimodal.sample_video_frames(
-            ray.data.from_arrow(tbl), every_n=1
-        ).take_all()
-        # every_n=1 keeps every frame: total rows = sum of n_frames
-        assert len(out) == sum(tbl["n_frames"].to_pylist())
-        with pytest.raises(NotImplementedError):
-            multimodal.VideoFrameSampler(codec="decord")
-
-
-class TestRealCodecs:
-    """REAL uncompressed container formats (PGM / RIFF-WAV / YUV4MPEG2)
-    decoded with no external libraries — round-trips, header-grammar
-    edge cases, and feature equality with the fake-codec path on the
-    same pixel/PCM content."""
-
-    def test_pgm_roundtrip_and_header_grammar(self):
-        img = multimodal.decode_pgm(multimodal.encode_pgm_image(20, 13, 5))
-        assert img.shape == (13, 20)
-        assert (img.flatten() == multimodal._image_pixels(20, 13, 5)).all()
-        # comments and mixed whitespace between header tokens
-        weird = (
-            b"P5 # c\n#another comment\n 20\t13\n255\n"
-            + multimodal._image_pixels(20, 13, 5).tobytes()
-        )
-        assert (multimodal.decode_pgm(weird) == img).all()
-        with pytest.raises(ValueError):
-            multimodal.decode_pgm(b"P6\n2 2\n255\n" + bytes(12))  # PPM not PGM
-        with pytest.raises(ValueError):
-            multimodal.decode_pgm(b"P5\n2 2\n65535\n" + bytes(8))  # 16-bit
-
-    def test_wav_roundtrip(self):
-        pcm, sr = multimodal.decode_wav(multimodal.encode_wav_audio(16000, 8000, 3))
-        assert sr == 8000
-        assert (pcm == multimodal._audio_pcm(16000, 3)).all()
-
-    def test_adpcm_roundtrip_bounds(self):
-        # ADPCM is lossy: assert exact length/rate recovery, 4:1
-        # compression, and a sane reconstruction error for the
-        # white-noise test content (the step adapter tracks amplitude,
-        # so relative RMS error stays well under 1).
-        for n in (8000, 505, 506, 1, 100):
-            payload = multimodal.encode_adpcm_audio(n, 8000, 3)
-            pcm, sr = multimodal.decode_adpcm(payload)
-            assert sr == 8000 and len(pcm) == n
-        payload = multimodal.encode_adpcm_audio(8000, 8000, 3)
-        pcm, _ = multimodal.decode_adpcm(payload)
-        orig = multimodal._audio_pcm(8000, 3).astype(np.float64)
-        dec = pcm.astype(np.float64)
-        rel = np.sqrt(np.mean((orig - dec) ** 2)) / np.sqrt(np.mean(orig**2))
-        assert rel < 0.5
-        assert len(payload) < 8000 * 2 * 0.3  # ~4:1 vs PCM16
-
-    def test_adpcm_container_structure_and_refusals(self):
-        payload = multimodal.encode_adpcm_audio(1000, 8000, 1)
-        assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-        assert b"fact" in payload[:64]  # compressed WAV requires fact
-        import struct as _s
-
-        tag = _s.unpack("<H", payload[payload.index(b"fmt ") + 8 :][:2])[0]
-        assert tag == 0x0011
-        with pytest.raises(ValueError, match="RIFF"):
-            multimodal.decode_adpcm(b"\x00" + payload)
-        # a PCM16 wav through the adpcm decoder → typed refusal
-        pcm_wav = multimodal.encode_wav_audio(100, 8000, 1)
-        with pytest.raises(ValueError, match="IMA ADPCM"):
-            multimodal.decode_adpcm(pcm_wav)
-
-    def test_g711_companding_envelopes(self):
-        # full 16-bit sweep: logarithmic companding → bounded RELATIVE
-        # error above the first segment, idempotent on codec outputs
-        x = np.arange(-32768, 32768, dtype=np.int16)
-        for enc, dec in (
-            (multimodal._mulaw_encode, multimodal._mulaw_decode),
-            (multimodal._alaw_encode, multimodal._alaw_decode),
-        ):
-            y = dec(enc(x)).astype(np.int64)
-            rel = np.abs(y - x.astype(np.int64)) / np.maximum(
-                np.abs(x.astype(np.int64)), 1
-            )
-            assert rel[np.abs(x) > 1000].max() < 0.04
-            assert np.array_equal(dec(enc(y.astype(np.int16))), y.astype(np.int16))
-
-    def test_g711_container_and_tag_dispatch(self):
-        for law, tag in (("mulaw", 7), ("alaw", 6)):
-            p = multimodal.encode_g711_audio(1000, 8000, 1, law=law)
-            import struct as _s
-
-            got = _s.unpack("<H", p[p.index(b"fmt ") + 8 :][:2])[0]
-            assert got == tag
-            pcm, sr = multimodal.decode_g711(p)
-            assert sr == 8000 and len(pcm) == 1000
-        # PCM16 wav through the G.711 decoder → typed refusal
-        with pytest.raises(ValueError, match="G.711"):
-            multimodal.decode_g711(multimodal.encode_wav_audio(100, 8000, 1))
-
-    def test_flac_lossless_roundtrip_all_content_classes(self):
-        # FLAC is lossless: decode == source PCM bit-for-bit, for all
-        # three content classes (white noise → order 0, random walk →
-        # order 1, piecewise-linear → order 2) and frame-boundary sizes
-        for seed in range(4007, 4019):
-            for n in (2000, 4096, 4097, 6000, 8192):
-                pay = multimodal.encode_flac_audio(n, 8000, seed)
-                pcm, sr = multimodal.decode_flac(pay)
-                assert sr == 8000
-                assert np.array_equal(pcm, multimodal._audio_pcm_corr(n, seed))
-
-    def test_flac_actually_compresses(self):
-        # the correlated classes must beat raw PCM16 (the codec is
-        # real compression, not a container): walk (seed%3==1) ~0.5x,
-        # ramps (seed%3==2) ~0.15x; white noise stays ~0.88x (right —
-        # noise is incompressible)
-        n = 6000
-        assert len(multimodal.encode_flac_audio(n, 8000, 4009)) < 2 * n * 0.6
-        assert len(multimodal.encode_flac_audio(n, 8000, 4007)) < 2 * n * 0.25
-        assert len(multimodal.encode_flac_audio(n, 8000, 4008)) < 2 * n
-
-    def test_flac_escape_and_rice_paths(self):
-        # seed % 5 == 0 forces the raw-escape partitions; others use
-        # Rice — both must round-trip
-        for seed in (4010, 4011):  # 4010 % 5 == 0 → escape
-            pay = multimodal.encode_flac_audio(3000, 8000, seed)
-            pcm, _ = multimodal.decode_flac(pay)
-            assert np.array_equal(pcm, multimodal._audio_pcm_corr(3000, seed))
-
-    def test_flac_integrity_checks(self):
-        pay = bytearray(multimodal.encode_flac_audio(4000, 8000, 4008))
-        # frame-body bit flip → CRC-16
-        bad = bytearray(pay)
-        bad[-20] ^= 0x10
-        with pytest.raises(ValueError, match="CRC-16"):
-            multimodal.decode_flac(bytes(bad))
-        # header byte flip → CRC-8 (blocksize nibble of the first frame)
-        bad = bytearray(pay)
-        hdr_at = 4 + 4 + 34  # magic + block header + STREAMINFO
-        assert bad[hdr_at] == 0xFF
-        bad[hdr_at + 2] ^= 0x01  # sample-rate code bits
-        with pytest.raises(ValueError):
-            multimodal.decode_flac(bytes(bad))
-        # STREAMINFO MD5 flip → lossless pin trips
-        bad = bytearray(pay)
-        bad[4 + 4 + 18] ^= 0xFF
-        with pytest.raises(ValueError, match="MD5"):
-            multimodal.decode_flac(bytes(bad))
-        with pytest.raises(ValueError, match="magic"):
-            multimodal.decode_flac(b"fLaX" + bytes(pay[4:]))
-
-    def test_flac_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_audio(9, seed=4007, codec="flac")
-        )
-        out = multimodal.featurize_audio(ds, codec="flac").take_all()
-        assert len(out) == 9 and all(0.0 < r["rms"] < 1.0 for r in out)
-
-    def test_g711_stage_mixed_laws(self, ray_session):
-        # one featurizer pass over mixed mu/A clips (tag dispatch)
-        from ontograph_ray.stages.multimodal import MEDIA_SCHEMA
-        import pyarrow as _pa
-
-        rows = {k: [] for k in MEDIA_SCHEMA.names}
-        for i in range(8):
-            law = "mulaw" if i % 2 == 0 else "alaw"
-            rows["media_id"].append(i)
-            rows["kind"].append("audio")
-            rows["payload"].append(
-                multimodal.encode_g711_audio(4000, 8000, 50 + i, law=law)
-            )
-            rows["width"].append(0)
-            rows["height"].append(0)
-            rows["sample_rate"].append(8000)
-            rows["n_frames"].append(0)
-        ds = ray.data.from_arrow(_pa.table(rows, schema=MEDIA_SCHEMA))
-        out = multimodal.featurize_audio(ds, codec="mulaw").take_all()
-        assert len(out) == 8 and all(0.0 < r["rms"] < 1.0 for r in out)
-
-    def test_adpcm_stage(self, ray_session):
-        out = multimodal.featurize_audio(
-            ray.data.from_arrow(multimodal.synthesize_audio(12, codec="adpcm")),
-            codec="adpcm",
-        ).take_all()
-        assert len(out) == 12
-        # durations are exact (fact chunk trims padding); levels sane
-        assert all(abs(r["duration_sec"] - (1 + r["media_id"] % 3)) < 1e-9 for r in out)
-        assert all(0.0 < r["rms"] < 1.0 for r in out)
-
-    def test_y4m_roundtrip_and_colorspace_guard(self):
-        v = multimodal.decode_y4m(multimodal.encode_y4m_video(12, 8, 5, 9))
-        assert v.shape == (5, 8, 12)
-        assert (v.flatten() == multimodal._video_planes(12, 8, 5, 9)).all()
-        with pytest.raises(ValueError):
-            multimodal.decode_y4m(b"YUV4MPEG2 W2 H2 F25:1 C420\nFRAME\n" + bytes(6))
-
-    def test_mjpeg_avi_roundtrip_and_container_guards(self):
-        # every decoded frame must equal the standalone baseline-JPEG
-        # decode of the same plane (the AVI layer adds no loss), and
-        # the container headers must be validated
-        import numpy as np
-
-        pay = multimodal.encode_mjpeg_avi(16, 12, 5, 77)
-        assert pay[:4] == b"RIFF" and pay[8:12] == b"AVI "
-        assert b"MJPG" in pay and b"idx1" in pay and b"movi" in pay
-        vid = multimodal.decode_mjpeg(pay)
-        assert vid.shape == (5, 12, 16)
-        planes = multimodal._video_planes(16, 12, 5, 77)
-        for fi in range(5):
-            ref = multimodal.decode_jpeg_gray(
-                multimodal._encode_jpeg_gray_px(
-                    planes[fi * 192 : (fi + 1) * 192].reshape(12, 16)
-                )
-            )
-            assert np.array_equal(vid[fi], ref)
-        with pytest.raises(ValueError, match="magic"):
-            multimodal.decode_mjpeg(b"RIFX" + pay[4:])
-        # frame-count disagreement between avih and movi is an error
-        import struct as _s
-
-        bad = bytearray(pay)
-        at = bad.index(b"avih") + 8 + 16
-        _s.pack_into("<I", bad, at, 6)
-        with pytest.raises(ValueError, match="frame count"):
-            multimodal.decode_mjpeg(bytes(bad))
-
-    def test_mjpeg_stage(self, ray_session):
-        out = multimodal.sample_video_frames(
-            ray.data.from_arrow(multimodal.synthesize_videos(9, codec="mjpeg")),
-            every_n=2,
-            codec="mjpeg",
-        ).take_all()
-        fake = multimodal.sample_video_frames(
-            ray.data.from_arrow(multimodal.synthesize_videos(9)), every_n=2
-        ).take_all()
-        # JPEG frames are lossy → phashes differ from the fake codec's,
-        # but the row layout (which frames survive) must match
-        assert {(r["media_id"], r["frame_idx"]) for r in out} == {
-            (r["media_id"], r["frame_idx"]) for r in fake
-        }
-        assert all(r["pixel_sum"] > 0 for r in out)
-
-    def test_pgm_stage_matches_fake_codec_features(self, ray_session):
-        """Same (dims, seed) content through the real-PGM and the fake
-        stage must produce identical features — only the container
-        differs."""
-        real = multimodal.decode_images(
-            ray.data.from_arrow(multimodal.synthesize_media(20, codec="pgm")),
-            codec="pgm",
-        ).take_all()
-        fake = multimodal.decode_images(
-            ray.data.from_arrow(multimodal.synthesize_media(20))
-        ).take_all()
-        key = lambda rows: {r["media_id"]: r["phash"] for r in rows}
-        assert key(real) == key(fake)
-
-    def test_wav_stage_matches_fake_codec_features(self, ray_session):
-        real = multimodal.featurize_audio(
-            ray.data.from_arrow(multimodal.synthesize_audio(12, codec="wav")),
-            codec="wav",
-        ).take_all()
-        fake = multimodal.featurize_audio(
-            ray.data.from_arrow(multimodal.synthesize_audio(12))
-        ).take_all()
-        key = lambda rows: {r["media_id"]: (r["rms"], r["zero_crossing_rate"]) for r in rows}
-        assert key(real) == key(fake)
-
-    def test_y4m_stage_matches_fake_codec_features(self, ray_session):
-        real = multimodal.sample_video_frames(
-            ray.data.from_arrow(multimodal.synthesize_videos(9, codec="y4m")),
-            every_n=2,
-            codec="y4m",
-        ).take_all()
-        fake = multimodal.sample_video_frames(
-            ray.data.from_arrow(multimodal.synthesize_videos(9)), every_n=2
-        ).take_all()
-        key = lambda rows: {
-            (r["media_id"], r["frame_idx"]): (r["pixel_sum"], r["phash"])
-            for r in rows
-        }
-        assert key(real) == key(fake)
-
-    def test_resize_through_pgm(self, ray_session):
-        out = multimodal.resize_images(
-            ray.data.from_arrow(multimodal.synthesize_media(6, codec="pgm")),
-            target=4,
-            codec="pgm",
-        ).take_all()
-        assert len(out) == 6
-        assert all(len(r["thumb"]) == 16 for r in out)
-
-    def test_unsupported_codecs_still_refused(self):
-        with pytest.raises(NotImplementedError):
-            multimodal.ImageDecoder(codec="pillow")
-        with pytest.raises(NotImplementedError):
-            multimodal.AudioFeaturizer(codec="ffmpeg")
-        with pytest.raises(NotImplementedError):
-            multimodal.VideoFrameSampler(codec="ffmpeg")
-
-    def test_jpeg_roundtrip_quality_bound(self):
-        # baseline grayscale JPEG is REAL and lossy: decoded dims match
-        # and the error is bounded by the quality-85 quantization
-        # (random-noise pixels are the DCT's worst case)
-        import numpy as np
-
-        for i, (w, h) in enumerate([(16, 16), (17, 13), (44, 32), (8, 8)]):
-            payload = multimodal.encode_jpeg_gray(w, h, 5000 + i)
-            img = multimodal.decode_jpeg_gray(payload)
-            src = multimodal._image_pixels(w, h, 5000 + i).reshape(h, w)
-            assert img.shape == (h, w)
-            err = np.abs(img.astype(int) - src.astype(int))
-            assert err.max() <= 48 and err.mean() < 12
-
-    def test_jpeg_bitstream_structure(self):
-        # a stock decoder's view: SOI/JFIF-APP0/DQT/SOF0/DHT/SOS/EOI in
-        # order, no bare 0xFF inside the entropy stream (byte stuffing)
-        payload = multimodal.encode_jpeg_gray(24, 16, 7)
-        assert payload[:2] == b"\xff\xd8" and payload[-2:] == b"\xff\xd9"
-        assert payload[2:4] == b"\xff\xe0" and payload[6:11] == b"JFIF\x00"
-        for marker in (b"\xff\xdb", b"\xff\xc0", b"\xff\xc4", b"\xff\xda"):
-            assert marker in payload
-        # SOS = marker(2) + length(2, value 8) + body(6) → scan at +10
-        scan = payload[payload.index(b"\xff\xda") + 10 : -2]
-        k = 0
-        while k < len(scan):
-            if scan[k] == 0xFF:
-                assert scan[k + 1] == 0x00, "unstuffed 0xFF in scan"
-                k += 2
-            else:
-                k += 1
-
-    def test_jpeg_decode_refusals(self):
-        payload = multimodal.encode_jpeg_gray(16, 16, 1)
-        with pytest.raises(ValueError, match="SOI"):
-            multimodal.decode_jpeg_gray(b"\x00" + payload)
-        # progressive SOF2 marker → typed refusal
-        bad = payload.replace(b"\xff\xc0", b"\xff\xc2", 1)
-        with pytest.raises(ValueError, match="baseline"):
-            multimodal.decode_jpeg_gray(bad)
-
-    def test_jpeg_color_roundtrip(self):
-        # YCbCr 4:4:4 color: decoded dims/channels match; the chroma
-        # table is harsh (Annex K.2), so the bound is looser than gray
-        import numpy as np
-
-        for i, (w, h) in enumerate([(16, 16), (20, 12), (33, 17)]):
-            payload = multimodal.encode_jpeg_color(w, h, 6000 + i)
-            img = multimodal.decode_jpeg_color(payload)
-            src = multimodal._rgb_pixels(w, h, 6000 + i).transpose(1, 2, 0)
-            assert img.shape == (h, w, 3)
-            err = np.abs(img.astype(int) - src.astype(int))
-            assert err.mean() < 20
-
-    def test_jpeg_420_roundtrip_and_smooth_content(self):
-        # the camera-default 4:2:0 layout: dims survive; on smooth,
-        # constant-chroma content the subsample round-trip is near-
-        # lossless (the real geometry check — noise content only
-        # proves nothing about MCU interleave correctness)
-        import numpy as np
-
-        p = multimodal.encode_jpeg_color(33, 17, 9000, subsampling="420")
-        img = multimodal.decode_jpeg_color(p)
-        assert img.shape == (17, 33, 3)
-        # structured content via a gradient image: patch the source
-        y = (np.tile(np.arange(24).reshape(24, 1), (1, 40)) * 3 % 200 + 20)
-        rgb = np.stack(
-            [np.clip(y + 30, 0, 255), y, np.clip(y - 20, 0, 255)]
-        ).astype(np.uint8)
-        orig = multimodal._rgb_pixels
-        multimodal._rgb_pixels = lambda w, h, s: rgb[:, :h, :w]
-        try:
-            p = multimodal.encode_jpeg_color(40, 24, 0, subsampling="420")
-            img = multimodal.decode_jpeg_color(p)
-        finally:
-            multimodal._rgb_pixels = orig
-        err = np.abs(img.astype(int) - rgb.transpose(1, 2, 0).astype(int))
-        assert err.max() <= 4
-
-    def test_jpeg_411_roundtrip_and_smooth_content(self):
-        # the DV-lineage 4:1:1 layout (Y at 4x1): dims survive; on
-        # smooth constant-chroma content the 4×1 horizontal subsample
-        # round-trip is near-lossless — the geometry check that
-        # actually proves the 32×8 MCU interleave is right
-        import numpy as np
-
-        p = multimodal.encode_jpeg_color(33, 17, 9100, subsampling="411")
-        img = multimodal.decode_jpeg_color(p)
-        assert img.shape == (17, 33, 3)
-        y = (np.tile(np.arange(24).reshape(24, 1), (1, 40)) * 3 % 200 + 20)
-        rgb = np.stack(
-            [np.clip(y + 30, 0, 255), y, np.clip(y - 20, 0, 255)]
-        ).astype(np.uint8)
-        orig = multimodal._rgb_pixels
-        multimodal._rgb_pixels = lambda w, h, s: rgb[:, :h, :w]
-        try:
-            p = multimodal.encode_jpeg_color(40, 24, 0, subsampling="411")
-            img = multimodal.decode_jpeg_color(p)
-        finally:
-            multimodal._rgb_pixels = orig
-        err = np.abs(img.astype(int) - rgb.transpose(1, 2, 0).astype(int))
-        assert err.max() <= 4
-
-    def test_jpeg_411_sof_sampling_bytes(self):
-        p = multimodal.encode_jpeg_color(32, 16, 3, subsampling="411")
-        i = p.index(b"\xff\xc0")
-        # SOF0 body: prec(1) dims(4) ncomp(1), then id/samp/tq triples
-        assert p[i + 11] == 0x41 and p[i + 14] == 0x11 and p[i + 17] == 0x11
-
-    def test_jpeg_sampling_factor_refusal_is_factor_3(self):
-        # factors 1/2/4 are supported; 3 stays a typed refusal
-        p = bytearray(multimodal.encode_jpeg_color(32, 16, 3, subsampling="411"))
-        i = p.index(b"\xff\xc0")
-        p[i + 11] = 0x31
-        with pytest.raises(ValueError, match="sampling factors"):
-            multimodal.decode_jpeg_color(bytes(p))
-
-    def test_jpeg_color_vs_gray_decoders_typed(self):
-        gray = multimodal.encode_jpeg_gray(16, 16, 1)
-        color = multimodal.encode_jpeg_color(16, 16, 1)
-        with pytest.raises(ValueError, match="three-component"):
-            multimodal.decode_jpeg_color(gray)
-        with pytest.raises(ValueError, match="single-component"):
-            multimodal.decode_jpeg_gray(color)
-
-    def test_jpeg_decode_images_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_media(12, seed=77, codec="jpeg")
-        )
-        out = multimodal.decode_images(ds, codec="jpeg").take_all()
-        assert len(out) == 12
-        assert all(r["phash"] > 0 for r in out)
-
-
-class TestJpegRestartIntervals:
-    """DRI restart markers (T.81 B.2.4.4/E.2.4) — the error-resilience
-    layer virtually every camera JPEG carries."""
-
-    def test_dri_decode_equals_plain_decode(self):
-        # restarts change only the entropy framing, never the
-        # coefficients → decoded pixels must be BYTE-IDENTICAL to the
-        # no-DRI encode of the same content, for every layout
-        import numpy as np
-
-        for w, h in ((16, 16), (20, 36), (44, 28), (17, 9)):
-            for ri in (1, 2, 3, 5, 7, 1000):
-                a = multimodal.decode_jpeg_gray(
-                    multimodal.encode_jpeg_gray(w, h, 123, restart_interval=ri)
-                )
-                b = multimodal.decode_jpeg_gray(multimodal.encode_jpeg_gray(w, h, 123))
-                assert np.array_equal(a, b)
-                for sub in ("444", "420"):
-                    c = multimodal.decode_jpeg_color(
-                        multimodal.encode_jpeg_color(
-                            w, h, 77, subsampling=sub, restart_interval=ri
-                        )
-                    )
-                    d = multimodal.decode_jpeg_color(
-                        multimodal.encode_jpeg_color(w, h, 77, subsampling=sub)
-                    )
-                    assert np.array_equal(c, d)
-
-    def test_rstn_cyclic_wrap(self):
-        # 64x64 gray at ri=1 → 63 restarts: the RSTn index must wrap
-        # 0..7 cyclically and still decode byte-identical
-        import numpy as np
-
-        p = multimodal.encode_jpeg_gray(64, 64, 5, restart_interval=1)
-        scan = p[p.index(b"\xff\xda") + 10 : -2]
-        rsts = [
-            scan[k + 1] - 0xD0
-            for k in range(len(scan) - 1)
-            if scan[k] == 0xFF and 0xD0 <= scan[k + 1] <= 0xD7
-        ]
-        assert rsts == [i & 7 for i in range(63)]
-        assert np.array_equal(
-            multimodal.decode_jpeg_gray(p),
-            multimodal.decode_jpeg_gray(multimodal.encode_jpeg_gray(64, 64, 5)),
-        )
-
-    def test_dri_segment_emitted(self):
-        p = multimodal.encode_jpeg_gray(32, 16, 3, restart_interval=2)
-        i = p.index(b"\xff\xdd")
-        assert p[i + 2 : i + 6] == b"\x00\x04\x00\x02"  # len 4, ri 2
-
-    def test_dri_typed_refusals(self):
-        p = bytearray(multimodal.encode_jpeg_gray(32, 32, 5, restart_interval=2))
-        # out-of-sequence RST
-        i = p.find(b"\xff\xd0")
-        bad = bytearray(p)
-        bad[i + 1] = 0xD3
-        with pytest.raises(ValueError, match="out of sequence"):
-            multimodal.decode_jpeg_gray(bytes(bad))
-        # RST marker present but no DRI segment declared
-        j = p.index(b"\xff\xdd")
-        no_dri = bytes(p[:j]) + bytes(p[j + 6 :])
-        with pytest.raises(ValueError, match="without DRI"):
-            multimodal.decode_jpeg_gray(no_dri)
-        # DRI declared but markers missing → typed error, not garbage
-        q = bytearray(multimodal.encode_jpeg_gray(32, 32, 5))
-        sof_end = q.index(b"\xff\xc4")
-        with_dri = (
-            bytes(q[:sof_end]) + b"\xff\xdd\x00\x04\x00\x02" + bytes(q[sof_end:])
-        )
-        with pytest.raises(ValueError, match="missing RST"):
-            multimodal.decode_jpeg_gray(with_dri)
-
-    def test_dri_decode_images_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_media(10, seed=11042, codec="jpeg_dri")
-        )
-        out = multimodal.decode_images(ds, codec="jpeg").take_all()
-        assert len(out) == 10 and all(r["phash"] > 0 for r in out)
-
-
-class TestProgressiveJpeg:
-    def test_progressive_equals_baseline_decode(self):
-        # same quantized coefficients + shared integer IDCT contract →
-        # progressive decode must be BYTE-IDENTICAL to baseline decode
-        for i in range(12):
-            w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-            prog = multimodal.decode_jpeg_prog(
-                multimodal.encode_jpeg_prog(w, h, 8100 + i)
-            )
-            base = multimodal.decode_jpeg_gray(
-                multimodal.encode_jpeg_gray(w, h, 8100 + i)
-            )
-            assert np.array_equal(prog, base), i
-
-    def test_bitstream_structure(self):
-        payload = multimodal.encode_jpeg_prog(24, 16, 7)
-        assert payload[:2] == b"\xff\xd8" and payload[-2:] == b"\xff\xd9"
-        assert b"\xff\xc2" in payload  # SOF2, not SOF0
-        assert payload.count(b"\xff\xda") >= 6  # six scans
-
-    def test_typed_refusals_between_decoders(self):
-        prog = multimodal.encode_jpeg_prog(16, 16, 1)
-        base = multimodal.encode_jpeg_gray(16, 16, 1)
-        with pytest.raises(ValueError, match="SOF0"):
-            multimodal.decode_jpeg_gray(prog)  # baseline decoder refuses SOF2
-        with pytest.raises(ValueError, match="SOF2"):
-            multimodal.decode_jpeg_prog(base)  # progressive decoder refuses SOF0
-
-    def test_eobn_run_decoding(self):
-        # our encoder only emits EOB0 (Annex-K tables carry no EOBn
-        # symbols), so exercise the general EOBn path with a
-        # hand-built scan: custom AC table {EOB0, EOB1, 0x12=run1/size2},
-        # 4 blocks, DC-first then one AC-first scan where block 0
-        # carries coef then EOB1(+1 bit)=eobrun 2 skips blocks 1-2,
-        # and block 3 ends with EOB0.
-        import struct as _s
-
-        mm = multimodal
-        dc_huff = mm._huff_codes(mm._JPEG_DC_BITS, mm._JPEG_DC_VALS)
-        ac_bits = [0, 0, 3] + [0] * 13  # three 3-bit codes
-        ac_vals = [0x00, 0x10, 0x12]
-        ac_huff = mm._huff_codes(ac_bits, ac_vals)
-
-        q = [1] * 64  # identity quantization
-        out = b"\xff\xd8"
-        out += mm._jpeg_seg(0xFFE0, mm._JFIF_APP0)
-        out += mm._jpeg_seg(0xFFDB, b"\x00" + bytes(q))
-        out += mm._jpeg_seg(
-            0xFFC2, _s.pack(">BHHB", 8, 8, 32, 1) + b"\x01\x11\x00"
-        )  # 32x8 → 4 blocks
-        out += mm._jpeg_seg(
-            0xFFC4,
-            b"\x00" + bytes(mm._JPEG_DC_BITS) + bytes(mm._JPEG_DC_VALS)
-            + b"\x10" + bytes(ac_bits) + bytes(ac_vals),
-        )
-        # scan 1: DC first (Al=0), all-zero diffs (category 0)
-        w = mm._BitWriter()
-        for _ in range(4):
-            c, ln = dc_huff[0]
-            w.put(c, ln)
-        out += mm._jpeg_seg(0xFFDA, b"\x01\x01\x00" + bytes([0, 0, 0]))
-        out += w.flush()
-        # scan 2: AC first band 1-63, Al=0
-        w = mm._BitWriter()
-        c, ln = ac_huff[0x12]
-        w.put(c, ln)        # block 0: run 1, size 2
-        w.put(0b11, 2)      # amplitude +3 at zigzag k=2
-        c, ln = ac_huff[0x10]
-        w.put(c, ln)        # EOB1 ...
-        w.put(1, 1)         # ... +1 extra bit → eobrun = 2 (skip blocks 1,2)
-        c, ln = ac_huff[0x00]
-        w.put(c, ln)        # block 3: EOB0
-        out += mm._jpeg_seg(0xFFDA, b"\x01\x01\x00" + bytes([1, 63, 0]))
-        out += w.flush() + b"\xff\xd9"
-
-        img = mm.decode_jpeg_prog(out)
-        assert img.shape == (8, 32)
-        # expected: DC=0 everywhere; block 0 has coefficient 3 at
-        # zigzag index 2 (natural (1,0)); compute via the contract
-        T = np.array(mm._jpeg_cos_table(), dtype=np.int64)
-        CU = np.array(mm._JPEG_CU, dtype=np.int64)
-        nat = np.zeros((1, 64), dtype=np.int64)
-        nat[0, mm._ZIGZAG[2]] = 3
-        r = nat.reshape(1, 8, 8)
-        rs_ = mm._jpeg_rsr(r * CU[None, :, None] * CU[None, None, :], 16)
-        m = mm._jpeg_rsr(np.einsum("bvu,ux->bvx", rs_, T), 14)
-        want0 = np.clip(
-            128 + mm._jpeg_rsr(np.einsum("bvx,vy->byx", m, T), 28), 0, 255
-        ).astype(np.uint8)[0]
-        assert np.array_equal(img[:, :8], want0)
-        assert (img[:, 8:] == 128).all()  # skipped + empty blocks flat
-
-    def test_color_progressive_equals_baseline(self):
-        # 4:4:4 and 4:2:0, incl. odd dims (crop + pad + per-component
-        # non-interleaved AC grids differ from the interleaved DC grid)
-        for sub in ("444", "420"):
-            for i in range(6):
-                w, h = 17 + (i % 8) * 4, 15 + (i % 5) * 4
-                p = multimodal.decode_jpeg_prog_color(
-                    multimodal.encode_jpeg_prog_color(w, h, 9600 + i, subsampling=sub)
-                )
-                b = multimodal.decode_jpeg_color(
-                    multimodal.encode_jpeg_color(w, h, 9600 + i, subsampling=sub)
-                )
-                assert np.array_equal(p, b), (sub, i)
-
-    def test_color_progressive_scan_count(self):
-        payload = multimodal.encode_jpeg_prog_color(24, 16, 7)
-        assert payload.count(b"\xff\xda") >= 10  # libjpeg default script
-
-    def test_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_media(12, seed=80, codec="jpeg_prog")
-        )
-        out = multimodal.decode_images(ds, codec="jpeg_prog").take_all()
-        assert len(out) == 12
-        # features equal the BASELINE jpeg stage for the same content
-        base = multimodal.decode_images(
-            ray.data.from_arrow(
-                multimodal.synthesize_media(12, seed=80, codec="jpeg")
-            ),
-            codec="jpeg",
-        ).take_all()
-        key = lambda rows: {r["media_id"]: r["phash"] for r in rows}
-        assert key(out) == key(base)
-
-
 class TestPngCodec:
     def test_png_gray_lossless_roundtrip(self):
         # PNG is lossless: decoded pixels must equal the synthesized
-        # content EXACTLY (stronger than the JPEG quality bound).
+        # content EXACTLY.
         for i in range(10):
             w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-            payload = multimodal.encode_png_gray(w, h, 5000 + i)
-            img = multimodal.decode_png_gray(payload)
-            want = multimodal._image_pixels(w, h, 5000 + i).reshape(h, w)
+            payload = image_codecs.encode_png_gray(w, h, 5000 + i)
+            img = image_codecs.decode_png_gray(payload)
+            want = image_codecs._image_pixels(w, h, 5000 + i).reshape(h, w)
             assert img.shape == (h, w)
             assert np.array_equal(img, want)
 
     def test_png_color_lossless_roundtrip(self):
         for i in range(10):
             w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-            payload = multimodal.encode_png_color(w, h, 6000 + i)
-            img = multimodal.decode_png_color(payload)
-            want = np.moveaxis(multimodal._rgb_pixels(w, h, 6000 + i), 0, -1)
+            payload = image_codecs.encode_png_color(w, h, 6000 + i)
+            img = image_codecs.decode_png_color(payload)
+            want = np.moveaxis(image_codecs._rgb_pixels(w, h, 6000 + i), 0, -1)
             assert img.shape == (h, w, 3)
             assert np.array_equal(img, want)
 
     def test_png_container_structure(self):
-        payload = multimodal.encode_png_gray(24, 16, 7)
+        payload = image_codecs.encode_png_gray(24, 16, 7)
         assert payload[:8] == b"\x89PNG\r\n\x1a\n"
         assert payload[12:16] == b"IHDR"
         assert payload[-8:-4] == b"IEND"
@@ -1099,38 +416,29 @@ class TestPngCodec:
         assert fts == {0, 1, 2, 3, 4}
 
     def test_png_decode_refusals(self):
-        payload = multimodal.encode_png_gray(16, 16, 1)
+        payload = image_codecs.encode_png_gray(16, 16, 1)
         with pytest.raises(ValueError, match="signature"):
-            multimodal.decode_png_gray(b"\x00" + payload)
+            image_codecs.decode_png_gray(b"\x00" + payload)
         # flip a byte inside IDAT → chunk CRC must catch it
         bad = bytearray(payload)
         bad[40] ^= 0xFF
         with pytest.raises(ValueError, match="CRC"):
-            multimodal.decode_png_gray(bytes(bad))
+            image_codecs.decode_png_gray(bytes(bad))
         # typed channel-count mismatch between the two wrappers
-        color = multimodal.encode_png_color(16, 16, 1)
+        color = image_codecs.encode_png_color(16, 16, 1)
         with pytest.raises(ValueError, match="grayscale"):
-            multimodal.decode_png_gray(color)
+            image_codecs.decode_png_gray(color)
         with pytest.raises(ValueError, match="truecolor"):
-            multimodal.decode_png_color(payload)
-
-    def test_png_decode_images_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_media(12, seed=78, codec="png")
-        )
-        out = multimodal.decode_images(ds, codec="png").take_all()
-        assert len(out) == 12
-        assert all(r["phash"] > 0 for r in out)
-
+            image_codecs.decode_png_color(payload)
 
 class TestGifCodec:
     def test_gif_lossless_roundtrip(self):
         # gray-ramp palette → index == value → lossless
         for i in range(10):
             w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-            payload = multimodal.encode_gif_gray(w, h, 7000 + i)
-            img = multimodal.decode_gif_gray(payload)
-            want = multimodal._image_pixels(w, h, 7000 + i).reshape(h, w)
+            payload = image_codecs.encode_gif_gray(w, h, 7000 + i)
+            img = image_codecs.decode_gif_gray(payload)
+            want = image_codecs._image_pixels(w, h, 7000 + i).reshape(h, w)
             assert np.array_equal(img, want)
 
     def test_lzw_boundary_alignments(self):
@@ -1141,105 +449,24 @@ class TestGifCodec:
         rng = random.Random(11)
         for n in list(range(240, 280)) + [rng.randrange(1, 3000) for _ in range(60)]:
             data = bytes(rng.randrange(256) for _ in range(n))
-            enc = multimodal._gif_lzw_encode(data)
-            assert multimodal._gif_lzw_decode(enc) == data, n
+            enc = image_codecs._gif_lzw_encode(data)
+            assert image_codecs._gif_lzw_decode(enc) == data, n
 
     def test_gif_container_structure(self):
-        payload = multimodal.encode_gif_gray(20, 16, 3)
+        payload = image_codecs.encode_gif_gray(20, 16, 3)
         assert payload[:6] == b"GIF87a"
         assert payload[-1:] == b"\x3b"  # trailer
         assert payload[13 + 3 * 128 : 13 + 3 * 128 + 3] == bytes((128,) * 3)
 
     def test_gif_decode_refusals(self):
-        payload = multimodal.encode_gif_gray(16, 16, 1)
+        payload = image_codecs.encode_gif_gray(16, 16, 1)
         with pytest.raises(ValueError, match="signature"):
-            multimodal.decode_gif_gray(b"\x00" + payload)
+            image_codecs.decode_gif_gray(b"\x00" + payload)
         # non-gray palette → typed refusal
         bad = bytearray(payload)
         bad[13] ^= 0xFF  # palette[0].r
         with pytest.raises(ValueError, match="gray-ramp"):
-            multimodal.decode_gif_gray(bytes(bad))
-
-    def test_gif_decode_images_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_media(12, seed=79, codec="gif")
-        )
-        out = multimodal.decode_images(ds, codec="gif").take_all()
-        assert len(out) == 12
-        # lossless: features equal the fake-codec features for the
-        # same (dims, seed) content
-        fake = multimodal.decode_images(
-            ray.data.from_arrow(multimodal.synthesize_media(12, seed=79))
-        ).take_all()
-        key = lambda rows: {r["media_id"]: r["phash"] for r in rows}
-        assert key(out) == key(fake)
-
-
-class TestTiffCodec:
-    def test_tiff_lossless_roundtrip(self):
-        for i in range(10):
-            w, h = 16 + (i % 8) * 4, 16 + (i % 5) * 4
-            payload = multimodal.encode_tiff_gray(w, h, 7300 + i)
-            img = multimodal.decode_tiff_gray(payload)
-            want = multimodal._image_pixels(w, h, 7300 + i).reshape(h, w)
-            assert np.array_equal(img, want)
-
-    def test_tiff_lzw_is_the_other_dialect(self):
-        # MSB-first + early change: the two dialects must NOT be
-        # interchangeable — a GIF-packed stream is garbage to the TIFF
-        # reader and vice versa (differing first-code bit layout)
-        import random
-
-        rng = random.Random(13)
-        data = bytes(rng.randrange(256) for _ in range(500))
-        t = multimodal._tiff_lzw_encode(data)
-        g = multimodal._gif_lzw_encode(data)
-        assert t != g
-        assert multimodal._tiff_lzw_decode(t) == data
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            if multimodal._tiff_lzw_decode(g) != data:
-                raise ValueError("dialect mismatch")
-
-    def test_tiff_lzw_boundary_alignments(self):
-        import random
-
-        rng = random.Random(17)
-        for n in list(range(240, 280)) + [rng.randrange(1, 3000) for _ in range(60)]:
-            data = bytes(rng.randrange(256) for _ in range(n))
-            assert multimodal._tiff_lzw_decode(multimodal._tiff_lzw_encode(data)) == data, n
-
-    def test_tiff_container_and_refusals(self):
-        payload = multimodal.encode_tiff_gray(20, 16, 3)
-        assert payload[:4] == b"II*\x00"
-        with pytest.raises(ValueError, match="magic"):
-            multimodal.decode_tiff_gray(b"MM\x00*" + payload[4:])
-        # uncompressed TIFF (tag 259 = 1) → typed refusal: flip the
-        # compression tag value in place
-        import struct as _s
-
-        (ifd_off,) = _s.unpack("<I", payload[4:8])
-        (ntags,) = _s.unpack("<H", payload[ifd_off : ifd_off + 2])
-        bad = bytearray(payload)
-        for i in range(ntags):
-            off = ifd_off + 2 + 12 * i
-            tag = _s.unpack("<H", payload[off : off + 2])[0]
-            if tag == 259:
-                bad[off + 8 : off + 10] = _s.pack("<H", 1)
-        with pytest.raises(ValueError, match="LZW"):
-            multimodal.decode_tiff_gray(bytes(bad))
-
-    def test_tiff_stage(self, ray_session):
-        ds = ray.data.from_arrow(
-            multimodal.synthesize_media(12, seed=81, codec="tiff")
-        )
-        out = multimodal.decode_images(ds, codec="tiff").take_all()
-        fake = multimodal.decode_images(
-            ray.data.from_arrow(multimodal.synthesize_media(12, seed=81))
-        ).take_all()
-        key = lambda rows: {r["media_id"]: r["phash"] for r in rows}
-        assert key(out) == key(fake)  # lossless == fake-codec features
+            image_codecs.decode_gif_gray(bytes(bad))
 
 
 class TestGopherRules:
@@ -2023,49 +1250,6 @@ class TestRegistryInvariants:
             got = set(approx_df[approx_df["query_id"] == qid]["vec_id"])
             recalls.append(len(want & got) / len(want))
         assert sum(recalls) / len(recalls) >= 0.6, recalls
-
-    def test_multimodal_registry_deterministic(self, ray_session):
-        from ontograph_ray.queries import q_multimodal_features
-
-        a = q_multimodal_features(self.SF).to_pandas().sort_values("media_id")
-        b = q_multimodal_features(self.SF).to_pandas().sort_values("media_id")
-        pd.testing.assert_frame_equal(a.reset_index(drop=True), b.reset_index(drop=True))
-        assert (a["width"] > 0).all() and (a["height"] > 0).all()
-
-
-class TestMultimodalExtended:
-    def test_resize_images(self, ray_session):
-        from ontograph_ray.stages import multimodal
-
-        ds = ray.data.from_arrow(multimodal.synthesize_media(12))
-        out = multimodal.resize_images(ds, target=8).take_all()
-        assert len(out) == 12
-        for r in out:
-            assert len(r["thumb"]) <= 64
-            assert all(0.0 <= v <= 1.0 for v in r["thumb"])
-        # determinism
-        out2 = multimodal.resize_images(
-            ray.data.from_arrow(multimodal.synthesize_media(12)), target=8
-        ).take_all()
-        assert [r["thumb"] for r in out] == [r["thumb"] for r in out2]
-
-    def test_audio_features(self, ray_session):
-        from ontograph_ray.stages import multimodal
-
-        ds = ray.data.from_arrow(multimodal.synthesize_audio(9))
-        out = {r["media_id"]: r for r in multimodal.featurize_audio(ds).take_all()}
-        assert len(out) == 9
-        for i, r in out.items():
-            assert r["duration_sec"] == 1 + i % 3  # sr*(1+i%3) samples at sr Hz
-            assert 0.0 < r["rms"] < 1.0
-            assert 0.0 < r["zero_crossing_rate"] < 1.0
-
-    def test_audio_real_codec_is_stubbed(self):
-        from ontograph_ray.stages import multimodal
-        import pytest as _pytest
-
-        with _pytest.raises(NotImplementedError):
-            multimodal.AudioFeaturizer(codec="ffmpeg")
 
 
 class TestLshAnn:
@@ -2902,7 +2086,7 @@ class TestCorpusStats:
     def test_splitmix64_matches_scalar_reference(self, ray_session):
         import numpy as np
 
-        from ontograph_ray.stages.export import splitmix64
+        from ontograph_ray.store.dataset import splitmix64
 
         def ref(v: int) -> int:
             m = (1 << 64) - 1
@@ -3468,7 +2652,7 @@ class TestBloom:
     SEEDS = (0x5173, 0xA5A5)
 
     def _twin_bits(self, keys, m_bits):
-        from ontograph_ray.stages.export import splitmix64
+        from ontograph_ray.store.dataset import splitmix64
 
         bits = np.zeros(m_bits // 64, dtype=np.uint64)
         for k in keys:
@@ -3497,7 +2681,7 @@ class TestBloom:
         assert out["maybe_seen"].tolist() == [1] * len(keys)
 
     def test_probe_matches_twin_with_false_positives(self, ray_session):
-        from ontograph_ray.stages.export import splitmix64
+        from ontograph_ray.store.dataset import splitmix64
         from ontograph_ray.stages.sketch import bloom_build, bloom_probe
 
         m = 128  # tiny filter → dense → deterministic false positives
@@ -3662,10 +2846,8 @@ class TestLagOver:
 
 class TestWeightedSourceSample:
     def test_rates_and_determinism(self, ray_session):
-        from ontograph_ray.stages.export import (
-            splitmix64,
-            weighted_source_sample,
-        )
+        from ontograph_ray.stages.export import weighted_source_sample
+        from ontograph_ray.store.dataset import splitmix64
 
         n = 4000
         df = pd.DataFrame(
@@ -3777,9 +2959,11 @@ class TestMinhashPathEquivalence:
         ids (d, d+1e6, d+2e6, ...) interleave string-wise with the
         originals, so the min-STRING representative of an exact group
         is often NOT the original doc — exercising the proof's corner."""
+        import os
         import sys
 
-        sys.path.insert(0, "/root/repo/scripts")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        sys.path.insert(0, os.path.join(root, "scripts"))
         from gen_fixtures import minhash_survivors_py
 
         base = docs.select_columns(["doc_id", "text"]).to_pandas()
