@@ -225,6 +225,36 @@ def ent_rel_partials_stage(pages: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
+def _empty_strings(cols: list[str]) -> pa.Table:
+    return pa.table({c: pa.array([], pa.string()) for c in cols})
+
+
+@ray.remote(num_returns=2)
+def _fold_distinct(cols: list[str], cap: int, *blocks: pa.Table):
+    """The distinct rows of ``blocks`` on ``cols`` in ONE task: →
+    (row count, table), or (None, None) as soon as the running
+    distinct holds more than ``cap`` rows. The blocks are folded into
+    the running Arrow ``group_by`` distinct (a null is a key of its
+    own, as in ``distinct_on``) whenever the unfolded rows reach its
+    size, so the work stays linear in the rows read. No rows give a
+    typed empty table: a checkpointed write needs the schema."""
+    acc = _empty_strings(cols)
+    blocks = [b.select(cols) for b in blocks if b.num_rows]
+    pending = []
+    for i, block in enumerate(blocks):
+        pending.append(block)
+        if sum(map(len, pending)) >= len(acc) or i == len(blocks) - 1:
+            acc = (
+                pa.concat_tables([acc, *pending], promote_options="default")
+                .group_by(cols, use_threads=False)
+                .aggregate([])
+            )
+            pending = []
+            if len(acc) > cap:
+                return None, None
+    return len(acc), acc
+
+
 def mentions_distinct_stage(pages: ray.data.Dataset) -> ray.data.Dataset:
     """P3+P5 with the (url, lang, surface) distinct fused in — globally
     distinct output with NO exchange (url functionally determines its
@@ -632,33 +662,49 @@ def build_kg(
 
     # ONE shared detect pass produces the per-batch distinct partials
     # for BOTH cross-page keys (entities, relation pairs), kind-tagged
-    # so a SINGLE bucketed global distinct covers both (their column
-    # sets are disjoint, so the composite-key distinct is per-kind
-    # distinct). The exchange carries the tiny partials, not the
-    # corpus.
-    partials = run.stage(
-        "ent_rel_partials",
-        lambda: ent_rel_partials_stage(extracted),
-        config={"gazetteer": GAZETTEER, "v": "3"},
-        inputs=["stage=extract"],
+    # so one distinct over all their columns is the per-kind distinct
+    # (the kinds' column sets are disjoint). Pinned: the fold and the
+    # exchange below both read it, and its row count is metadata.
+    partials = pin(
+        run.stage(
+            "ent_rel_partials",
+            lambda: ent_rel_partials_stage(extracted),
+            config={"gazetteer": GAZETTEER, "v": "3"},
+            inputs=["stage=extract"],
+        )
     )
 
+    # The distinct entity/relation set is bounded by the gazetteer
+    # (|dict|×|langs| entities, |dict|²×|langs| relation pairs), so up
+    # to DRIVER_SMALL_MAX rows ONE task folds the partial blocks into
+    # it and no exchange runs. The fold gives up as soon as its running
+    # distinct passes the cap; then the bucketed exchange runs over the
+    # pinned partials, and the distributed branch below takes over.
     er_cols = ["kind", "surface", "lang", "src", "dst"]
+    distinct_in = "resumed"
+
+    def er_distinct_fn():
+        nonlocal distinct_in
+        n_ref, table_ref = _fold_distinct.remote(
+            er_cols, DRIVER_SMALL_MAX, *partials.to_arrow_refs()
+        )
+        if ray.get(n_ref) is not None:
+            distinct_in = "task"
+            return ray.data.from_arrow_refs([table_ref])
+        distinct_in = "exchange"
+        return distinct_on(partials, er_cols, min(16, dedup_buckets))
+
     er_dist = run.stage(
-        "ent_rel_distinct",
-        lambda: distinct_on(partials, er_cols, min(16, dedup_buckets)),
-        config={"v": "4"},
+        "ent_rel_distinct", er_distinct_fn, config={"v": "5"},
         inputs=["stage=ent_rel_partials"],
     )
 
-    # The distinct entity/relation sets are bounded by the gazetteer
-    # (|dict|×|langs| entities, |dict|²×|langs| relation pairs) — the
-    # same "dictionary fits in memory" assumption the broadcast rewrite
-    # already makes — so the whole small branch (entity + relation
-    # triples, union-find, rewrite, dedup) finishes ON THE DRIVER: four
-    # distributed stages' worth of fixed executor latency collapse into
-    # microseconds of local pandas. DRIVER_SMALL_MAX guards the
-    # assumption: past it, the distributed branch below takes over.
+    # At most DRIVER_SMALL_MAX distinct rows (the same dictionary-fits-
+    # in-memory assumption the broadcast rewrite makes), the whole
+    # small branch (entity + relation triples, union-find, rewrite,
+    # dedup) finishes ON THE DRIVER: four distributed stages' worth of
+    # fixed executor latency collapse into microseconds of local
+    # pandas. Past it, the distributed branch below takes over.
     if not checkpoint_dir:
         er_dist = er_dist.materialize()
     n_er = er_dist.count()
@@ -673,7 +719,14 @@ def build_kg(
     # lineage story holds on both paths
     if not checkpoint_dir:
         run.counters["extract"]["rows"] = extracted.count()
+        run.counters["ent_rel_partials"]["rows"] = partials.count()
         run.counters["ent_rel_distinct"]["rows"] = n_er
+    stats["ent_rel_cutover"] = {
+        "partial_rows": run.counters["ent_rel_partials"]["rows"],
+        "distinct_rows": n_er,
+        "branch": "driver-small" if use_driver_small else "distributed",
+        "distinct_in": distinct_in,
+    }
 
     def _er_kind(kind: str, cols: list[str]) -> ray.data.Dataset:
         def filt(batch: pa.Table) -> pa.Table:
@@ -682,26 +735,16 @@ def build_kg(
         return er_dist.map_batches(filt, batch_format="pyarrow")
 
     if use_driver_small:
-        er_parts = [
-            b
-            for b in er_dist.iter_batches(batch_format="pyarrow", batch_size=None)
-            if b.num_rows
-        ]
-        if er_parts:
-            er_tbl = pa.concat_tables(er_parts)
-            ents_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "e")).select(
-                ["surface", "lang"]
-            )
-            rels_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "r")).select(
-                ["src", "dst"]
-            )
-        else:
-            ents_tbl = pa.table(
-                {"surface": pa.array([], pa.string()), "lang": pa.array([], pa.string())}
-            )
-            rels_tbl = pa.table(
-                {"src": pa.array([], pa.string()), "dst": pa.array([], pa.string())}
-            )
+        er_tbl = pa.concat_tables(
+            [_empty_strings(er_cols)]
+            + [
+                b.select(er_cols)
+                for b in er_dist.iter_batches(batch_format="pyarrow", batch_size=None)
+                if b.num_rows
+            ]
+        )
+        ents_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "e")).select(["surface", "lang"])
+        rels_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "r")).select(["src", "dst"])
 
     # P6: union-find over the owl:sameAs edge set (alias → canonical
     # per distinct entity). The edge list is the distinct entity set —

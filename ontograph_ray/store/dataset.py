@@ -398,14 +398,18 @@ def bucket_ids(t: pa.Table, key_cols: list[str], num_buckets: int) -> pa.Array:
     value, like plain strings), the columns joined with ``_SEP`` (nulls
     replaced by ``\\x00``, so a partially-null key still has a bucket),
     pandas' 64-bit hash of that key string, mod ``num_buckets``. Equal
-    keys get equal buckets whatever the block's column types; skew only
-    affects balance, never correctness."""
+    keys get equal buckets whatever the block's column types and
+    whatever other keys share the block; skew only affects balance,
+    never correctness. The hash is not ``categorize``d: pandas'
+    factorize compares strings only up to their first ``\\x00``, so
+    keys sharing the prefix before a null took the hash of whichever
+    came first in the block."""
     parts = [pc.cast(t[c], pa.string()) for c in key_cols]
     key = pc.binary_join_element_wise(
         *parts, _SEP, null_handling="replace", null_replacement="\x00"
     )
     h = pd.util.hash_pandas_object(
-        pd.Series(key.to_pandas(), dtype="object"), index=False
+        pd.Series(key.to_pandas(), dtype="object"), index=False, categorize=False
     )
     return pa.array((h.to_numpy() % num_buckets).astype("int64"))
 

@@ -430,18 +430,21 @@ class TestPipeline:
         self, ray_session, monkeypatch, caplog
     ):
         """Both sides of DRIVER_SMALL_MAX build the same triples, and
-        each logs the branch it took."""
+        each logs the branch it took and reports it in its stats."""
         import logging
 
         from ontograph_ray.pipelines import kg
 
-        def triples():
-            return set(build_kg(SF).triples.to_pandas().itertuples(index=False))
+        def build():
+            res = build_kg(SF)
+            got = set(res.triples.to_pandas().itertuples(index=False))
+            return got, res.stats
 
         caplog.set_level(logging.DEBUG, logger="ontograph_ray")
-        small = triples()
+        small, small_stats = build()
         monkeypatch.setattr(kg, "DRIVER_SMALL_MAX", 0)
-        assert triples() == small
+        dist, dist_stats = build()
+        assert dist == small
         msgs = [
             r.getMessage() for r in caplog.records if r.name == "ontograph_ray"
         ]
@@ -452,6 +455,97 @@ class TestPipeline:
         assert msgs[1].endswith(" > DRIVER_SMALL_MAX=0")
         # same entity/relation row count on both sides
         assert msgs[0].split()[3] == msgs[1].split()[3]
+        n_er = int(msgs[0].split()[3])
+        # the streaming partials count is pinned metadata, not None
+        n_partials = small_stats["counters"]["ent_rel_partials"]["rows"]
+        assert n_partials > n_er > 0
+        assert dist_stats["counters"]["ent_rel_partials"]["rows"] == n_partials
+        assert small_stats["ent_rel_cutover"] == {
+            "partial_rows": n_partials,
+            "distinct_rows": n_er,
+            "branch": "driver-small",
+            "distinct_in": "task",
+        }
+        assert dist_stats["ent_rel_cutover"] == {
+            "partial_rows": n_partials,
+            "distinct_rows": n_er,
+            "branch": "distributed",
+            "distinct_in": "exchange",
+        }
+
+    def test_ent_rel_fold_boundary(self, ray_session, monkeypatch, tmp_path):
+        """DRIVER_SMALL_MAX at the distinct entity/relation count: the
+        one-task fold finishes and no exchange runs; one below it: the
+        fold stops, the exchange over the pinned partials and the
+        distributed branch take over. Same triples every time, in
+        streaming and checkpointed mode."""
+        from ontograph_ray import triples as tr
+        from ontograph_ray.pipelines import kg
+
+        er_cols = ["kind", "surface", "lang", "src", "dst"]
+        calls = []
+        real_distinct_on = kg.distinct_on
+
+        def counting_distinct_on(ds, cols, *args, **kwargs):
+            calls.append(list(cols))
+            return real_distinct_on(ds, cols, *args, **kwargs)
+
+        def build(cap, ckpt):
+            monkeypatch.setattr(kg, "DRIVER_SMALL_MAX", cap)
+            calls.clear()
+            res = build_kg(SF, checkpoint_dir=ckpt)
+            df = res.triples.select_columns(tr.COLUMNS).to_pandas().astype(str)
+            return set(df.itertuples(index=False)), res.stats["ent_rel_cutover"]
+
+        want, first = build(kg.DRIVER_SMALL_MAX, None)
+        n_er = first["distinct_rows"]
+        monkeypatch.setattr(kg, "distinct_on", counting_distinct_on)
+        for mode in ("streaming", "checkpointed"):
+            url_check = [["url"]] if mode == "checkpointed" else []
+            for cap, branch, where, exchanges in (
+                (n_er, "driver-small", "task", []),
+                (n_er - 1, "distributed", "exchange", [er_cols, tr.COLUMNS]),
+            ):
+                ckpt = str(tmp_path / f"{cap}") if mode == "checkpointed" else None
+                got, cut = build(cap, ckpt)
+                assert got == want, (mode, cap)
+                assert cut == {**first, "branch": branch, "distinct_in": where}
+                assert calls == url_check + exchanges, (mode, cap)
+
+    def test_corpus_without_gazetteer_hit(self, ray_session, tmp_path):
+        """No page mentions a gazetteer word, and one page is empty with
+        a null lang: the fold gets no rows, and its empty table must
+        still be typed, or the checkpointed write of the distinct
+        stage fails. Only the page triples come out, two per page."""
+        import pyarrow as pa
+
+        from ontograph_ray import constants as C
+        from ontograph_ray.pipelines import kg
+
+        sf = tmp_path / "sf_nohit"
+        sf.mkdir()
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array([1, 2, 3], pa.int64()),
+                    "text": ["hello world", "", "nothing here"],
+                    "lang": ["en", None, "de"],
+                    "source": ["s", "s", "s"],
+                    "n_chars": pa.array([11, 0, 12], pa.int64()),
+                }
+            ),
+            sf / "documents.parquet",
+        )
+        for ckpt in (None, str(tmp_path / "ckpt")):
+            res = build_kg(str(sf), checkpoint_dir=ckpt)
+            df = res.triples.select_columns(["predicate"]).to_pandas()
+            assert len(df) == 6, ckpt
+            assert set(df["predicate"].astype(str)) == {
+                f"<{C.RDF_TYPE}>",
+                f"<{kg.IN_LANGUAGE_PROP}>",
+            }
+            cut = res.stats["ent_rel_cutover"]
+            assert (cut["partial_rows"], cut["distinct_rows"]) == (0, 0)
 
     def test_checkpoint_resume_no_recompute(self, ray_session, tmp_path):
         ckpt = str(tmp_path / "run1")

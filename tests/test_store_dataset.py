@@ -129,6 +129,25 @@ class TestRoutingRule:
             got = bucket_ids(pa.table(cols), ["a", "b"], self.N).to_pylist()
             assert got == want, enc
 
+    def test_null_led_key_routes_alike_whatever_shares_its_block(self):
+        """A key with a null routes by its whole value. A categorized
+        pandas hash compares strings only up to their first ``\\x00``
+        (the null marker), so every key of a block starting with a null
+        took the bucket of the first such key, and one key got a
+        different bucket per block."""
+        import pyarrow as pa
+
+        from ontograph_ray.store.dataset import bucket_ids
+
+        def route(b):
+            a = pa.nulls(len(b), pa.string())
+            return bucket_ids(pa.table({"a": a, "b": b}), ["a", "b"], self.N).to_pylist()
+
+        alone = [route([k])[0] for k in self.KEYS]
+        assert len(set(alone)) > 1
+        assert route(self.KEYS) == alone
+        assert route(self.KEYS[::-1]) == alone[::-1]
+
     def test_exchange_routes_every_block_form_alike(self, ray_session):
         import pandas as pd
         import pyarrow as pa
