@@ -230,20 +230,24 @@ def _empty_strings(cols: list[str]) -> pa.Table:
 
 
 @ray.remote(num_returns=2)
-def _fold_distinct(cols: list[str], cap: int, *blocks: pa.Table):
-    """The distinct rows of ``blocks`` on ``cols`` in ONE task: →
-    (row count, table), or (None, None) as soon as the running
-    distinct holds more than ``cap`` rows. The blocks are folded into
-    the running Arrow ``group_by`` distinct (a null is a key of its
-    own, as in ``distinct_on``) whenever the unfolded rows reach its
-    size, so the work stays linear in the rows read. No rows give a
-    typed empty table: a checkpointed write needs the schema."""
-    acc = _empty_strings(cols)
-    blocks = [b.select(cols) for b in blocks if b.num_rows]
-    pending = []
-    for i, block in enumerate(blocks):
-        pending.append(block)
-        if sum(map(len, pending)) >= len(acc) or i == len(blocks) - 1:
+def _fold_distinct(cols: list[str], cap: int, block_refs: list) -> tuple:
+    """The distinct rows of the blocks behind ``block_refs`` on ``cols``
+    in ONE task: → (row count, table), or (None, None) once the running
+    distinct holds more than ``cap`` rows. The refs come in a list, so
+    Ray does not fetch them up front: the task gets one block at a
+    time and stops reading at the cap. Blocks are folded into the
+    running Arrow ``group_by`` distinct (a null is a key of its own, as
+    in ``distinct_on``) whenever ``cap / 2`` unfolded rows wait, and at
+    the end: the work stays linear in the rows read, the task holds
+    about 1.5 × ``cap`` rows at most, and fewer than ``cap / 2`` rows
+    take one ``group_by``. No rows give a typed empty table: a
+    checkpointed write needs the schema."""
+    acc, pending = _empty_strings(cols), []
+    for i, ref in enumerate(block_refs):
+        block = ray.get(ref)
+        if block.num_rows:
+            pending.append(block.select(cols))
+        if sum(map(len, pending)) >= cap // 2 or i == len(block_refs) - 1:
             acc = (
                 pa.concat_tables([acc, *pending], promote_options="default")
                 .group_by(cols, use_threads=False)
@@ -686,7 +690,7 @@ def build_kg(
     def er_distinct_fn():
         nonlocal distinct_in
         n_ref, table_ref = _fold_distinct.remote(
-            er_cols, DRIVER_SMALL_MAX, *partials.to_arrow_refs()
+            er_cols, DRIVER_SMALL_MAX, partials.to_arrow_refs()
         )
         if ray.get(n_ref) is not None:
             distinct_in = "task"
@@ -709,10 +713,10 @@ def build_kg(
         er_dist = er_dist.materialize()
     n_er = er_dist.count()
     use_driver_small = n_er <= DRIVER_SMALL_MAX
+    branch = "driver-small" if use_driver_small else "distributed"
     _log.debug(
         "build_kg: %s branch, %d entity/relation rows %s DRIVER_SMALL_MAX=%d",
-        "driver-small" if use_driver_small else "distributed",
-        n_er, "<=" if use_driver_small else ">", DRIVER_SMALL_MAX,
+        branch, n_er, "<=" if use_driver_small else ">", DRIVER_SMALL_MAX,
     )
     # streaming mode has no manifest counters; fill in the row counts
     # that are free (metadata of already-materialized stages) so the
@@ -724,7 +728,7 @@ def build_kg(
     stats["ent_rel_cutover"] = {
         "partial_rows": run.counters["ent_rel_partials"]["rows"],
         "distinct_rows": n_er,
-        "branch": "driver-small" if use_driver_small else "distributed",
+        "branch": branch,
         "distinct_in": distinct_in,
     }
 
@@ -737,11 +741,7 @@ def build_kg(
     if use_driver_small:
         er_tbl = pa.concat_tables(
             [_empty_strings(er_cols)]
-            + [
-                b.select(er_cols)
-                for b in er_dist.iter_batches(batch_format="pyarrow", batch_size=None)
-                if b.num_rows
-            ]
+            + [b.select(er_cols) for b in ray.get(er_dist.to_arrow_refs()) if b.num_rows]
         )
         ents_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "e")).select(["surface", "lang"])
         rels_tbl = er_tbl.filter(pc.equal(er_tbl["kind"], "r")).select(["src", "dst"])

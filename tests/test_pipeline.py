@@ -473,6 +473,57 @@ class TestPipeline:
             "distinct_in": "exchange",
         }
 
+    def test_fold_distinct_matches_one_group_by(self, ray_session):
+        """Whatever batches the cap lets the fold make, it gives the
+        one-``group_by`` distinct with nulls as keys; one row past the
+        cap it gives up, without reading the blocks after that point;
+        no rows give a typed empty table."""
+        import pyarrow as pa
+
+        from ontograph_ray.pipelines import kg
+
+        cols = ["k", "v"]
+        blocks = [
+            pa.table(
+                {
+                    "k": [f"k{j % 5}" if j % 3 else None for j in range(i, i + 7)],
+                    "v": [None if j % 4 == 0 else "x" for j in range(i, i + 7)],
+                    "other": list(range(7)),
+                }
+            )
+            for i in range(6)
+        ] + [pa.table({"k": pa.array([], pa.string())})]
+        refs = [ray.put(b) for b in blocks]
+        want = set(
+            pa.concat_tables([b.select(cols) for b in blocks[:-1]])
+            .to_pandas()
+            .itertuples(index=False)
+        )
+        n = len(want)
+        assert any(None in row for row in want)
+
+        def fold(cap, block_refs):
+            n_ref, table_ref = kg._fold_distinct.remote(cols, cap, block_refs)
+            return ray.get(n_ref), ray.get(table_ref)
+
+        for cap in (n, n + 3, 2 * n, 10**6):
+            got_n, table = fold(cap, refs)
+            assert got_n == n == table.num_rows, cap
+            assert set(table.to_pandas().itertuples(index=False)) == want, cap
+        assert fold(n - 1, refs) == (None, None)
+
+        @ray.remote
+        def unreadable():
+            raise RuntimeError("the fold read a block past the cap")
+
+        # at cap 0 every block is folded as it comes, and the first
+        # non-empty one passes the cap
+        assert fold(0, [refs[0], unreadable.remote()]) == (None, None)
+        got_n, table = fold(10**6, refs[-1:])
+        assert got_n == 0
+        assert table.schema == pa.schema([(c, pa.string()) for c in cols])
+        assert fold(10**6, [])[0] == 0
+
     def test_ent_rel_fold_boundary(self, ray_session, monkeypatch, tmp_path):
         """DRIVER_SMALL_MAX at the distinct entity/relation count: the
         one-task fold finishes and no exchange runs; one below it: the
